@@ -22,7 +22,7 @@ from .diagrams import (
     unimodal_number,
 )
 from .errors import DomainError
-from .grundy import GrundyMemo, grundy
+from .grundy import GrundyMemo
 
 MAX_SOLVE_CELLS = 81  # exhaustive solving is desk scale only
 
@@ -57,13 +57,16 @@ def _board_and_diagram(args) -> tuple[BoardParams, YoungDiagram, bool]:
     return board, diagram, transposed
 
 
-def cmd_grundy(args) -> int:
-    board, diagram, transposed = _board_and_diagram(args)
+def _require_solvable(board: BoardParams, what: str) -> None:
     if board.cells > MAX_SOLVE_CELLS:
         raise DomainError(
-            f"exhaustive solving is bounded at {MAX_SOLVE_CELLS} cells, "
-            f"got {board.cells}"
+            f"{what} is bounded at {MAX_SOLVE_CELLS} cells, got {board.cells}"
         )
+
+
+def cmd_grundy(args) -> int:
+    board, diagram, transposed = _board_and_diagram(args)
+    _require_solvable(board, "exhaustive solving")
     value, memo = mhrg.solve(board, diagram, engine=args.engine)
     in_game = diagonal_of(board, diagram).encode() in mhrg.reachable_profiles(
         board, engine=args.engine
@@ -115,11 +118,7 @@ def cmd_table(args) -> int:
 
 def cmd_reachable(args) -> int:
     board, _, transposed = _board_and_diagram(args)
-    if board.cells > MAX_SOLVE_CELLS:
-        raise DomainError(
-            f"reachable-set enumeration is bounded at {MAX_SOLVE_CELLS} cells, "
-            f"got {board.cells}"
-        )
+    _require_solvable(board, "reachable-set enumeration")
     if transposed:
         print(
             f"note: transposed input to the {board.m}x{board.n} board",
@@ -239,12 +238,11 @@ def _render_position(board: BoardParams, diagram: YoungDiagram) -> str:
 
 def _engine_move(pos: mhrg.MhrgPosition, memo: GrundyMemo):
     """A value-optimal move: to a 0-valued option when one exists, else the
-    first move in canonical order."""
-    board = pos.board
-    options = mhrg._profile_options_fn(board, "diagonal")
+    first move in canonical order.  ``memo`` holds every position reachable
+    from the full rectangle, which includes every option of ``pos``."""
     records = mhrg.moves_diagonal(pos)
     for record in records:
-        if grundy(record.result.encode(), options, memo) == 0:
+        if memo.get(record.result.encode()) == 0:
             return record
     return records[0]
 
@@ -252,8 +250,9 @@ def _engine_move(pos: mhrg.MhrgPosition, memo: GrundyMemo):
 def cmd_play(args, stdin: IO[str] | None = None) -> int:
     stream = stdin if stdin is not None else sys.stdin
     board = BoardParams(min(args.m, args.n), max(args.m, args.n))
+    _require_solvable(board, "playing against the engine")
     pos = mhrg.start_position(board)
-    memo = GrundyMemo(f"mhrg {board.m}x{board.n}")
+    _, memo = mhrg.solve(board)
     print(f"Hook removal on the {board.m}x{board.n} board. You move first.")
     print("Enter a box as 'i j' (row column), or 'q' to quit.")
     while True:

@@ -22,7 +22,7 @@ from .isomorphisms import is_symmetric
 from .mhrg import reachable_profiles, solve
 from .shifted import all_shifted, solve_hrg
 
-TABLE_MAX_SIDE = 9       # golden grid scope; worst board explores C(18,9) states
+TABLE_MAX_SIDE = 9       # golden grid scope; 9x9 explores 512 positions, 7x9 the most (1,024)
 ROW1_MAX_N = 40          # one-row boards
 ROW2_MAX_N = 24          # two-row full reachable-set suite
 START2_MAX_N = 40        # two-row starting values only (80 cells)
@@ -182,8 +182,10 @@ def grundy_table(max_m: int, max_n: int, engine: str = "diagonal") -> list[list[
     """Starting values for every board up to ``max_m x max_n``, computed
     by exhaustive search (transposed boards share a value)."""
     if not (1 <= max_m <= TABLE_MAX_SIDE and 1 <= max_n <= TABLE_MAX_SIDE):
-        raise RangeTooLargeError(
-            f"table regeneration is bounded at {TABLE_MAX_SIDE}x{TABLE_MAX_SIDE}"
+        error = RangeTooLargeError if max(max_m, max_n) > TABLE_MAX_SIDE else DomainError
+        raise error(
+            f"table regeneration needs sides in 1..{TABLE_MAX_SIDE} "
+            f"(at most {TABLE_MAX_SIDE}x{TABLE_MAX_SIDE}), got {max_m}x{max_n}"
         )
     values: dict[tuple[int, int], int] = {}
     for m in range(1, max_m + 1):
@@ -436,7 +438,7 @@ def verify(theorem: str, **params: int) -> PredictionReport:
     """Run one named verification at the given (or default) range.
 
     Ranges beyond the configured desk-scale bounds are refused with the
-    bound named.
+    bound named, and so are ranges that would check nothing.
     """
     try:
         fn, defaults = _VERIFIERS[theorem]
@@ -449,7 +451,11 @@ def verify(theorem: str, **params: int) -> PredictionReport:
         if key not in defaults:
             raise DomainError(f"{theorem} does not take parameter {key!r}")
         merged[key] = value
-    return fn(**merged)
+    report = fn(**merged)
+    if report.checked == 0:
+        given = ", ".join(f"{key}={value}" for key, value in merged.items())
+        raise DomainError(f"{theorem} with {given} checks nothing; widen the range")
+    return report
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from .errors import EngineInvariantError
+from .errors import DomainError, EngineInvariantError
 
 P = TypeVar("P")
 
@@ -70,6 +70,19 @@ class GrundyMemo:
 
     def as_dict(self) -> dict[Hashable, int]:
         return dict(self._table)
+
+
+def memo_for(game: str, memo: GrundyMemo | None) -> GrundyMemo:
+    """``memo``, or a fresh memo when it is ``None``, for ``game``.
+
+    Encodings of different games can collide (a 3x5 and a 4x4 profile are
+    both nine bytes), so a memo labelled with another game is refused.
+    """
+    if memo is None:
+        return GrundyMemo(game)
+    if memo.game != game:
+        raise DomainError(f"memo belongs to {memo.game!r}, not to {game!r}")
+    return memo
 
 
 def grundy(

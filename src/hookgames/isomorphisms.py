@@ -273,6 +273,8 @@ def verify_widening(m: int, n: int) -> IsomorphismReport:
 
 def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[IsomorphismReport]:
     """Widening reports for every ``m <= n <= max_side`` with ``m + n`` even."""
+    if max_side < 1:
+        raise DomainError(f"widening verification needs max_side >= 1, got {max_side}")
     return [
         verify_widening(m, n)
         for m in range(1, max_side + 1)
@@ -319,4 +321,7 @@ def verify_staircase_iso(n: int) -> IsomorphismReport:
 
 
 def verify_staircase_range(max_n: int = STAIRCASE_ISO_MAX_N) -> list[IsomorphismReport]:
+    """Staircase reports for every ``1 <= n <= max_n``."""
+    if max_n < 1:
+        raise DomainError(f"staircase isomorphism verification needs n >= 1, got {max_n}")
     return [verify_staircase_iso(n) for n in range(1, max_n + 1)]

@@ -13,13 +13,25 @@ a hook with the identical label multiset, that hook must be removed too
 The profile engine is the production path; the semantic engine is the
 oracle it is cross-checked against.  Both are pure functions over
 immutable positions.
+
+With the profile engine, :func:`solve` and :func:`reachable_profiles` run on
+bead words: a valid profile is fixed by its ``m + n`` unit steps, and one
+bit per step gives an ``(m + n)``-bit integer with exactly ``m`` set bits,
+the classical Maya (bead) word of a partition in a box.  There a hook
+removal moves one bead down to a hole and the forced follow-up is the
+mirrored bead move under ``i -> m + n - 1 - i``.  Words never leave those
+two functions: positions, move records, reachable sets and memo keys stay
+bytes profiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Hashable, Iterable
 
 from .diagrams import (
+    MAX_SIDE,
     BoardParams,
     DiagonalSeq,
     HookRecord,
@@ -31,7 +43,7 @@ from .diagrams import (
     remove_hook,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import GrundyMemo, grundy
+from .grundy import GrundyMemo, grundy, memo_for
 
 ENGINES = ("diagonal", "semantic", "cross-check")
 
@@ -107,11 +119,13 @@ def _accepts(vals: bytes | bytearray, m: int, lo: int, hi: int) -> bool:
     return w == vals[hi + 1] + 1
 
 
+# Byte map v -> v - 1; entries of an accepted interval are positive, so it
+# never wraps.
+_DEC = bytes((v - 1) % 256 for v in range(256))
+
+
 def _dec(vals: bytes, lo: int, hi: int) -> bytes:
-    out = bytearray(vals)
-    for s in range(lo, hi + 1):
-        out[s] -= 1
-    return bytes(out)
+    return vals[:lo] + vals[lo : hi + 1].translate(_DEC) + vals[hi + 1 :]
 
 
 def _interval_ends(vals: bytes, m: int) -> tuple[list[int], list[int]]:
@@ -211,6 +225,87 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
 
 
 # ---------------------------------------------------------------------------
+# Bead-word core.  Step s of a profile (storage slots s-1 -> s) sets bit s-1
+# of the word when it is 0 on the ascending side (s <= m) or 1 on the
+# descending side.  An accepted interval decrement of slots a+1..b is then
+# the bead move from set bit b to clear bit a < b, and the forced follow-up
+# is the bead move (m+n-1-b, m+n-1-a), applied when it is legal after the
+# first one.  A self-mirrored move never fires twice: its mirror needs the
+# bead at b, which the first move just took away.  Every option is a
+# smaller word, so the game graph is acyclic by construction.
+
+_BIT = tuple(1 << i for i in range(2 * MAX_SIDE))  # a word has m + n bits
+
+
+def word_of_profile(vals: bytes, m: int) -> int:
+    """Bead word of a valid profile in storage order on an ``m``-row board."""
+    word = 0
+    for s in range(1, len(vals)):
+        step = vals[s] - vals[s - 1]
+        if (step == 0) if s <= m else step:
+            word |= _BIT[s - 1]
+    return word
+
+
+def profile_of_word(word: int, m: int, n: int) -> bytes:
+    """Inverse of :func:`word_of_profile` on the ``m x n`` board."""
+    vals = bytearray(m + n + 1)
+    v = 0
+    for s in range(1, m + n + 1):
+        bit = word >> (s - 1) & 1
+        v += -bit if s > m else 1 - bit
+        vals[s] = v
+    return bytes(vals)
+
+
+def word_options(word: int, size: int) -> set[int]:
+    """Words reachable in one move from ``word`` (``size = m + n`` bits)."""
+    top = size - 1
+    bit = _BIT
+    holes = [a for a in range(size) if not word & bit[a]]
+    out: set[int] = set()
+    add = out.add
+    for b in range(size):
+        if not word & bit[b]:
+            continue
+        without_b = word ^ bit[b]
+        mirror_hole = bit[top - b]
+        for a in holes:
+            if a > b:
+                break
+            first = without_b ^ bit[a]
+            mirror_bead = bit[top - a]
+            if first & (mirror_hole | mirror_bead) == mirror_bead:
+                first ^= mirror_hole | mirror_bead
+            add(first)
+    return out
+
+
+def _fill_words(root: int, size: int, table: dict[int, int]) -> None:
+    """Add the value of ``root`` and of every position below it that
+    ``table`` lacks.  Iterative depth-first search: options are smaller
+    words, so no position can repeat on the active path."""
+    if root in table:
+        return
+    opts = word_options(root, size)
+    stack = [(root, opts, iter(opts))]
+    while stack:
+        word, opts, pending = stack[-1]
+        for child in pending:
+            if child not in table:
+                grand = word_options(child, size)
+                stack.append((child, grand, iter(grand)))
+                break
+        else:
+            stack.pop()
+            seen = {table[child] for child in opts}
+            value = 0
+            while value in seen:
+                value += 1
+            table[word] = value
+
+
+# ---------------------------------------------------------------------------
 # Semantic engine: the oracle.
 
 
@@ -276,19 +371,13 @@ def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
 
 
 def _profile_options_fn(board: BoardParams, engine: str):
-    if engine not in ENGINES:
-        raise DomainError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    """Bytes options function of the ``semantic`` or ``cross-check`` engine;
+    the ``diagonal`` engine runs on bead words instead."""
     m, n = board.m, board.n
-
-    if engine == "diagonal":
-        return lambda vals: profile_options(vals, m, n)
 
     def semantic(vals: bytes) -> list[bytes]:
         pos = position_from_profile(board, vals)
         return [p.encode() for p in options_semantic(pos)]
-
-    if engine == "semantic":
-        return semantic
 
     def cross_check(vals: bytes) -> list[bytes]:
         fast = profile_options(vals, m, n)
@@ -297,29 +386,32 @@ def _profile_options_fn(board: BoardParams, engine: str):
             raise EngineInvariantError("cross-check divergence")  # pragma: no cover
         return fast
 
-    return cross_check
+    if engine == "semantic":
+        return semantic
+    if engine == "cross-check":
+        return cross_check
+    raise DomainError(f"unknown engine {engine!r}; choose from {ENGINES}")
+
+
+def _closure(start: Hashable, options: Callable[[Hashable], Iterable[Hashable]]) -> set:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for child in options(stack.pop()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
 
 
 def reachable_profiles(board: BoardParams, engine: str = "diagonal") -> set[bytes]:
-    """Profiles of every position reachable from the full rectangle.
-
-    Breadth-first closure; each frontier is explored in canonical encoding
-    order so discovery logs are reproducible.
-    """
-    options = _profile_options_fn(board, engine)
+    """Profiles of every position reachable from the full rectangle."""
+    m, n = board.m, board.n
     start = start_position(board).encode()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        frontier.sort()
-        fresh = []
-        for vals in frontier:
-            for child in options(vals):
-                if child not in seen:
-                    seen.add(child)
-                    fresh.append(child)
-        frontier = fresh
-    return seen
+    if engine != "diagonal":
+        return _closure(start, _profile_options_fn(board, engine))
+    words = _closure(word_of_profile(start, m), lambda word: word_options(word, m + n))
+    return {profile_of_word(word, m, n) for word in words}
 
 
 def reachable(board: BoardParams, engine: str = "diagonal") -> set[MhrgPosition]:
@@ -339,11 +431,19 @@ def solve(
     """Game value of ``diagram`` (default: the full rectangle) on ``board``.
 
     Returns the value together with the memo, whose size is the number of
-    positions explored.
+    positions explored.  The memo is keyed by bytes profiles and must belong
+    to this board (label ``mhrg {m}x{n}``); entries already in it are reused.
     """
-    if memo is None:
-        memo = GrundyMemo(f"mhrg {board.m}x{board.n}")
+    memo = memo_for(f"mhrg {board.m}x{board.n}", memo)
     pos = start_position(board) if diagram is None else MhrgPosition(board, diagram)
-    options = _profile_options_fn(board, engine)
-    value = grundy(pos.encode(), options, memo)
-    return value, memo
+    if engine != "diagonal":
+        return grundy(pos.encode(), _profile_options_fn(board, engine), memo), memo
+    m, n = board.m, board.n
+    table = {word_of_profile(key, m): value for key, value in memo.items()}
+    known = len(table)
+    root = word_of_profile(pos.encode(), m)
+    _fill_words(root, m + n, table)
+    # Insertion order puts the newly explored positions after the known ones.
+    for word, value in islice(table.items(), known, None):
+        memo.record(profile_of_word(word, m, n), value)
+    return table[root], memo

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import DomainError, EngineInvariantError
-from .grundy import GrundyMemo, grundy
+from .grundy import GrundyMemo, grundy, memo_for
 
 Box = tuple[int, int]
 Parts = tuple[int, ...]
@@ -283,9 +283,9 @@ def solve_hrg(
     memo: GrundyMemo | None = None,
 ) -> tuple[int, GrundyMemo]:
     """Game value of ``diagram`` (default: the full staircase) in the
-    hook-removal game on the size-``n`` staircase."""
-    if memo is None:
-        memo = GrundyMemo(f"hrg staircase-{n}")
+    hook-removal game on the size-``n`` staircase.  The memo must belong to
+    this staircase (label ``hrg staircase-{n}``)."""
+    memo = memo_for(f"hrg staircase-{n}", memo)
     if diagram is None:
         diagram = staircase(n)
     start = shifted_diagonal_of(diagram, n)

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from hypothesis import settings
+
 from hookgames import BoardParams, MhrgPosition, YoungDiagram, options_semantic, start_position
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic and its running time bounded.
+settings.register_profile("tier1", derandomize=True, max_examples=40, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def enumerate_profiles(m: int, n: int) -> list[tuple[int, ...]]:

@@ -152,6 +152,27 @@ def test_verify_range_refusal(capsys):
     assert code == 2 and "24" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("widen", "--max-side", "0"),
+        ("shifted", "--n", "0"),
+        ("row1", "--max-n", "0"),
+        ("square", "--max-n", "0"),
+    ],
+)
+def test_verify_empty_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
+def test_table_lower_bound_names_the_range(capsys):
+    code, out, err = run(capsys, "table", "--max-m", "0")
+    assert code == 2 and out == ""
+    assert "1..9" in err
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
@@ -175,6 +196,14 @@ def test_play_rejects_illegal_box(capsys, monkeypatch):
     assert code == 0
     assert "illegal move" in out
     assert "bye" in out
+
+
+def test_play_refuses_boards_past_the_solve_bound(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n"))
+    code = main(["play", "-m", "10", "-n", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "81" in captured.err
 
 
 def test_play_full_game_against_engine(capsys, monkeypatch):

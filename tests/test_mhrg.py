@@ -17,9 +17,10 @@ from hookgames import (
     options_semantic,
     reachable,
     solve,
+    solve_hrg,
     start_position,
 )
-from hookgames.mhrg import position_from_profile, profile_options, reachable_profiles
+from hookgames.mhrg import ENGINES, position_from_profile, profile_options, reachable_profiles
 
 
 def rows_of(positions) -> set[tuple[int, ...]]:
@@ -200,6 +201,28 @@ def test_cross_check_divergence_is_loud():
             mh.options_cross_check(pos)
     finally:
         mh.profile_options = original
+
+
+def test_memo_of_another_game_is_refused():
+    # 3x5 and 4x4 profiles are both nine bytes and share keys with
+    # different values, so a shared memo would give 6 for the 4x4 start, not 4.
+    _, memo = solve(BoardParams(3, 5))
+    for engine in ENGINES:
+        with pytest.raises(DomainError, match="mhrg 3x5"):
+            solve(BoardParams(4, 4), engine=engine, memo=memo)
+    with pytest.raises(DomainError, match="mhrg 3x5"):
+        solve_hrg(4, memo=memo)
+    assert solve(BoardParams(4, 4))[0] == 4
+
+
+def test_solve_extends_a_memo_of_its_own_board():
+    board = BoardParams(3, 5)
+    _, memo = solve(board, YoungDiagram((5, 4, 3)))
+    partial = memo.as_dict()
+    assert solve(board, memo=memo) == (0, memo)
+    full = solve(board)[1].as_dict()
+    assert memo.as_dict() == full
+    assert partial.items() <= full.items() and len(partial) < len(full)
 
 
 def test_unknown_engine_rejected():
