@@ -9,6 +9,7 @@ bounds).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import IO, Sequence
@@ -21,7 +22,7 @@ from .diagrams import (
     transpose_position,
     unimodal_number,
 )
-from .errors import DomainError
+from .errors import DomainError, EngineInvariantError
 from .grundy import GrundyMemo
 
 MAX_SOLVE_CELLS = 81  # exhaustive solving is desk scale only
@@ -64,13 +65,28 @@ def _require_solvable(board: BoardParams, what: str) -> None:
         )
 
 
+def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
+    """Reachability of ``diagram``: from its bead word on the ``diagonal``
+    engine, from the rule-book move closure on ``semantic``, and from both
+    on ``cross-check``, where they must agree."""
+    if engine == "diagonal":
+        return mhrg.in_game(board, diagram)
+    via_closure = diagonal_of(board, diagram).encode() in mhrg.reachable_profiles(
+        board, engine=engine
+    )
+    if engine == "cross-check" and via_closure != mhrg.in_game(board, diagram):
+        raise EngineInvariantError(
+            f"reachability of {diagram.literal()} on {board.m}x{board.n}: "
+            f"move closure says {via_closure}, bead word says {not via_closure}"
+        )
+    return via_closure
+
+
 def cmd_grundy(args) -> int:
     board, diagram, transposed = _board_and_diagram(args)
     _require_solvable(board, "exhaustive solving")
     value, memo = mhrg.solve(board, diagram, engine=args.engine)
-    in_game = diagonal_of(board, diagram).encode() in mhrg.reachable_profiles(
-        board, engine=args.engine
-    )
+    in_game = _in_game(board, diagram, args.engine)
     if transposed:
         print(
             f"note: transposed input to the {board.m}x{board.n} board",
@@ -160,6 +176,9 @@ def _move_lines(records) -> list[str]:
 
 def cmd_options(args) -> int:
     board, diagram, transposed = _board_and_diagram(args)
+    if args.engine != "diagonal":
+        # The rule-book engine scans every box's hook against every other box.
+        _require_solvable(board, "rule-book move listing")
     if transposed:
         print(
             f"note: transposed input to the {board.m}x{board.n} board",
@@ -302,7 +321,10 @@ def cmd_play(args, stdin: IO[str] | None = None) -> int:
             return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hookgames",
         description="Exact analysis of hook-removal games on boxed Young diagrams.",

@@ -19,9 +19,13 @@ bead words: a valid profile is fixed by its ``m + n`` unit steps, and one
 bit per step gives an ``(m + n)``-bit integer with exactly ``m`` set bits,
 the classical Maya (bead) word of a partition in a box.  There a hook
 removal moves one bead down to a hole and the forced follow-up is the
-mirrored bead move under ``i -> m + n - 1 - i``.  Words never leave those
-two functions: positions, move records, reachable sets and memo keys stay
-bytes profiles.
+mirrored bead move under ``i -> m + n - 1 - i``.  :func:`in_game` answers
+reachability from the word alone: a position is in the game exactly when no
+mirror pair of bits holds two beads (its docstring proves that moves keep
+this invariant).  Words never leave these three functions: positions, move
+records, reachable sets and memo keys stay bytes profiles.
+:func:`reachable_profiles` stays the move closure, so the verifiers and the
+``reachable`` listing check the game itself rather than the predicate.
 """
 
 from __future__ import annotations
@@ -169,50 +173,63 @@ def _corner_of_interval(vals: bytes, m: int, lo: int, hi: int) -> tuple[int, int
     return i, j
 
 
+def _hook(board: BoardParams, vals: bytes, lo: int, hi: int) -> HookRecord:
+    """Record of the hook whose removal decrements storage ``lo..hi``."""
+    m = board.m
+    return HookRecord(
+        _corner_of_interval(vals, m, lo, hi),
+        lo - m,
+        hi - m,
+        interval_label_counts(board, lo - m, hi - m),
+    )
+
+
 def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     """Moves via the profile engine, one record per distinct result.
 
     When several first hooks reach the same result, the record with the
     lexicographically smallest corner is kept; records are ordered by the
-    canonical encoding of their results.
+    canonical encoding of their results.  Records are built for the kept
+    moves only, but every forced follow-up is checked to carry its first
+    hook's labels.
     """
     board = pos.board
     m, n = board.m, board.n
     last = m + n
     vals = pos.encode()
     lows, highs = _interval_ends(vals, m)
-    best: dict[bytes, MoveRecord] = {}
+    # result -> (corner, lo, hi, profile after the first removal, forced?)
+    best: dict[bytes, tuple[tuple[int, int], int, int, bytes, bool]] = {}
     for lo in lows:
         for hi in highs:
             if hi < lo:
                 continue
-            first_profile = _dec(vals, lo, hi)
-            first = HookRecord(
-                _corner_of_interval(vals, m, lo, hi),
-                lo - m,
-                hi - m,
-                interval_label_counts(board, lo - m, hi - m),
-            )
+            first_profile = final = _dec(vals, lo, hi)
             mlo, mhi = last - hi, last - lo
-            second = None
-            final = first_profile
-            if mlo != lo and _accepts(first_profile, m, mlo, mhi):
-                second = HookRecord(
-                    _corner_of_interval(first_profile, m, mlo, mhi),
-                    mlo - m,
-                    mhi - m,
-                    interval_label_counts(board, mlo - m, mhi - m),
-                )
-                if second.labels != first.labels:
+            forced = mlo != lo and _accepts(first_profile, m, mlo, mhi)
+            if forced:
+                labels = interval_label_counts(board, lo - m, hi - m)
+                if labels != interval_label_counts(board, mlo - m, mhi - m):
+                    first = _hook(board, vals, lo, hi)
+                    second = _hook(board, first_profile, mlo, mhi)
                     raise EngineInvariantError(
                         f"mirror hook labels diverge at {pos}: {first} vs {second}"
                     )
                 final = _dec(first_profile, mlo, mhi)
-            record = MoveRecord(first, second, position_from_profile(board, final))
+            corner = _corner_of_interval(vals, m, lo, hi)
             kept = best.get(final)
-            if kept is None or record.first.corner < kept.first.corner:
-                best[final] = record
-    return tuple(best[key] for key in sorted(best))
+            if kept is None or corner < kept[0]:
+                best[final] = (corner, lo, hi, first_profile, forced)
+    records = []
+    for final in sorted(best):
+        _, lo, hi, first_profile, forced = best[final]
+        second = _hook(board, first_profile, last - hi, last - lo) if forced else None
+        records.append(
+            MoveRecord(
+                _hook(board, vals, lo, hi), second, position_from_profile(board, final)
+            )
+        )
+    return tuple(records)
 
 
 def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
@@ -303,6 +320,41 @@ def _fill_words(root: int, size: int, table: dict[int, int]) -> None:
             while value in seen:
                 value += 1
             table[word] = value
+
+
+def in_game(board: BoardParams, diagram: YoungDiagram) -> bool:
+    """Whether ``diagram`` is reachable from the full rectangle of ``board``.
+
+    True exactly when no mirror pair of bits ``(i, m + n - 1 - i)`` of the
+    position's bead word holds two beads; with ``m + n`` odd the middle bit
+    is its own mirror and must be a hole.  O(m + n), with no enumeration.
+
+    Reachable words are mirror-free, by induction over moves:
+
+    * at the start the beads fill bits ``n .. m + n - 1``, whose mirrors are
+      bits ``0 .. m - 1``, disjoint from them because ``m <= n``;
+    * take a move ``b -> a`` from a mirror-free word (``top = m + n - 1``).
+      The mirror ``top - b`` of the bead ``b`` is a hole.  If ``top - a``
+      holds a bead after the first removal (it is then not ``b``; it is
+      ``a`` itself when ``a`` is the middle bit), the forced follow-up
+      ``top - a -> top - b`` is legal and fires: each of the two pairs ends
+      with one bead, or, when ``a`` is the middle bit, the middle ends
+      empty and ``b``'s pair holds one bead.  Otherwise ``a``'s pair ends
+      with one bead and ``b``'s pair with none.  No other bit changes.
+
+    Conversely, every mirror-free word is reachable: that is checked, not
+    proved.  On every board with at most 81 cells the move closure is
+    mirror-free and has ``C(floor((m + n) / 2), m) * 2**m`` positions, the
+    number of mirror-free words with ``m`` beads (``tests/test_mhrg.py``).
+    """
+    word = word_of_profile(diagonal_of(board, diagram).encode(), board.m)
+    return mirror_free(word, board.m + board.n)
+
+
+def mirror_free(word: int, size: int) -> bool:
+    """No two beads of the ``size``-bit ``word`` sit on a pair of bits
+    ``(i, size - 1 - i)``; the middle bit of an odd ``size`` holds none."""
+    return not word & int(format(word, f"0{size}b")[::-1], 2)
 
 
 # ---------------------------------------------------------------------------

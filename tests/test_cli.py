@@ -6,6 +6,8 @@ import pytest
 from jsonschema import validate
 
 from hookgames.cli import main
+from hookgames.errors import EngineInvariantError
+from hookgames.mhrg import ENGINES
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src/hookgames/schemas/report.schema.json").read_text()
@@ -46,6 +48,44 @@ def test_grundy_warns_on_unreachable(capsys):
     code, out, err = run(capsys, "grundy", "-m", "1", "-n", "4", "--diagram", "2")
     assert code == 0
     assert "not reachable" in err
+
+    for engine in ENGINES:
+        code, out, err = run(
+            capsys, "grundy", "-m", "1", "-n", "4", "--diagram", "2",
+            "--format", "json", "--engine", engine,
+        )
+        assert code == 0 and "not reachable" in err
+        assert json.loads(out)["reachable"] is False
+
+    code, out, err = run(
+        capsys, "grundy", "-m", "3", "-n", "5", "--diagram", "5,4,3",
+        "--engine", "cross-check",
+    )
+    assert code == 0 and err == ""
+
+
+def test_grundy_cross_check_catches_a_wrong_reachable_flag(capsys, monkeypatch):
+    monkeypatch.setattr("hookgames.cli.mhrg.in_game", lambda board, diagram: False)
+    code, out, _ = run(capsys, "grundy", "-m", "2", "-n", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["reachable"] is False
+    with pytest.raises(EngineInvariantError, match="move closure says True"):
+        main(["grundy", "-m", "2", "-n", "2", "--engine", "cross-check"])
+    capsys.readouterr()
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    argv = ("options", "-m", "3", "-n", "5", "--diagram", "5,4,3")
+    code, as_json, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(json.loads(as_json)["moves"]) == 9
+    code, pretty, _ = run(capsys, *argv)
+    assert code == 0 and pretty.endswith("# 9 moves\n")
+
+    argv = ("grundy", "-m", "3", "-n", "5", "--diagram", "5,4,3", "--format", "json")
+    _, semantic, _ = run(capsys, *argv, "--engine", "semantic")
+    _, default, _ = run(capsys, *argv)
+    assert json.loads(semantic)["engine"] == "semantic"
+    assert json.loads(default)["engine"] == "diagonal"
+    assert json.loads(semantic)["grundy"] == json.loads(default)["grundy"]
 
 
 def test_grundy_transposes_wide_input(capsys):
@@ -107,6 +147,15 @@ def test_options_listing_shows_forced_removal(capsys):
     payload = json.loads(out)
     results = {m["result"] for m in payload["moves"]}
     assert results == {"2,1", "1", "-"}
+
+
+def test_rule_book_options_are_bounded(capsys):
+    for engine in ("semantic", "cross-check"):
+        code, out, err = run(capsys, "options", "-m", "10", "-n", "9", "--engine", engine)
+        assert code == 2 and out == ""
+        assert "81 cells" in err and "90" in err
+    code, out, _ = run(capsys, "options", "-m", "10", "-n", "9")
+    assert code == 0 and out.endswith("# 45 moves\n")
 
 
 def test_verify_pass_and_json_schema(capsys):

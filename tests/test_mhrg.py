@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from conftest import brute_grundy_map
 
@@ -7,6 +9,7 @@ from hookgames import (
     EngineInvariantError,
     MhrgPosition,
     YoungDiagram,
+    all_diagrams,
     diagonal_of,
     is_symmetric,
     move_for_box,
@@ -20,7 +23,17 @@ from hookgames import (
     solve_hrg,
     start_position,
 )
-from hookgames.mhrg import ENGINES, position_from_profile, profile_options, reachable_profiles
+from hookgames.cli import MAX_SOLVE_CELLS
+from hookgames.diagrams import MAX_SIDE
+from hookgames.mhrg import (
+    ENGINES,
+    in_game,
+    mirror_free,
+    position_from_profile,
+    profile_options,
+    reachable_profiles,
+    word_of_profile,
+)
 
 
 def rows_of(positions) -> set[tuple[int, ...]]:
@@ -168,6 +181,55 @@ def test_move_records_deduplicate_by_result():
     semantic = moves_semantic(pos)
     assert [r.result for r in semantic] == [r.result for r in records]
     assert [r.first.corner for r in semantic] == [r.first.corner for r in records]
+
+
+def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
+    # On 2x3 at (2,): the hook at (1,2) fires the follow-up on interval 0..0
+    # and reaches the empty board, as the hook at (1,1) does alone; only the
+    # (1,1) record is kept, so no kept record touches interval 0..0.
+    board = BoardParams(2, 3)
+    pos = MhrgPosition(board, YoungDiagram((2,)))
+    loser = move_for_box(pos, 1, 2)
+    assert (loser.second.lo, loser.second.hi) == (0, 0)
+    assert [(r.first.corner, r.second) for r in moves_diagonal(pos)] == [((1, 1), None)]
+    import hookgames.mhrg as mh
+
+    original = mh.interval_label_counts
+
+    def corrupt(board, lo, hi):
+        counts = original(board, lo, hi)
+        return counts[::-1] + (0,) if (lo, hi) == (0, 0) else counts
+
+    monkeypatch.setattr(mh, "interval_label_counts", corrupt)
+    with pytest.raises(EngineInvariantError, match="mirror hook labels diverge"):
+        moves_diagonal(pos)
+
+
+def test_in_game_matches_the_move_closure_on_every_diagram():
+    for m in range(1, 6):
+        for n in range(m, 7):
+            board = BoardParams(m, n)
+            closure = reachable_profiles(board)
+            for diagram in all_diagrams(board):
+                expected = diagonal_of(board, diagram).encode() in closure
+                assert in_game(board, diagram) == expected, (m, n, diagram.rows)
+
+
+def test_reachable_set_is_mirror_free_on_every_solvable_board():
+    # Every board the CLI solves: the move closure lies inside the
+    # mirror-free words and has as many positions as there are of them
+    # (choose m of the floor((m + n) / 2) mirror pairs, then a side in
+    # each), so the two sets are equal and in_game is exact there.
+    boards = 0
+    for m in range(1, MAX_SIDE + 1):
+        for n in range(m, MAX_SIDE + 1):
+            if m * n > MAX_SOLVE_CELLS:
+                break
+            profiles = reachable_profiles(BoardParams(m, n))
+            assert len(profiles) == comb((m + n) // 2, m) * 2**m, (m, n)
+            assert all(mirror_free(word_of_profile(p, m), m + n) for p in profiles), (m, n)
+            boards += 1
+    assert boards == 174
 
 
 def test_solver_matches_independent_brute_force():

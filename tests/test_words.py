@@ -18,6 +18,7 @@ from hookgames import (
     start_position,
 )
 from hookgames.mhrg import (
+    mirror_free,
     position_from_profile,
     profile_of_word,
     profile_options,
@@ -40,6 +41,15 @@ def board_words(draw) -> tuple[int, int, int]:
     m, n = draw(boards())
     beads = draw(st.sets(st.integers(0, m + n - 1), min_size=m, max_size=m))
     return m, n, sum(1 << b for b in beads)
+
+
+@st.composite
+def mirror_free_words(draw) -> tuple[int, int, int]:
+    """Words with one bead in each of m mirror pairs (i, m + n - 1 - i)."""
+    m, n = draw(boards())
+    top = m + n - 1
+    pairs = draw(st.sets(st.integers(0, (m + n) // 2 - 1), min_size=m, max_size=m))
+    return m, n, sum(1 << (top - i if draw(st.booleans()) else i) for i in pairs)
 
 
 # The rule-book engine's cost per position grows steeply with the box
@@ -136,3 +146,19 @@ def test_solve_memo_matches_generic_grundy_up_to_7x8():
                 generic,
             )
             assert memo.as_dict() == generic.as_dict(), (m, n)
+
+
+@given(st.one_of(board_words(), mirror_free_words()))
+def test_mirror_free_checks_every_pair(case):
+    m, n, word = case
+    top = m + n - 1
+    clash = any(word >> i & 1 and word >> (top - i) & 1 for i in range(m + n))
+    assert mirror_free(word, m + n) == (not clash)
+
+
+@given(mirror_free_words())
+def test_moves_keep_words_mirror_free(case):
+    m, n, word = case
+    assert mirror_free(word, m + n)
+    children = word_options(word, m + n)
+    assert all(mirror_free(child, m + n) for child in children)
