@@ -27,8 +27,13 @@ from .grundy import GrundyMemo
 
 MAX_SOLVE_CELLS = 81  # exhaustive solving is desk scale only
 
-ISO_VERIFY_IDS = ("widen", "shifted")
-ALL_VERIFY_IDS = closedforms.VERIFY_IDS + ISO_VERIFY_IDS
+# Isomorphism verifications: the range function, the one parameter it
+# takes and that parameter's default.
+ISO_VERIFIERS = {
+    "widen": (isomorphisms.verify_widening_range, "max_side", isomorphisms.WIDEN_MAX_SIDE),
+    "shifted": (isomorphisms.verify_staircase_range, "n", isomorphisms.STAIRCASE_ISO_MAX_N),
+}
+ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -42,7 +47,8 @@ def _write(text: str, out: str | None) -> None:
 def _board_and_diagram(args) -> tuple[BoardParams, YoungDiagram, bool]:
     """Build the board, transposing when more rows than columns are given."""
     m, n = args.m, args.n
-    rows = YoungDiagram.parse(args.diagram).rows if getattr(args, "diagram", None) else None
+    literal = getattr(args, "diagram", None)
+    rows = YoungDiagram.parse(literal).rows if literal is not None else None
     transposed = m > n
     if transposed:
         if rows is None:
@@ -221,19 +227,15 @@ def cmd_options(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports: list
-    if args.theorem == "widen":
-        side = args.max_side if args.max_side is not None else isomorphisms.WIDEN_MAX_SIDE
-        reports = isomorphisms.verify_widening_range(side)
-    elif args.theorem == "shifted":
-        top = args.n if args.n is not None else isomorphisms.STAIRCASE_ISO_MAX_N
-        reports = isomorphisms.verify_staircase_range(top)
+    given = {key: getattr(args, key) for key in ("max_m", "max_n", "n", "max_side")}
+    params = {key: value for key, value in given.items() if value is not None}
+    if args.theorem in ISO_VERIFIERS:
+        verify_range, key, default = ISO_VERIFIERS[args.theorem]
+        extra = sorted(params.keys() - {key})
+        if extra:
+            raise DomainError(f"{args.theorem} does not take parameter {extra[0]!r}")
+        reports = verify_range(params.get(key, default))
     else:
-        params = {}
-        for key in ("max_m", "max_n", "n"):
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
         reports = [closedforms.verify(args.theorem, **params)]
     passed = all(r.passed for r in reports)
     if args.format == "json":
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=mhrg.ENGINES,
             default="diagonal",
-            help="move engine: fast profile engine, rule-book engine, or both",
+            help="move engine: bead-word rule, rule-book engine, or both",
         )
 
     p = sub.add_parser("grundy", help="game value of a position")

@@ -1,21 +1,18 @@
 """Generic solver for finite impartial games: mex, memoised game values,
 outcome classes.
 
-The solver is agnostic about the position type; callers supply an options
-function and (optionally) an encoder that turns positions into hashable
-memo keys.  Values are deterministic functions of the position, so the
-memo behaves as an insert-or-get table: concurrent or re-entrant fills are
-benign, and re-insertion with a different value is an engine bug.
+The solver is agnostic about the position type: positions are their own
+hashable memo keys, and callers supply an options function.  Values are
+deterministic functions of the position, so the memo behaves as an
+insert-or-get table: re-insertion with a different value is an engine bug.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Collection, Hashable, Iterable
 
 from .errors import DomainError, EngineInvariantError
-
-P = TypeVar("P")
 
 
 class Outcome(Enum):
@@ -25,51 +22,31 @@ class Outcome(Enum):
 
 def mex(values: Iterable[int]) -> int:
     """Least non-negative integer missing from ``values``."""
-    vals = list(values)
-    # mex never exceeds the number of values, so a scratch array suffices.
-    seen = [False] * (len(vals) + 1)
-    for v in vals:
-        if 0 <= v < len(seen):
-            seen[v] = True
-    for i, hit in enumerate(seen):
-        if not hit:
-            return i
-    raise EngineInvariantError("mex scratch array exhausted")
+    seen = set(values)
+    value = 0
+    while value in seen:
+        value += 1
+    return value
 
 
-class GrundyMemo:
-    """Write-once table from canonical position encodings to game values.
+class GrundyMemo(dict):
+    """Write-once table from positions to game values.
 
     A memo is scoped to a single game instance (one board or staircase);
     encodings from different games must never share a table.
     """
 
     def __init__(self, game: str):
+        super().__init__()
         self.game = game
-        self._table: dict[Hashable, int] = {}
-
-    def get(self, key: Hashable) -> int | None:
-        return self._table.get(key)
 
     def record(self, key: Hashable, value: int) -> None:
-        old = self._table.get(key)
+        old = self.get(key)
         if old is not None and old != value:
             raise EngineInvariantError(
                 f"memo for {self.game} re-inserted {key!r} with {value}, had {old}"
             )
-        self._table[key] = value
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._table
-
-    def items(self):
-        return self._table.items()
-
-    def as_dict(self) -> dict[Hashable, int]:
-        return dict(self._table)
+        self[key] = value
 
 
 def memo_for(game: str, memo: GrundyMemo | None) -> GrundyMemo:
@@ -86,64 +63,49 @@ def memo_for(game: str, memo: GrundyMemo | None) -> GrundyMemo:
 
 
 def grundy(
-    pos: P,
-    options: Callable[[P], Iterable[P]],
-    memo: GrundyMemo,
-    encode: Callable[[P], Hashable] | None = None,
+    pos: Hashable,
+    options: Callable[[Hashable], Collection[Hashable]],
+    memo: dict,
 ) -> int:
     """Game value of ``pos``: mex over the values of its options.
 
-    Iterative post-order traversal with an explicit stack, so deeply
-    nested games cannot hit the interpreter recursion limit.  The game
-    graph must be acyclic; a repeated position on the active path raises
-    :class:`EngineInvariantError`.
+    Iterative depth-first search with an explicit stack, so deeply nested
+    games cannot hit the interpreter recursion limit; ``options`` must
+    return a collection, which is iterated twice.  Every position below
+    ``pos`` that ``memo`` (a :class:`GrundyMemo` or a plain ``dict``) lacks
+    is added to it, each exactly once, so the memo stays write-once.  The
+    game graph must be acyclic; a repeated position on the active path
+    raises :class:`EngineInvariantError`.
     """
-    enc = encode if encode is not None else lambda p: p
-    root_key = enc(pos)
-    cached = memo.get(root_key)
-    if cached is not None:
-        return cached
-
-    path: set[Hashable] = {root_key}
-    # Frame: [position, key, options list, next child index, child values]
-    stack: list[list] = [[pos, root_key, None, 0, None]]
+    if pos in memo:
+        return memo[pos]
+    path = {pos}
+    opts = options(pos)
+    stack = [(pos, opts, iter(opts))]
     while stack:
-        frame = stack[-1]
-        if frame[2] is None:
-            frame[2] = [(enc(child), child) for child in options(frame[0])]
-            frame[4] = []
-        opts, vals = frame[2], frame[4]
-        descended = False
-        while frame[3] < len(opts):
-            child_key, child = opts[frame[3]]
-            value = memo.get(child_key)
-            if value is None:
-                if child_key in path:
+        node, opts, pending = stack[-1]
+        for child in pending:
+            if child not in memo:
+                if child in path:
                     raise EngineInvariantError(
-                        f"cycle through {child_key!r}; game positions must not repeat"
+                        f"cycle through {child!r}; game positions must not repeat"
                     )
-                path.add(child_key)
-                stack.append([child, child_key, None, 0, None])
-                descended = True
+                path.add(child)
+                grand = options(child)
+                stack.append((child, grand, iter(grand)))
                 break
-            vals.append(value)
-            frame[3] += 1
-        if descended:
-            continue
-        memo.record(frame[1], mex(vals))
-        path.discard(frame[1])
-        stack.pop()
-    value = memo.get(root_key)
-    assert value is not None
-    return value
+        else:
+            stack.pop()
+            path.discard(node)
+            memo[node] = mex(map(memo.__getitem__, opts))
+    return memo[pos]
 
 
 def outcome(
-    pos: P,
-    options: Callable[[P], Iterable[P]],
-    memo: GrundyMemo,
-    encode: Callable[[P], Hashable] | None = None,
+    pos: Hashable,
+    options: Callable[[Hashable], Collection[Hashable]],
+    memo: dict,
 ) -> Outcome:
     """P-position (previous player wins) exactly when the game value is 0."""
-    value = grundy(pos, options, memo, encode)
+    value = grundy(pos, options, memo)
     return Outcome.PREVIOUS_WINS if value == 0 else Outcome.NEXT_WINS

@@ -17,11 +17,11 @@ them: bijectivity, option preservation, and game-value transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Hashable, Iterable, TypeVar
+from typing import Callable, Collection, Hashable, TypeVar
 
 from .diagrams import BoardParams, DiagonalSeq, diagram_of
 from .errors import DomainError, RangeTooLargeError
-from .grundy import GrundyMemo, grundy
+from .grundy import grundy
 from .mhrg import MhrgPosition, position_from_profile, profile_options, reachable_profiles
 from .shifted import (
     ShiftedDiagonalSeq,
@@ -146,10 +146,8 @@ def verify_isomorphism(
     gmap: GameMap,
     source_positions: Collection[S],
     target_positions: Collection[T],
-    source_options: Callable[[S], Iterable[S]],
-    target_options: Callable[[T], Iterable[T]],
-    source_encode: Callable[[S], Hashable] | None = None,
-    target_encode: Callable[[T], Hashable] | None = None,
+    source_options: Callable[[S], Collection[S]],
+    target_options: Callable[[T], Collection[T]],
     render: Callable[[object], str] = str,
 ) -> IsomorphismReport:
     """Check that ``gmap.forward`` is a game isomorphism on the given sets.
@@ -158,49 +156,46 @@ def verify_isomorphism(
     bijection between the position sets, (ii) it commutes with option
     taking, and (iii) game values transport along it.
     """
-    enc_s = source_encode if source_encode is not None else lambda p: p
-    enc_t = target_encode if target_encode is not None else lambda p: p
     report = IsomorphismReport(
         gmap.name, gmap.source, gmap.target, len(source_positions)
     )
 
-    images: dict[Hashable, tuple[S, T]] = {}
-    target_keys = {enc_t(t): t for t in target_positions}
+    images: dict[Hashable, S] = {}
+    targets = set(target_positions)
     for pos in source_positions:
         image = gmap.forward(pos)
-        key = enc_t(image)
-        if key in images:
+        if image in images:
             report.violations.append(
                 Violation(
                     "not-injective",
                     {
-                        "first": render(images[key][0]),
+                        "first": render(images[image]),
                         "second": render(pos),
                         "image": render(image),
                     },
                 )
             )
             continue
-        images[key] = (pos, image)
-        if key not in target_keys:
+        images[image] = pos
+        if image not in targets:
             report.violations.append(
                 Violation(
                     "image-outside-target",
                     {"source": render(pos), "image": render(image)},
                 )
             )
-    for key, target in target_keys.items():
-        if key not in images:
+    for target in target_positions:
+        if target not in images:
             report.violations.append(
                 Violation("target-not-covered", {"target": render(target)})
             )
 
-    memo_s = GrundyMemo(f"{gmap.name} source")
-    memo_t = GrundyMemo(f"{gmap.name} target")
+    memo_s: dict[S, int] = {}
+    memo_t: dict[T, int] = {}
     for pos in source_positions:
         image = gmap.forward(pos)
-        expected = {enc_t(gmap.forward(child)) for child in source_options(pos)}
-        actual = {enc_t(child) for child in target_options(image)}
+        expected = {gmap.forward(child) for child in source_options(pos)}
+        actual = set(target_options(image))
         if expected != actual:
             report.violations.append(
                 Violation(
@@ -208,18 +203,15 @@ def verify_isomorphism(
                     {
                         "source": render(pos),
                         "missing": sorted(
-                            render(target_keys[k]) for k in expected - actual
-                            if k in target_keys
+                            render(k) for k in expected - actual if k in targets
                         ),
-                        "extra": sorted(
-                            render(target_keys.get(k, k)) for k in actual - expected
-                        ),
+                        "extra": sorted(render(k) for k in actual - expected),
                     },
                 )
             )
             continue
-        value_s = grundy(pos, source_options, memo_s, enc_s)
-        value_t = grundy(image, target_options, memo_t, enc_t)
+        value_s = grundy(pos, source_options, memo_s)
+        value_t = grundy(image, target_options, memo_t)
         if value_s != value_t:
             report.violations.append(
                 Violation(

@@ -2,30 +2,27 @@
 
 A move removes the hook of a chosen box; if the remaining diagram contains
 a hook with the identical label multiset, that hook must be removed too
-(this happens at most once).  Two engines implement the rule:
+(this happens at most once).
 
-* the semantic engine applies the rule book literally on diagrams,
-  scanning for an equal-label hook after each removal;
-* the profile engine works on diagonal profiles, where a removal is an
-  accepted interval decrement and the forced follow-up is exactly the
-  mirror interval ``(n - m - hi, n - m - lo)``.
+The rule runs on bead words.  A valid diagonal profile is fixed by its
+``m + n`` unit steps, and one bit per step gives an ``(m + n)``-bit integer
+with exactly ``m`` set bits, the classical Maya (bead) word of a partition
+in a box.  A hook removal moves one bead down to a hole, and the forced
+follow-up is the mirrored bead move under ``i -> m + n - 1 - i``.
+:func:`word_options` is that rule; option sets, move records, solves and
+reachable sets all come from it.  Positions, move records, reachable sets
+and memo keys stay bytes profiles.
 
-The profile engine is the production path; the semantic engine is the
-oracle it is cross-checked against.  Both are pure functions over
-immutable positions.
+The semantic engine applies the rule book literally on diagrams, scanning
+for an equal-label hook after each removal.  It is the oracle:
+``engine="semantic"`` solves with it, and ``engine="cross-check"`` compares
+it with the bead-word rule at every position.
 
-With the profile engine, :func:`solve` and :func:`reachable_profiles` run on
-bead words: a valid profile is fixed by its ``m + n`` unit steps, and one
-bit per step gives an ``(m + n)``-bit integer with exactly ``m`` set bits,
-the classical Maya (bead) word of a partition in a box.  There a hook
-removal moves one bead down to a hole and the forced follow-up is the
-mirrored bead move under ``i -> m + n - 1 - i``.  :func:`in_game` answers
-reachability from the word alone: a position is in the game exactly when no
-mirror pair of bits holds two beads (its docstring proves that moves keep
-this invariant).  Words never leave these three functions: positions, move
-records, reachable sets and memo keys stay bytes profiles.
-:func:`reachable_profiles` stays the move closure, so the verifiers and the
-``reachable`` listing check the game itself rather than the predicate.
+:func:`in_game` answers reachability from the word alone: a position is in
+the game exactly when no mirror pair of bits holds two beads (its docstring
+proves that moves keep this invariant).  :func:`reachable_profiles` stays
+the move closure, so the verifiers and the ``reachable`` listing check the
+game itself rather than the predicate.
 """
 
 from __future__ import annotations
@@ -103,145 +100,6 @@ class MoveRecord:
 
 
 # ---------------------------------------------------------------------------
-# Profile engine.  Profiles are bytes of length m + n + 1 in storage order
-# (slot k + m holds diagonal k).  An interval decrement [lo, hi] is accepted
-# exactly when slot lo steps up from its left neighbour (towards the peak)
-# and slot hi steps down to its right neighbour, which makes acceptance an
-# O(1) test per boundary.
-
-
-def _accepts(vals: bytes | bytearray, m: int, lo: int, hi: int) -> bool:
-    v = vals[lo]
-    if lo <= m:
-        if v != vals[lo - 1] + 1:
-            return False
-    elif v != vals[lo - 1]:
-        return False
-    w = vals[hi]
-    if hi < m:
-        return w == vals[hi + 1]
-    return w == vals[hi + 1] + 1
-
-
-# Byte map v -> v - 1; entries of an accepted interval are positive, so it
-# never wraps.
-_DEC = bytes((v - 1) % 256 for v in range(256))
-
-
-def _dec(vals: bytes, lo: int, hi: int) -> bytes:
-    return vals[:lo] + vals[lo : hi + 1].translate(_DEC) + vals[hi + 1 :]
-
-
-def _interval_ends(vals: bytes, m: int) -> tuple[list[int], list[int]]:
-    """Storage slots usable as interval starts / ends."""
-    last = len(vals) - 1
-    lows, highs = [], []
-    for s in range(1, last):
-        v = vals[s]
-        if (v == vals[s - 1] + 1) if s <= m else (v == vals[s - 1]):
-            lows.append(s)
-        if (v == vals[s + 1]) if s < m else (v == vals[s + 1] + 1):
-            highs.append(s)
-    return lows, highs
-
-
-def profile_options(vals: bytes, m: int, n: int) -> list[bytes]:
-    """Profiles reachable in one move, duplicates included."""
-    last = m + n
-    lows, highs = _interval_ends(vals, m)
-    out = []
-    for lo in lows:
-        for hi in highs:
-            if hi < lo:
-                continue
-            first = _dec(vals, lo, hi)
-            # Mirror interval in storage slots; self-mirrored hooks never
-            # fire the follow-up removal.
-            mlo, mhi = last - hi, last - lo
-            if mlo != lo and _accepts(first, m, mlo, mhi):
-                out.append(_dec(first, mlo, mhi))
-            else:
-                out.append(first)
-    return out
-
-
-def _corner_of_interval(vals: bytes, m: int, lo: int, hi: int) -> tuple[int, int]:
-    """Corner box of the hook whose removal decrements storage ``lo..hi``."""
-    klo, khi = lo - m, hi - m
-    i = vals[hi] if khi >= 0 else vals[hi] - khi
-    j = vals[lo] + klo if klo >= 0 else vals[lo]
-    return i, j
-
-
-def _hook(board: BoardParams, vals: bytes, lo: int, hi: int) -> HookRecord:
-    """Record of the hook whose removal decrements storage ``lo..hi``."""
-    m = board.m
-    return HookRecord(
-        _corner_of_interval(vals, m, lo, hi),
-        lo - m,
-        hi - m,
-        interval_label_counts(board, lo - m, hi - m),
-    )
-
-
-def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves via the profile engine, one record per distinct result.
-
-    When several first hooks reach the same result, the record with the
-    lexicographically smallest corner is kept; records are ordered by the
-    canonical encoding of their results.  Records are built for the kept
-    moves only, but every forced follow-up is checked to carry its first
-    hook's labels.
-    """
-    board = pos.board
-    m, n = board.m, board.n
-    last = m + n
-    vals = pos.encode()
-    lows, highs = _interval_ends(vals, m)
-    # result -> (corner, lo, hi, profile after the first removal, forced?)
-    best: dict[bytes, tuple[tuple[int, int], int, int, bytes, bool]] = {}
-    for lo in lows:
-        for hi in highs:
-            if hi < lo:
-                continue
-            first_profile = final = _dec(vals, lo, hi)
-            mlo, mhi = last - hi, last - lo
-            forced = mlo != lo and _accepts(first_profile, m, mlo, mhi)
-            if forced:
-                labels = interval_label_counts(board, lo - m, hi - m)
-                if labels != interval_label_counts(board, mlo - m, mhi - m):
-                    first = _hook(board, vals, lo, hi)
-                    second = _hook(board, first_profile, mlo, mhi)
-                    raise EngineInvariantError(
-                        f"mirror hook labels diverge at {pos}: {first} vs {second}"
-                    )
-                final = _dec(first_profile, mlo, mhi)
-            corner = _corner_of_interval(vals, m, lo, hi)
-            kept = best.get(final)
-            if kept is None or corner < kept[0]:
-                best[final] = (corner, lo, hi, first_profile, forced)
-    records = []
-    for final in sorted(best):
-        _, lo, hi, first_profile, forced = best[final]
-        second = _hook(board, first_profile, last - hi, last - lo) if forced else None
-        records.append(
-            MoveRecord(
-                _hook(board, vals, lo, hi), second, position_from_profile(board, final)
-            )
-        )
-    return tuple(records)
-
-
-def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
-    """Option set via the profile engine."""
-    board = pos.board
-    return {
-        position_from_profile(board, p)
-        for p in profile_options(pos.encode(), board.m, board.n)
-    }
-
-
-# ---------------------------------------------------------------------------
 # Bead-word core.  Step s of a profile (storage slots s-1 -> s) sets bit s-1
 # of the word when it is 0 on the ascending side (s <= m) or 1 on the
 # descending side.  An accepted interval decrement of slots a+1..b is then
@@ -298,30 +156,6 @@ def word_options(word: int, size: int) -> set[int]:
     return out
 
 
-def _fill_words(root: int, size: int, table: dict[int, int]) -> None:
-    """Add the value of ``root`` and of every position below it that
-    ``table`` lacks.  Iterative depth-first search: options are smaller
-    words, so no position can repeat on the active path."""
-    if root in table:
-        return
-    opts = word_options(root, size)
-    stack = [(root, opts, iter(opts))]
-    while stack:
-        word, opts, pending = stack[-1]
-        for child in pending:
-            if child not in table:
-                grand = word_options(child, size)
-                stack.append((child, grand, iter(grand)))
-                break
-        else:
-            stack.pop()
-            seen = {table[child] for child in opts}
-            value = 0
-            while value in seen:
-                value += 1
-            table[word] = value
-
-
 def in_game(board: BoardParams, diagram: YoungDiagram) -> bool:
     """Whether ``diagram`` is reachable from the full rectangle of ``board``.
 
@@ -355,6 +189,102 @@ def mirror_free(word: int, size: int) -> bool:
     """No two beads of the ``size``-bit ``word`` sit on a pair of bits
     ``(i, size - 1 - i)``; the middle bit of an odd ``size`` holds none."""
     return not word & int(format(word, f"0{size}b")[::-1], 2)
+
+
+def profile_options(vals: bytes, m: int, n: int) -> list[bytes]:
+    """Profiles reachable in one move from the profile ``vals`` on the
+    ``m x n`` board, each once: :func:`word_options` read through bytes."""
+    return [
+        profile_of_word(word, m, n)
+        for word in word_options(word_of_profile(vals, m), m + n)
+    ]
+
+
+def _corner_of_interval(vals: bytes, m: int, lo: int, hi: int) -> tuple[int, int]:
+    """Corner box of the hook whose removal decrements storage ``lo..hi``."""
+    klo, khi = lo - m, hi - m
+    i = vals[hi] if khi >= 0 else vals[hi] - khi
+    j = vals[lo] + klo if klo >= 0 else vals[lo]
+    return i, j
+
+
+def _hook(board: BoardParams, vals: bytes, lo: int, hi: int) -> HookRecord:
+    """Record of the hook whose removal decrements storage ``lo..hi``."""
+    m = board.m
+    return HookRecord(
+        _corner_of_interval(vals, m, lo, hi),
+        lo - m,
+        hi - m,
+        interval_label_counts(board, lo - m, hi - m),
+    )
+
+
+def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
+    """Moves via the bead word, one record per distinct result.
+
+    The bead move ``b -> a`` removes the hook of storage slots
+    ``a + 1 .. b``; its follow-up is the mirrored bead move, as in
+    :func:`word_options`, which decrements the mirror slots
+    ``m + n - b .. m + n - 1 - a``.  When several first hooks reach the same
+    result, the record with the lexicographically smallest corner is kept;
+    records are ordered by the canonical encoding of their results.  Records
+    are built for the kept moves only, but every forced follow-up is checked
+    to carry its first hook's labels.
+    """
+    board = pos.board
+    m, n = board.m, board.n
+    last = m + n
+    bit = _BIT
+    vals = pos.encode()
+    word = word_of_profile(vals, m)
+    holes = [a for a in range(last) if not word & bit[a]]
+    # result word -> (corner, lo, hi, word after the first removal, forced?)
+    best: dict[int, tuple[tuple[int, int], int, int, int, bool]] = {}
+    for b in range(last):
+        if not word & bit[b]:
+            continue
+        for a in holes:
+            if a > b:
+                break
+            lo, hi = a + 1, b
+            mlo, mhi = last - hi, last - lo
+            first = final = word ^ bit[a] ^ bit[b]
+            mirror = bit[mlo - 1] | bit[mhi]
+            forced = first & mirror == bit[mhi]
+            if forced:
+                labels = interval_label_counts(board, lo - m, hi - m)
+                if labels != interval_label_counts(board, mlo - m, mhi - m):
+                    first_hook = _hook(board, vals, lo, hi)
+                    second = _hook(board, profile_of_word(first, m, n), mlo, mhi)
+                    raise EngineInvariantError(
+                        f"mirror hook labels diverge at {pos}: {first_hook} vs {second}"
+                    )
+                final = first ^ mirror
+            corner = _corner_of_interval(vals, m, lo, hi)
+            kept = best.get(final)
+            if kept is None or corner < kept[0]:
+                best[final] = (corner, lo, hi, first, forced)
+    records = []
+    for result, final in sorted((profile_of_word(w, m, n), w) for w in best):
+        _, lo, hi, first, forced = best[final]
+        second = (
+            _hook(board, profile_of_word(first, m, n), last - hi, last - lo)
+            if forced
+            else None
+        )
+        records.append(
+            MoveRecord(_hook(board, vals, lo, hi), second, position_from_profile(board, result))
+        )
+    return tuple(records)
+
+
+def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
+    """Option set via the bead word."""
+    board = pos.board
+    return {
+        position_from_profile(board, p)
+        for p in profile_options(pos.encode(), board.m, board.n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -417,32 +347,35 @@ def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
         only_s = sorted(str(p) for p in via_semantic - via_diagonal)
         raise EngineInvariantError(
             f"engines diverge at {pos} on {pos.board.m}x{pos.board.n}: "
-            f"profile-only {only_d}, semantic-only {only_s}"
+            f"diagonal-only {only_d}, semantic-only {only_s}"
         )
     return via_diagonal
 
 
-def _profile_options_fn(board: BoardParams, engine: str):
-    """Bytes options function of the ``semantic`` or ``cross-check`` engine;
-    the ``diagonal`` engine runs on bead words instead."""
+def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int]]:
+    """Word options function of ``engine`` on ``board``: the bead-word rule,
+    the rule book read through words, or both compared."""
     m, n = board.m, board.n
+    size = m + n
 
-    def semantic(vals: bytes) -> list[bytes]:
-        pos = position_from_profile(board, vals)
-        return [p.encode() for p in options_semantic(pos)]
+    def diagonal(word: int) -> set[int]:
+        return word_options(word, size)
 
-    def cross_check(vals: bytes) -> list[bytes]:
-        fast = profile_options(vals, m, n)
-        if set(fast) != set(semantic(vals)):
-            options_cross_check(position_from_profile(board, vals))
+    def semantic(word: int) -> set[int]:
+        pos = position_from_profile(board, profile_of_word(word, m, n))
+        return {word_of_profile(p.encode(), m) for p in options_semantic(pos)}
+
+    def cross_check(word: int) -> set[int]:
+        fast = word_options(word, size)
+        if fast != semantic(word):
+            options_cross_check(position_from_profile(board, profile_of_word(word, m, n)))
             raise EngineInvariantError("cross-check divergence")  # pragma: no cover
         return fast
 
-    if engine == "semantic":
-        return semantic
-    if engine == "cross-check":
-        return cross_check
-    raise DomainError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    engines = {"diagonal": diagonal, "semantic": semantic, "cross-check": cross_check}
+    if engine not in engines:
+        raise DomainError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    return engines[engine]
 
 
 def _closure(start: Hashable, options: Callable[[Hashable], Iterable[Hashable]]) -> set:
@@ -459,10 +392,8 @@ def _closure(start: Hashable, options: Callable[[Hashable], Iterable[Hashable]])
 def reachable_profiles(board: BoardParams, engine: str = "diagonal") -> set[bytes]:
     """Profiles of every position reachable from the full rectangle."""
     m, n = board.m, board.n
-    start = start_position(board).encode()
-    if engine != "diagonal":
-        return _closure(start, _profile_options_fn(board, engine))
-    words = _closure(word_of_profile(start, m), lambda word: word_options(word, m + n))
+    start = word_of_profile(start_position(board).encode(), m)
+    words = _closure(start, _word_options_fn(board, engine))
     return {profile_of_word(word, m, n) for word in words}
 
 
@@ -485,17 +416,17 @@ def solve(
     Returns the value together with the memo, whose size is the number of
     positions explored.  The memo is keyed by bytes profiles and must belong
     to this board (label ``mhrg {m}x{n}``); entries already in it are reused.
+    The search itself runs on bead words.
     """
     memo = memo_for(f"mhrg {board.m}x{board.n}", memo)
+    options = _word_options_fn(board, engine)
     pos = start_position(board) if diagram is None else MhrgPosition(board, diagram)
-    if engine != "diagonal":
-        return grundy(pos.encode(), _profile_options_fn(board, engine), memo), memo
     m, n = board.m, board.n
+    # A plain dict: lookups in a dict subclass cost more on the hot path.
     table = {word_of_profile(key, m): value for key, value in memo.items()}
     known = len(table)
-    root = word_of_profile(pos.encode(), m)
-    _fill_words(root, m + n, table)
+    value = grundy(word_of_profile(pos.encode(), m), options, table)
     # Insertion order puts the newly explored positions after the known ones.
-    for word, value in islice(table.items(), known, None):
-        memo.record(profile_of_word(word, m, n), value)
-    return table[root], memo
+    for word, word_value in islice(table.items(), known, None):
+        memo.record(profile_of_word(word, m, n), word_value)
+    return value, memo

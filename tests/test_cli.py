@@ -88,6 +88,13 @@ def test_consecutive_calls_share_no_state(capsys):
     assert json.loads(semantic)["grundy"] == json.loads(default)["grundy"]
 
 
+def test_grundy_empty_diagram_literal(capsys):
+    for literal in ("", "-"):
+        code, out, _ = run(capsys, "grundy", "-m", "2", "-n", "2", "--diagram", literal)
+        assert code == 0
+        assert out.startswith("G(- in 2x2) = 0"), literal
+
+
 def test_grundy_transposes_wide_input(capsys):
     code, out, err = run(capsys, "grundy", "-m", "5", "-n", "3")
     assert code == 0
@@ -214,6 +221,22 @@ def test_verify_empty_range_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("row1", "--max-side", "3"), "max_side"),
+        (("widen", "--n", "2"), "'n'"),
+        (("widen", "--max-side", "2", "--max-n", "4"), "max_n"),
+        (("shifted", "--max-side", "2"), "max_side"),
+        (("nim", "--max-n", "3"), "max_n"),
+    ],
+)
+def test_verify_flag_the_theorem_does_not_take_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "does not take" in err and flag in err
 
 
 def test_table_lower_bound_names_the_range(capsys):

@@ -82,7 +82,7 @@ def test_memo_determinism_under_exploration_order():
 
         memo = GrundyMemo("mhrg 3x4")
         grundy(start_position(board).encode(), shuffled, memo)
-        table = memo.as_dict()
+        table = dict(memo)
         if reference is None:
             reference = table
         else:
@@ -102,14 +102,3 @@ def test_deep_game_does_not_recurse():
     assert memo.get(0) == 0 and memo.get(1) == 1 and memo.get(3999) == 1
     assert len(memo) == 4001
 
-
-def test_custom_encode():
-    memo = GrundyMemo("enc")
-    value = grundy(
-        (3, "x"),
-        lambda p: [(p[0] - 1, "x")] if p[0] else [],
-        memo,
-        encode=lambda p: p[0],
-    )
-    assert value == 1
-    assert memo.get(3) == 1 and memo.get(2) == 0
