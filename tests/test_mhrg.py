@@ -77,7 +77,7 @@ def test_forced_double_removal_chain():
     assert record.second.label_list() == record.first.label_list()
     assert record.result.diagram.rows == (1, 1)
 
-    # The profile engine reaches (1,1) by two first hooks, (2,1) via
+    # The bead-word engine reaches (1,1) by two first hooks, (2,1) via
     # interval [-2,2] and (1,3) via [0,4]; the record keeps the smaller
     # corner.  Either order pairs an interval with its mirror.
     matching = [r for r in moves_diagonal(pos) if r.result.diagram.rows == (1, 1)]
