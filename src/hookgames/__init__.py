@@ -77,15 +77,12 @@ from .mhrg import (
 from .shifted import (
     ShiftedDiagonalSeq,
     ShiftedDiagram,
-    ShiftedTransition,
-    TransitionKind,
     all_shifted,
     hrg_options,
     shifted_diagonal_of,
     shifted_diagram_of,
     shifted_hook,
     shifted_remove_hook,
-    shifted_transitions,
     solve_hrg,
     staircase,
 )

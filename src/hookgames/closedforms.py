@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .diagrams import BoardParams, YoungDiagram, all_diagrams, diagonal_of
 from .errors import DomainError, RangeTooLargeError
-from .grundy import GrundyMemo
 from .isomorphisms import is_symmetric
 from .mhrg import reachable_profiles, solve
 from .shifted import all_shifted, solve_hrg
@@ -384,10 +383,10 @@ def _verify_nim(n: int) -> PredictionReport:
     if n > NIM_MAX_N:
         raise RangeTooLargeError(f"staircases are bounded at n <= {NIM_MAX_N}")
     report = PredictionReport("shifted-nim", {"n": n}, 0)
-    memo = GrundyMemo(f"hrg staircase-{n}")
+    memo = None
     for diagram in all_shifted(n):
         report.checked += 1
-        value, _ = solve_hrg(n, diagram, memo)
+        value, memo = solve_hrg(n, diagram, memo)
         expected = predict_shifted(diagram.parts)
         if value != expected:
             report.mismatches.append(

@@ -2,16 +2,22 @@
 
 Three maps matter:
 
-* widening: duplicating the centre entry of a diagonal profile carries the
-  game on an ``m x n`` board (``m + n`` even) to the game on ``m x (n+1)``;
-* the rectangle-to-staircase map: on an ``n x (n+1)`` board every reachable
-  profile is symmetric, and its right half is the profile of a shifted
-  diagram in the size-``n`` staircase;
-* its inverse, mirroring a shifted profile back to a symmetric one.
+* widening: inserting a hole into a position's bead word at bit
+  ``(n - m) / 2 + m`` (duplicating the centre entry of its diagonal
+  profile) carries the game on an ``m x n`` board (``m + n`` even) to the
+  game on ``m x (n+1)``;
+* halving: on an ``n x (n+1)`` board every reachable position has a
+  symmetric profile, and the top ``n`` bits of its bead word are the bead
+  mask of a shifted diagram in the size-``n`` staircase;
+* mirroring a shifted profile back to a symmetric one, the inverse of
+  halving.
 
 ``verify_isomorphism`` is data-driven (two position sets, two options
 functions, one forward map) so a single verifier machine-checks all of
-them: bijectivity, option preservation, and game-value transport.
+them: bijectivity, option preservation, and game-value transport.  The
+widening and halving checks run on bead words and masks;
+:func:`widen_diagonal` and :func:`to_shifted` state the same maps on
+profiles and positions.
 """
 
 from __future__ import annotations
@@ -22,12 +28,11 @@ from typing import Callable, Collection, Hashable, TypeVar
 from .diagrams import BoardParams, DiagonalSeq, diagram_of
 from .errors import DomainError, RangeTooLargeError
 from .grundy import grundy
-from .mhrg import MhrgPosition, position_from_profile, profile_options, reachable_profiles
+from .mhrg import MhrgPosition, _closure, position_from_profile, profile_of_word, word_options
 from .shifted import (
     ShiftedDiagonalSeq,
     ShiftedDiagram,
-    _shifted_profile_options,
-    all_shifted,
+    hrg_word_options,
     shifted_diagonal_of,
     shifted_diagram_of,
 )
@@ -148,13 +153,16 @@ def verify_isomorphism(
     target_positions: Collection[T],
     source_options: Callable[[S], Collection[S]],
     target_options: Callable[[T], Collection[T]],
-    render: Callable[[object], str] = str,
+    render_source: Callable[[S], str] = str,
+    render_target: Callable[[T], str] = str,
 ) -> IsomorphismReport:
     """Check that ``gmap.forward`` is a game isomorphism on the given sets.
 
     Establishes, with a witness for every failure: (i) the map is a
     bijection between the position sets, (ii) it commutes with option
-    taking, and (iii) game values transport along it.
+    taking, and (iii) game values transport along it.  Witnesses show
+    source positions through ``render_source`` and target positions through
+    ``render_target``.
     """
     report = IsomorphismReport(
         gmap.name, gmap.source, gmap.target, len(source_positions)
@@ -169,9 +177,9 @@ def verify_isomorphism(
                 Violation(
                     "not-injective",
                     {
-                        "first": render(images[image]),
-                        "second": render(pos),
-                        "image": render(image),
+                        "first": render_source(images[image]),
+                        "second": render_source(pos),
+                        "image": render_target(image),
                     },
                 )
             )
@@ -181,13 +189,13 @@ def verify_isomorphism(
             report.violations.append(
                 Violation(
                     "image-outside-target",
-                    {"source": render(pos), "image": render(image)},
+                    {"source": render_source(pos), "image": render_target(image)},
                 )
             )
     for target in target_positions:
         if target not in images:
             report.violations.append(
-                Violation("target-not-covered", {"target": render(target)})
+                Violation("target-not-covered", {"target": render_target(target)})
             )
 
     memo_s: dict[S, int] = {}
@@ -201,11 +209,11 @@ def verify_isomorphism(
                 Violation(
                     "options-mismatch",
                     {
-                        "source": render(pos),
+                        "source": render_source(pos),
                         "missing": sorted(
-                            render(k) for k in expected - actual if k in targets
+                            render_target(k) for k in expected - actual if k in targets
                         ),
-                        "extra": sorted(render(k) for k in actual - expected),
+                        "extra": sorted(render_target(k) for k in actual - expected),
                     },
                 )
             )
@@ -217,13 +225,49 @@ def verify_isomorphism(
                 Violation(
                     "value-mismatch",
                     {
-                        "source": render(pos),
+                        "source": render_source(pos),
                         "source_value": value_s,
                         "target_value": value_t,
                     },
                 )
             )
     return report
+
+
+def widen_word(word: int, m: int, n: int) -> int:
+    """Widening on bead words: insert a hole at bit ``(n - m) / 2 + m`` of a
+    word on the ``m x n`` board, giving a word on ``m x (n+1)``.  Equals
+    :func:`widen_diagonal` on profiles."""
+    slot = (n - m) // 2 + m
+    return (word & ((1 << slot) - 1)) | ((word >> slot) << (slot + 1))
+
+
+def halve_word(word: int, n: int) -> int:
+    """Halving on bead words: the top ``n`` bits of a word on the
+    ``n x (n+1)`` board, read as a staircase bead mask.  Equals
+    :func:`to_shifted` on reachable positions."""
+    return word >> (n + 1)
+
+
+def _word_game(m: int, n: int) -> tuple[list[int], Callable[[int], set[int]]]:
+    """Sorted reachable bead words of the ``m x n`` game, and its options."""
+    size = m + n
+
+    def options(word: int) -> set[int]:
+        return word_options(word, size)
+
+    # The full rectangle has its m beads on bits n .. m + n - 1.
+    return sorted(_closure(((1 << m) - 1) << n, options)), options
+
+
+def _diagram_literal(m: int, n: int) -> Callable[[int], str]:
+    """Renderer of bead words on the ``m x n`` board as diagram literals."""
+    board = BoardParams(m, n)
+
+    def render(word: int) -> str:
+        return position_from_profile(board, profile_of_word(word, m, n)).diagram.literal()
+
+    return render
 
 
 def verify_widening(m: int, n: int) -> IsomorphismReport:
@@ -233,33 +277,24 @@ def verify_widening(m: int, n: int) -> IsomorphismReport:
         raise RangeTooLargeError(
             f"widening verification is bounded at sides <= {WIDEN_MAX_SIDE}"
         )
-    source_board = BoardParams(m, n)
-    target_board = BoardParams(m, n + 1)
     if (m + n) % 2:
         raise DomainError(f"widening needs m + n even, got ({m}, {n})")
-    slot = (n - m) // 2 + m
-
-    def forward(vals: bytes) -> bytes:
-        return vals[: slot + 1] + vals[slot : slot + 1] + vals[slot + 1 :]
-
-    def render(vals: object) -> str:
-        assert isinstance(vals, bytes)
-        board = source_board if len(vals) == m + n + 1 else target_board
-        return position_from_profile(board, vals).diagram.literal()
-
     gmap = GameMap(
         f"widen {m}x{n}->{m}x{n + 1}",
         f"mhrg {m}x{n}",
         f"mhrg {m}x{n + 1}",
-        forward,
+        lambda word: widen_word(word, m, n),
     )
+    sources, source_options = _word_game(m, n)
+    targets, target_options = _word_game(m, n + 1)
     return verify_isomorphism(
         gmap,
-        sorted(reachable_profiles(source_board)),
-        sorted(reachable_profiles(target_board)),
-        lambda vals: profile_options(vals, m, n),
-        lambda vals: profile_options(vals, m, n + 1),
-        render=render,
+        sources,
+        targets,
+        source_options,
+        target_options,
+        _diagram_literal(m, n),
+        _diagram_literal(m, n + 1),
     )
 
 
@@ -276,39 +311,27 @@ def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[IsomorphismRep
 
 
 def verify_staircase_iso(n: int) -> IsomorphismReport:
-    """Machine-check that halving symmetric profiles is an isomorphism from
-    the game on the ``n x (n+1)`` board to hook removal on the size-``n``
-    staircase."""
+    """Machine-check that halving is an isomorphism from the game on the
+    ``n x (n+1)`` board to hook removal on the size-``n`` staircase."""
     if n > STAIRCASE_ISO_MAX_N:
         raise RangeTooLargeError(
             f"staircase isomorphism verification is bounded at n <= {STAIRCASE_ISO_MAX_N}"
         )
-    board = BoardParams(n, n + 1)
-
-    def forward(vals: bytes) -> bytes:
-        return vals[n + 1 :]
-
-    def render(vals: object) -> str:
-        assert isinstance(vals, bytes)
-        if len(vals) == 2 * n + 2:
-            return position_from_profile(board, vals).diagram.literal()
-        seq = ShiftedDiagonalSeq(n, tuple(vals))
-        return shifted_diagram_of(seq).literal()
-
     gmap = GameMap(
         f"halve {n}x{n + 1}->staircase-{n}",
         f"mhrg {n}x{n + 1}",
         f"hrg staircase-{n}",
-        forward,
+        lambda word: halve_word(word, n),
     )
-    targets = sorted(shifted_diagonal_of(s, n).encode() for s in all_shifted(n))
+    sources, source_options = _word_game(n, n + 1)
     return verify_isomorphism(
         gmap,
-        sorted(reachable_profiles(board)),
-        targets,
-        lambda vals: profile_options(vals, n, n + 1),
-        _shifted_profile_options,
-        render=render,
+        sources,
+        range(1 << n),
+        source_options,
+        lambda mask: hrg_word_options(mask, n),
+        _diagram_literal(n, n + 1),
+        lambda mask: ShiftedDiagram.from_mask(mask).literal(),
     )
 
 

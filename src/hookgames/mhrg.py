@@ -191,15 +191,6 @@ def mirror_free(word: int, size: int) -> bool:
     return not word & int(format(word, f"0{size}b")[::-1], 2)
 
 
-def profile_options(vals: bytes, m: int, n: int) -> list[bytes]:
-    """Profiles reachable in one move from the profile ``vals`` on the
-    ``m x n`` board, each once: :func:`word_options` read through bytes."""
-    return [
-        profile_of_word(word, m, n)
-        for word in word_options(word_of_profile(vals, m), m + n)
-    ]
-
-
 def _corner_of_interval(vals: bytes, m: int, lo: int, hi: int) -> tuple[int, int]:
     """Corner box of the hook whose removal decrements storage ``lo..hi``."""
     klo, khi = lo - m, hi - m
@@ -281,9 +272,10 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
 def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
     """Option set via the bead word."""
     board = pos.board
+    m, n = board.m, board.n
     return {
-        position_from_profile(board, p)
-        for p in profile_options(pos.encode(), board.m, board.n)
+        position_from_profile(board, profile_of_word(word, m, n))
+        for word in word_options(word_of_profile(pos.encode(), m), m + n)
     }
 
 

@@ -4,16 +4,20 @@ on them.
 A shifted diagram is a strictly decreasing partition drawn with row ``i``
 starting at column ``i``; inside the staircase of size ``n`` the first
 part is at most ``n``.  Its hook at ``(i, j)`` is the box plus its arm
-(right), leg (below) and tail (all of row ``j + 1``).  On the diagonal
-profile ``[b_0 .. b_n]`` a hook removal is either a single interval
-decrement or the pair of prefix decrements ``0..r`` and ``0..r'`` with
-``r' < r``; the game value of any position is the nim-sum of its parts.
+(right), leg (below) and tail (all of row ``j + 1``).
+
+The game runs on ``n``-bit bead masks, bit ``p - 1`` set when ``p`` is a
+part (the step bits of the diagonal profile ``[b_0 .. b_n]``).  Removing a
+hook removes a bead, moves it to a lower hole (the move of Welter's game),
+or removes it together with a lower bead; :func:`hrg_word_options` is that
+rule and :func:`solve_hrg` searches over masks.  The game value of any position is
+the nim-sum of its parts.  :func:`hrg_options` applies the hook rule to
+diagrams and stays as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 from .errors import DomainError, EngineInvariantError
@@ -82,6 +86,16 @@ class ShiftedDiagram:
     def encode(self) -> bytes:
         return bytes(self.parts)
 
+    def mask(self) -> int:
+        """Bead mask: bit ``p - 1`` is set when ``p`` is a part."""
+        return sum(1 << (p - 1) for p in self.parts)
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "ShiftedDiagram":
+        """Inverse of :meth:`mask`."""
+        parts = range(mask.bit_length(), 0, -1)
+        return cls(tuple(p for p in parts if mask >> (p - 1) & 1))
+
 
 def staircase(n: int) -> ShiftedDiagram:
     """The staircase ``(n, n-1, ..., 1)``."""
@@ -96,8 +110,7 @@ def all_shifted(n: int) -> Iterator[ShiftedDiagram]:
     if not (0 <= n <= MAX_STAIRCASE):
         raise DomainError(f"staircase size must lie in 0..{MAX_STAIRCASE}, got {n}")
     for mask in range(1 << n):
-        parts = tuple(v for v in range(n, 0, -1) if mask >> (v - 1) & 1)
-        yield ShiftedDiagram(parts)
+        yield ShiftedDiagram.from_mask(mask)
 
 
 def shifted_hook(diagram: ShiftedDiagram, i: int, j: int) -> frozenset[Box]:
@@ -201,79 +214,20 @@ def shifted_diagram_of(seq: ShiftedDiagonalSeq) -> ShiftedDiagram:
     return ShiftedDiagram(parts)
 
 
-class TransitionKind(Enum):
-    SINGLE = "single"
-    DOUBLE = "double"
+def hrg_word_options(mask: int, n: int) -> set[int]:
+    """Masks reachable in one move from ``mask`` in the size-``n`` staircase,
+    one per box.
 
-
-@dataclass(frozen=True)
-class ShiftedTransition:
-    """A profile transition: a single decrement of ``indices = (lo, hi)``,
-    or the double prefix decrement ``0..hi`` then ``0..lo`` with
-    ``indices = (hi, lo)``, ``lo < hi`` (the two orders are the same move)."""
-
-    kind: TransitionKind
-    indices: tuple[int, int]
-    result: ShiftedDiagonalSeq
-
-
-def _shifted_profile_options(vals: bytes) -> list[bytes]:
-    n = len(vals) - 1
-    steps = [r for r in range(n) if vals[r] == vals[r + 1] + 1]
-    out = []
-    for idx, hi in enumerate(steps):
-        for lo in range(hi + 1):
-            if lo == 0 or vals[lo - 1] == vals[lo]:
-                body = bytearray(vals)
-                for s in range(lo, hi + 1):
-                    body[s] -= 1
-                out.append(bytes(body))
-        for lo in steps[:idx]:
-            body = bytearray(vals)
-            for s in range(hi + 1):
-                body[s] -= 1
-            for s in range(lo + 1):
-                body[s] -= 1
-            out.append(bytes(body))
-    return out
-
-
-def shifted_transitions(seq: ShiftedDiagonalSeq) -> set[ShiftedTransition]:
-    """All profile transitions out of ``seq`` whose results stay valid.
-
-    These are exactly the profiles of the hook-removal options of the
-    corresponding diagram.
+    The bead of part ``p`` (bit ``p - 1``) gives ``p`` options: remove it,
+    or also flip one of the ``p - 1`` bits below it, which moves the bead to
+    a lower hole or removes it together with a lower bead.
     """
-    n = seq.n
-    vals = seq.values
-    steps = [r for r in range(n) if vals[r] == vals[r + 1] + 1]
-    out: set[ShiftedTransition] = set()
-    for idx, hi in enumerate(steps):
-        for lo in range(hi + 1):
-            if lo == 0 or vals[lo - 1] == vals[lo]:
-                body = list(vals)
-                for s in range(lo, hi + 1):
-                    body[s] -= 1
-                out.add(
-                    ShiftedTransition(
-                        TransitionKind.SINGLE,
-                        (lo, hi),
-                        ShiftedDiagonalSeq(n, tuple(body)),
-                    )
-                )
-        for lo in steps[:idx]:
-            body = list(vals)
-            for s in range(hi + 1):
-                body[s] -= 1
-            for s in range(lo + 1):
-                body[s] -= 1
-            out.add(
-                ShiftedTransition(
-                    TransitionKind.DOUBLE,
-                    (hi, lo),
-                    ShiftedDiagonalSeq(n, tuple(body)),
-                )
-            )
+    out: set[int] = set()
+    for b in range(n):
+        if mask >> b & 1:
+            without = mask ^ (1 << b)
+            out.add(without)
+            out.update(without ^ (1 << a) for a in range(b))
     return out
 
 
@@ -283,11 +237,15 @@ def solve_hrg(
     memo: GrundyMemo | None = None,
 ) -> tuple[int, GrundyMemo]:
     """Game value of ``diagram`` (default: the full staircase) in the
-    hook-removal game on the size-``n`` staircase.  The memo must belong to
-    this staircase (label ``hrg staircase-{n}``)."""
+    hook-removal game on the size-``n`` staircase.  The memo is keyed by
+    ``n``-bit masks and must belong to this staircase (label
+    ``hrg staircase-{n}``)."""
     memo = memo_for(f"hrg staircase-{n}", memo)
     if diagram is None:
         diagram = staircase(n)
-    start = shifted_diagonal_of(diagram, n)
-    value = grundy(start.encode(), _shifted_profile_options, memo)
+    if not diagram.fits(n):
+        raise DomainError(
+            f"{diagram.literal()} does not fit the size-{n} staircase"
+        )
+    value = grundy(diagram.mask(), lambda mask: hrg_word_options(mask, n), memo)
     return value, memo

@@ -46,6 +46,10 @@ CASES["table-json"] = ["table", "--format", "json"]
 CASES["verify-widen"] = ["verify", "widen", "--max-side", "4", "--format", "json"]
 CASES["verify-shifted"] = ["verify", "shifted", "--n", "4", "--format", "json"]
 CASES["verify-row2"] = ["verify", "row2", "--max-n", "8", "--format", "json"]
+# The verifiers' default ranges, whose engines run on bead words.
+CASES["verify-shifted-7"] = ["verify", "shifted", "--n", "7", "--format", "json"]
+CASES["verify-widen-8"] = ["verify", "widen", "--max-side", "8", "--format", "json"]
+CASES["verify-nim-7"] = ["verify", "nim", "--n", "7", "--format", "json"]
 
 
 def transcript(argv: list[str]) -> tuple[int, bytes, bytes]:

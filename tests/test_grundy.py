@@ -15,7 +15,11 @@ from hookgames import (
     solve_hrg,
     start_position,
 )
-from hookgames.mhrg import profile_options, reachable_profiles
+from hookgames.mhrg import reachable_profiles, word_of_profile, word_options
+
+
+def start_word(board):
+    return word_of_profile(start_position(board).encode(), board.m)
 
 
 def test_mex_examples():
@@ -40,24 +44,21 @@ def test_outcome_examples():
     memo = GrundyMemo("toy")
     assert outcome(0, lambda p: [], memo) is Outcome.PREVIOUS_WINS
 
-    board = BoardParams(3, 5)
-    options = lambda v: profile_options(v, 3, 5)
-    memo = GrundyMemo("mhrg 3x5")
-    assert outcome(start_position(board).encode(), options, memo) is Outcome.PREVIOUS_WINS
+    options = lambda w: word_options(w, 8)
+    assert outcome(start_word(BoardParams(3, 5)), options, {}) is Outcome.PREVIOUS_WINS
 
-    board = BoardParams(2, 2)
-    options = lambda v: profile_options(v, 2, 2)
-    memo = GrundyMemo("mhrg 2x2")
-    assert outcome(start_position(board).encode(), options, memo) is Outcome.NEXT_WINS
+    options = lambda w: word_options(w, 4)
+    assert outcome(start_word(BoardParams(2, 2)), options, {}) is Outcome.NEXT_WINS
 
 
 def test_grundy_bounded_by_option_count():
     board = BoardParams(3, 4)
-    options = lambda v: profile_options(v, 3, 4)
-    memo = GrundyMemo("mhrg 3x4")
+    options = lambda w: word_options(w, 7)
+    memo = {}
     for profile in reachable_profiles(board):
-        value = grundy(profile, options, memo)
-        assert value <= len(set(options(profile)))
+        word = word_of_profile(profile, 3)
+        value = grundy(word, options, memo)
+        assert value <= len(options(word))
 
 
 def test_memo_write_once():
@@ -75,14 +76,13 @@ def test_memo_determinism_under_exploration_order():
     for seed in (0, 1, 2024):
         rng = random.Random(seed)
 
-        def shuffled(v):
-            opts = profile_options(v, 3, 4)
+        def shuffled(w):
+            opts = sorted(word_options(w, 7))
             rng.shuffle(opts)
             return opts
 
-        memo = GrundyMemo("mhrg 3x4")
-        grundy(start_position(board).encode(), shuffled, memo)
-        table = dict(memo)
+        table = {}
+        grundy(start_word(board), shuffled, table)
         if reference is None:
             reference = table
         else:

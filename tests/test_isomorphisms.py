@@ -21,8 +21,14 @@ from hookgames import (
     widen_diagonal,
     widen_position,
 )
-from hookgames.isomorphisms import verify_staircase_range, verify_widening_range
-from hookgames.mhrg import profile_options, reachable_profiles
+from hookgames import isomorphisms
+from hookgames.isomorphisms import (
+    halve_word,
+    verify_staircase_range,
+    verify_widening_range,
+    widen_word,
+)
+from hookgames.mhrg import reachable_profiles, word_of_profile, word_options
 
 
 def test_widen_diagonal_examples():
@@ -89,6 +95,23 @@ def test_widening_image_is_the_reachable_set():
         assert image == reachable(BoardParams(m, n + 1))
 
 
+def test_word_maps_match_profile_and_position_maps():
+    # every reachable position of every board `verify widen` and
+    # `verify shifted` cover at their default ranges
+    for m in range(1, 9):
+        for n in range(m, 9):
+            if (m + n) % 2:
+                continue
+            for pos in reachable(BoardParams(m, n)):
+                wide = widen_diagonal(pos.profile())
+                word = word_of_profile(pos.encode(), m)
+                assert widen_word(word, m, n) == word_of_profile(wide.encode(), m)
+    for n in range(1, 8):
+        for pos in reachable(BoardParams(n, n + 1)):
+            mask = halve_word(word_of_profile(pos.encode(), n), n)
+            assert ShiftedDiagram.from_mask(mask) == to_shifted(pos)
+
+
 def test_centre_equality_on_widened_boards():
     for m, n in [(1, 3), (2, 4), (3, 3), (4, 6)]:
         centre = (n - m) // 2
@@ -115,26 +138,25 @@ def test_verify_staircase_reports_pass():
 
 
 def test_verify_isomorphism_catches_corruption():
-    board = BoardParams(2, 2)
-    src = sorted(reachable_profiles(board))
-    tgt = sorted(reachable_profiles(BoardParams(2, 3)))
-    slot = 2  # centre duplication slot for the 2x2 board
+    src = sorted(word_of_profile(p, 2) for p in reachable_profiles(BoardParams(2, 2)))
+    tgt = sorted(word_of_profile(p, 2) for p in reachable_profiles(BoardParams(2, 3)))
 
-    def corrupted(vals, a=src[0], b=src[1]):
-        if vals == a:
-            vals = b
-        elif vals == b:
-            vals = a
-        return vals[: slot + 1] + vals[slot : slot + 1] + vals[slot + 1 :]
+    def corrupted(word, a=src[0], b=src[1]):
+        if word == a:
+            word = b
+        elif word == b:
+            word = a
+        return widen_word(word, 2, 2)
 
     gmap = GameMap("corrupted", "mhrg 2x2", "mhrg 2x3", corrupted)
     report = verify_isomorphism(
         gmap,
         src,
         tgt,
-        lambda v: profile_options(v, 2, 2),
-        lambda v: profile_options(v, 2, 3),
-        render=lambda v: repr(bytes(v)),
+        lambda w: word_options(w, 4),
+        lambda w: word_options(w, 5),
+        render_source=bin,
+        render_target=bin,
     )
     assert not report.passed
     kinds = {v.kind for v in report.violations}
@@ -162,3 +184,29 @@ def test_grundy_transport_along_working_maps():
     assert report.passed  # includes per-position value transport
     report = verify_staircase_iso(5)
     assert report.passed
+
+
+def test_verifiers_fail_with_literal_witnesses(monkeypatch):
+    # Drop the largest option on odd-size words: the 2x3 target of widening
+    # and the 3x4 source of halving.  Witnesses render source and target
+    # positions each through their own side's renderer.
+    original = word_options
+
+    def corrupted(word, size):
+        options = original(word, size)
+        return set(sorted(options)[:-1]) if size % 2 else options
+
+    monkeypatch.setattr(isomorphisms, "word_options", corrupted)
+    widen = verify_widening(2, 2)
+    assert not widen.passed
+    # (2,1) on 2x2 widens to (3,1) on 2x3
+    assert {"kind": "image-outside-target", "source": "2,1", "image": "3,1"} in [
+        v.to_json() for v in widen.violations
+    ]
+    halve = verify_staircase_iso(3)
+    assert not halve.passed
+    witnesses = [v.to_json() for v in halve.violations]
+    assert {"kind": "target-not-covered", "target": "3,2"} in witnesses
+    assert {
+        "kind": "options-mismatch", "source": "4,4,4", "missing": [], "extra": ["3,2"]
+    } in witnesses

@@ -30,7 +30,6 @@ from hookgames.mhrg import (
     in_game,
     mirror_free,
     position_from_profile,
-    profile_options,
     reachable_profiles,
     word_of_profile,
 )
@@ -240,13 +239,6 @@ def test_solver_matches_independent_brute_force():
         for rows, value in expected.items():
             key = diagonal_of(board, YoungDiagram(rows)).encode()
             assert memo.get(key) == value, (m, n, rows)
-
-
-def test_profile_options_match_option_sets():
-    board = BoardParams(3, 4)
-    pos = MhrgPosition(board, YoungDiagram((4, 2, 1)))
-    raw = {bytes(p) for p in profile_options(pos.encode(), 3, 4)}
-    assert raw == {p.encode() for p in options_diagonal(pos)}
 
 
 def test_cross_check_divergence_is_loud():

@@ -2,10 +2,8 @@ import pytest
 
 from hookgames import (
     DomainError,
-    GrundyMemo,
     ShiftedDiagonalSeq,
     ShiftedDiagram,
-    TransitionKind,
     all_shifted,
     hrg_options,
     predict_shifted,
@@ -13,10 +11,10 @@ from hookgames import (
     shifted_diagram_of,
     shifted_hook,
     shifted_remove_hook,
-    shifted_transitions,
     solve_hrg,
     staircase,
 )
+from hookgames.shifted import hrg_word_options
 
 
 def test_shifted_diagram_validation():
@@ -104,7 +102,12 @@ def test_profile_round_trip_examples():
 def test_profile_round_trip_full_staircase_family():
     for n in (7, 8):
         for s in all_shifted(n):
-            assert shifted_diagram_of(shifted_diagonal_of(s, n)) == s
+            seq = shifted_diagonal_of(s, n)
+            assert shifted_diagram_of(seq) == s
+            # the bead mask is the profile's step bits
+            steps = [r for r in range(n) if seq[r] == seq[r + 1] + 1]
+            assert s.mask() == sum(1 << r for r in steps)
+            assert ShiftedDiagram.from_mask(s.mask()) == s
 
 
 def test_profile_validation():
@@ -118,37 +121,45 @@ def test_profile_validation():
 
 
 def test_transitions_worked_examples():
-    seq = shifted_diagonal_of(ShiftedDiagram((7, 6, 4, 3, 2)), 7)
-    trans = shifted_transitions(seq)
-    singles = {t.indices: t for t in trans if t.kind is TransitionKind.SINGLE}
-    doubles = {t.indices: t for t in trans if t.kind is TransitionKind.DOUBLE}
-    assert singles[(1, 5)].result.values == (5, 4, 3, 2, 1, 1, 1, 0)
-    assert doubles[(5, 2)].result.values == (3, 3, 2, 2, 1, 1, 1, 0)
-    assert shifted_transitions(ShiftedDiagonalSeq(3, (0, 0, 0, 0))) == set()
+    s = ShiftedDiagram((7, 6, 4, 3, 2))
+    mask = s.mask()
+    assert mask == 0b1101110
+    options = hrg_word_options(mask, 7)
+    assert len(options) == 22
+    # hook (2, 6): the bead of part 6 moves to the hole of part 1
+    moved = mask ^ (1 << 5) ^ (1 << 0)
+    assert ShiftedDiagram.from_mask(moved) == shifted_remove_hook(s, 2, 6)
+    assert shifted_diagonal_of(ShiftedDiagram.from_mask(moved), 7).values == (5, 4, 3, 2, 1, 1, 1, 0)
+    # hook (2, 3): the beads of parts 6 and 3 leave together
+    paired = mask ^ (1 << 5) ^ (1 << 2)
+    assert ShiftedDiagram.from_mask(paired) == shifted_remove_hook(s, 2, 3)
+    assert shifted_diagonal_of(ShiftedDiagram.from_mask(paired), 7).values == (3, 3, 2, 2, 1, 1, 1, 0)
+    # the bead of part 7 alone
+    assert {moved, paired, mask ^ (1 << 6)} <= options
+    assert hrg_word_options(0, 3) == set()
 
 
 def test_transition_hook_duality_exhaustive():
-    n = 7
-    for s in all_shifted(n):
-        seq = shifted_diagonal_of(s, n)
-        trans = shifted_transitions(seq)
-        via_hooks = {
-            shifted_diagonal_of(o, n).values for o in hrg_options(s, n)
-        }
-        assert {t.result.values for t in trans} == via_hooks
-        # one transition per box: hooks and transitions biject
-        assert len(trans) == s.n_boxes
+    # the bead rule is the hook rule, with one option per box
+    for n in range(9):
+        for s in all_shifted(n):
+            options = hrg_word_options(s.mask(), n)
+            assert options == {o.mask() for o in hrg_options(s, n)}
+            assert len(options) == s.n_boxes
 
 
 def test_nim_sum_formula_exhaustive():
     n = 7
-    memo = GrundyMemo(f"hrg staircase-{n}")
+    memo = None
     for s in all_shifted(n):
-        value, _ = solve_hrg(n, s, memo)
+        value, memo = solve_hrg(n, s, memo)
         assert value == predict_shifted(s.parts), s.parts
 
 
 def test_solve_hrg_start():
     value, memo = solve_hrg(7)
     assert value == predict_shifted(range(1, 8)) == 0
-    assert len(memo) == 128
+    # keyed by the 7-bit masks of all 128 diagrams
+    assert sorted(memo) == list(range(128))
+    with pytest.raises(DomainError, match="size-3 staircase"):
+        solve_hrg(3, ShiftedDiagram((4, 1)))
