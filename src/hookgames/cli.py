@@ -183,7 +183,8 @@ def _move_lines(records) -> list[str]:
 def cmd_options(args) -> int:
     board, diagram, transposed = _board_and_diagram(args)
     if args.engine != "diagonal":
-        # The rule-book engine scans every box's hook against every other box.
+        # For each box, the rule-book engine compares the hook it removes
+        # with every remaining hook of the same length.
         _require_solvable(board, "rule-book move listing")
     if transposed:
         print(

@@ -375,8 +375,11 @@ def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRe
     up to ``j' - i`` (``j'`` the rightmost box of row ``i``).
     """
     _require_box(diagram, i, j)
-    bottom = max(t for t in range(1, diagram.height + 1) if diagram.rows[t - 1] >= j)
-    rightmost = diagram.rows[i - 1]
+    rows = diagram.rows
+    bottom = i
+    while bottom < len(rows) and rows[bottom] >= j:
+        bottom += 1
+    rightmost = rows[i - 1]
     lo, hi = j - bottom, rightmost - i
     labels = label_counts(
         board, [unimodal_number(board, a, b) for a, b in _hook_boxes(diagram, i, j)]

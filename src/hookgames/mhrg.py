@@ -283,28 +283,45 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
 # Semantic engine: the oracle.
 
 
+def _boxes_of_hook_length(diagram: YoungDiagram, length: int) -> list[tuple[int, int]]:
+    """Boxes of ``diagram`` whose hook has ``length`` boxes, row-major.
+
+    The hook at ``(i, j)`` has ``arm + leg + 1`` boxes, read off the row
+    lengths and the conjugate's column lengths."""
+    cols = diagram.conjugate().rows
+    return [
+        (i, j)
+        for i, row in enumerate(diagram.rows, start=1)
+        for j in range(1, row + 1)
+        if row - j + cols[j - 1] - i + 1 == length
+    ]
+
+
 def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
     """The move that removes the hook at ``(i, j)``, rule book applied
     literally: remove the hook, then scan for a hook with the identical
-    label multiset and remove it too if one exists."""
+    label multiset and remove it too if one exists.
+
+    Equal label multisets have equal sizes, so both scans compare labels
+    only with hooks as long as the first one."""
     board, diagram = pos.board, pos.diagram
     first = hook_at(board, diagram, i, j)
     after_first = remove_hook(board, diagram, i, j)
-    matches = sorted(
+    matches = [
         box
-        for box in after_first.boxes()
+        for box in _boxes_of_hook_length(after_first, first.size)
         if hook_at(board, after_first, *box).labels == first.labels
-    )
+    ]
     if not matches:
         return MoveRecord(first, None, MhrgPosition(board, after_first))
     results = {remove_hook(board, after_first, a, b) for a, b in matches}
     if len(results) != 1:
         raise EngineInvariantError(
-            f"equal-label hooks at {sorted(matches)} in {after_first.literal()} "
+            f"equal-label hooks at {matches} in {after_first.literal()} "
             f"disagree on the result"
         )
     final = results.pop()
-    for box in final.boxes():
+    for box in _boxes_of_hook_length(final, first.size):
         if hook_at(board, final, *box).labels == first.labels:
             raise EngineInvariantError(
                 f"third equal-label hook at {box} in {final.literal()}"
@@ -314,15 +331,13 @@ def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
 
 
 def moves_semantic(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves via the semantic engine, one record per distinct result."""
-    best: dict[bytes, MoveRecord] = {}
+    """Moves via the semantic engine, one record per distinct result: the
+    one with the smallest corner, which row-major order meets first."""
+    best: dict[YoungDiagram, MoveRecord] = {}
     for i, j in pos.diagram.boxes():
         record = move_for_box(pos, i, j)
-        key = record.result.encode()
-        kept = best.get(key)
-        if kept is None or record.first.corner < kept.first.corner:
-            best[key] = record
-    return tuple(best[key] for key in sorted(best))
+        best.setdefault(record.result.diagram, record)
+    return tuple(sorted(best.values(), key=lambda record: record.result.encode()))
 
 
 def options_semantic(pos: MhrgPosition) -> set[MhrgPosition]:

@@ -83,9 +83,6 @@ class ShiftedDiagram:
     def fits(self, n: int) -> bool:
         return not self.parts or self.parts[0] <= n
 
-    def encode(self) -> bytes:
-        return bytes(self.parts)
-
     def mask(self) -> int:
         """Bead mask: bit ``p - 1`` is set when ``p`` is a part."""
         return sum(1 << (p - 1) for p in self.parts)
@@ -185,9 +182,6 @@ class ShiftedDiagonalSeq:
         if not (0 <= k <= self.n):
             raise DomainError(f"index {k} out of range 0..{self.n}")
         return self.values[k]
-
-    def encode(self) -> bytes:
-        return bytes(self.values)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.values) + "]"

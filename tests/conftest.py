@@ -13,7 +13,16 @@ from functools import lru_cache
 
 from hypothesis import settings
 
-from hookgames import BoardParams, MhrgPosition, YoungDiagram, options_semantic, start_position
+from hookgames import (
+    BoardParams,
+    EngineInvariantError,
+    MhrgPosition,
+    YoungDiagram,
+    options_semantic,
+    start_position,
+)
+from hookgames.diagrams import hook_at, remove_hook
+from hookgames.mhrg import MoveRecord
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic and its running time bounded.
@@ -73,3 +82,41 @@ def brute_grundy_map(board: BoardParams) -> dict[tuple[int, ...], int]:
                 discovered.add(child.diagram.rows)
                 frontier.append(child.diagram.rows)
     return result
+
+
+def rule_book_move_reference(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
+    """The rule-book move at ``(i, j)`` with unfiltered scans: every box's
+    hook in the diagram left by the first removal is compared with the
+    first hook's labels, and so is every box's hook in the final diagram."""
+    board, diagram = pos.board, pos.diagram
+    first = hook_at(board, diagram, i, j)
+    after_first = remove_hook(board, diagram, i, j)
+    matches = sorted(
+        box
+        for box in after_first.boxes()
+        if hook_at(board, after_first, *box).labels == first.labels
+    )
+    if not matches:
+        return MoveRecord(first, None, MhrgPosition(board, after_first))
+    results = {remove_hook(board, after_first, a, b) for a, b in matches}
+    if len(results) != 1:
+        raise EngineInvariantError(f"equal-label hooks at {matches} disagree on the result")
+    final = results.pop()
+    for box in final.boxes():
+        if hook_at(board, final, *box).labels == first.labels:
+            raise EngineInvariantError(f"third equal-label hook at {box}")
+    second = hook_at(board, after_first, *matches[0])
+    return MoveRecord(first, second, MhrgPosition(board, final))
+
+
+def rule_book_moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
+    """One reference move per distinct result, the smallest corner kept,
+    ordered by the result's memo key."""
+    best: dict[bytes, MoveRecord] = {}
+    for i, j in pos.diagram.boxes():
+        record = rule_book_move_reference(pos, i, j)
+        key = record.result.encode()
+        kept = best.get(key)
+        if kept is None or record.first.corner < kept.first.corner:
+            best[key] = record
+    return tuple(best[key] for key in sorted(best))

@@ -1,7 +1,8 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
-from conftest import brute_grundy_map
+from conftest import brute_grundy_map, rule_book_move_reference, rule_book_moves_reference
 
 from hookgames import (
     BoardParams,
@@ -202,6 +203,50 @@ def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
     monkeypatch.setattr(mh, "interval_label_counts", corrupt)
     with pytest.raises(EngineInvariantError, match="mirror hook labels diverge"):
         moves_diagonal(pos)
+
+
+def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
+    # move_for_box compares labels only with hooks as long as the first one;
+    # the reference compares with every hook, reachable diagram or not.
+    moves = 0
+    for m in range(1, 5):
+        for n in range(m, 7):
+            board = BoardParams(m, n)
+            for diagram in all_diagrams(board):
+                pos = MhrgPosition(board, diagram)
+                for i, j in diagram.boxes():
+                    expected = rule_book_move_reference(pos, i, j)
+                    assert move_for_box(pos, i, j) == expected, (m, n, diagram, (i, j))
+                    moves += 1
+                assert moves_semantic(pos) == rule_book_moves_reference(pos), (m, n, diagram)
+    assert moves == 6247
+
+
+def test_rule_book_guards_fire_on_forged_labels(monkeypatch):
+    # Every hook as long as the chosen first one reports its labels, so the
+    # scans find more equal-label hooks than the rule allows.
+    import hookgames.mhrg as mh
+
+    real = mh.hook_at
+    cases = [
+        # After the hook at (3,3), the boxes (2,3) and (3,2) both have
+        # one-box hooks, and removing them leaves different diagrams.
+        (BoardParams(3, 3), (3, 3, 3), (3, 3), "disagree on the result"),
+        # After the hook at (1,3), only (1,2) has a one-box hook; removing
+        # it leaves (1,), whose box (1,1) has a one-box hook again.
+        (BoardParams(1, 3), (3,), (1, 3), r"third equal-label hook at \(1, 1\)"),
+    ]
+    for board, rows, box, message in cases:
+        pos = MhrgPosition(board, YoungDiagram(rows))
+        first = real(board, pos.diagram, *box)
+
+        def forged(board, diagram, i, j, first=first):
+            hook = real(board, diagram, i, j)
+            return replace(hook, labels=first.labels) if hook.size == first.size else hook
+
+        monkeypatch.setattr(mh, "hook_at", forged)
+        with pytest.raises(EngineInvariantError, match=message):
+            move_for_box(pos, *box)
 
 
 def test_in_game_matches_the_move_closure_on_every_diagram():
