@@ -146,9 +146,10 @@ def cmd_reachable(args) -> int:
             f"note: transposed input to the {board.m}x{board.n} board",
             file=sys.stderr,
         )
-    profiles = sorted(mhrg.reachable_profiles(board, engine=args.engine))
+    m, size = board.m, board.m + board.n
     literals = [
-        mhrg.position_from_profile(board, p).diagram.literal() for p in profiles
+        mhrg.diagram_of_word(mhrg.word_of_profile(p, m), size).literal()
+        for p in sorted(mhrg.reachable_profiles(board, engine=args.engine))
     ]
     if args.format == "json":
         payload = {

@@ -7,8 +7,9 @@ A game position is a Young diagram that fits inside an ``m x n`` box with
 ``j - i = k`` and rises to a single peak.  A diagram is equivalently
 described by its diagonal profile: the number of boxes on each diagonal,
 indexed ``k = -m .. n``.  Removing a hook subtracts one from a contiguous
-interval of the profile, which is the representation the move engines
-work on.
+interval of the profile.  The move engines work on bead words instead
+(``mhrg``); profiles remain the byte encoding of memo keys and the
+reference the bead-word rule is tested against.
 
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between workers.
@@ -353,8 +354,16 @@ def label_counts(board: BoardParams, labels: Iterable[int]) -> tuple[int, ...]:
 
 
 def interval_label_counts(board: BoardParams, lo: int, hi: int) -> tuple[int, ...]:
-    """Label counts of any hook with diagonal interval ``lo..hi``."""
-    return label_counts(board, [diagonal_label(board, k) for k in range(lo, hi + 1)])
+    """Label counts of any hook with diagonal interval ``lo..hi``: diagonal
+    ``k`` contributes one label ``min(k + m, n - k)``."""
+    m, n = board.m, board.n
+    if lo <= hi and not (-m < lo and hi < n):
+        bad = lo if not -m < lo < n else n
+        raise DomainError(f"diagonal {bad} outside (-{m}, {n})")
+    counts = [0] * max_label(board)
+    for k in range(lo, hi + 1):
+        counts[min(k + m, n - k) - 1] += 1
+    return tuple(counts)
 
 
 def _require_box(diagram: YoungDiagram, i: int, j: int) -> None:
@@ -389,23 +398,25 @@ def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRe
 
 def remove_hook(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:
     """Remove the hook at ``(i, j)``: delete its boxes, then shift the
-    detached south-east block one step up-left."""
+    detached south-east block one step up-left.
+
+    With ``bottom`` the last row reaching column ``j``, each row from ``i``
+    to ``bottom - 1`` takes the next row's length less one, row ``bottom``
+    keeps its first ``j - 1`` boxes, and every other row is unchanged."""
     _require_box(diagram, i, j)
-    hook = set(_hook_boxes(diagram, i, j))
-    remaining: dict[int, set[int]] = {}
-    for a, b in diagram.boxes():
-        if (a, b) in hook:
-            continue
-        if a > i and b > j:
-            a, b = a - 1, b - 1
-        remaining.setdefault(a, set()).add(b)
-    rows = [0] * diagram.height
-    for a, cols in remaining.items():
-        if cols != set(range(1, len(cols) + 1)):
-            raise EngineInvariantError(
-                f"hook removal left a ragged row {a} in {diagram.literal()}"
-            )
-        rows[a - 1] = len(cols)
+    rows = list(diagram.rows)
+    bottom = i
+    while bottom < len(rows) and rows[bottom] >= j:
+        bottom += 1
+    size = rows[i - 1] - j + bottom - i + 1
+    before = sum(rows[i - 1 : bottom])
+    rows[i - 1 : bottom] = [length - 1 for length in rows[i:bottom]] + [j - 1]
+    removed = before - sum(rows[i - 1 : bottom])
+    if removed != size:
+        raise EngineInvariantError(
+            f"hook removal at ({i}, {j}) took {removed} boxes from "
+            f"{diagram.literal()}, not the hook's {size}"
+        )
     return YoungDiagram(tuple(rows))
 
 

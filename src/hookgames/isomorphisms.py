@@ -28,7 +28,7 @@ from typing import Callable, Collection, Hashable, TypeVar
 from .diagrams import BoardParams, DiagonalSeq, diagram_of
 from .errors import DomainError, RangeTooLargeError
 from .grundy import grundy
-from .mhrg import MhrgPosition, _closure, position_from_profile, profile_of_word, word_options
+from .mhrg import MhrgPosition, _closure, diagram_of_word, word_options
 from .shifted import (
     ShiftedDiagonalSeq,
     ShiftedDiagram,
@@ -262,10 +262,10 @@ def _word_game(m: int, n: int) -> tuple[list[int], Callable[[int], set[int]]]:
 
 def _diagram_literal(m: int, n: int) -> Callable[[int], str]:
     """Renderer of bead words on the ``m x n`` board as diagram literals."""
-    board = BoardParams(m, n)
+    size = m + n
 
     def render(word: int) -> str:
-        return position_from_profile(board, profile_of_word(word, m, n)).diagram.literal()
+        return diagram_of_word(word, size).literal()
 
     return render
 

@@ -10,8 +10,11 @@ with exactly ``m`` set bits, the classical Maya (bead) word of a partition
 in a box.  A hook removal moves one bead down to a hole, and the forced
 follow-up is the mirrored bead move under ``i -> m + n - 1 - i``.
 :func:`word_options` is that rule; option sets, move records, solves and
-reachable sets all come from it.  Positions, move records, reachable sets
-and memo keys stay bytes profiles.
+reachable sets all come from it.  A word maps straight to a diagram
+(:func:`diagram_of_word`: each bead's row is as long as the holes below it)
+and back (:func:`word_of_diagram`), so positions are built without a
+profile.  Memo keys, :func:`reachable_profiles` and the order of move
+records stay bytes profiles.
 
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
@@ -38,7 +41,6 @@ from .diagrams import (
     HookRecord,
     YoungDiagram,
     diagonal_of,
-    diagram_of,
     hook_at,
     interval_label_counts,
     remove_hook,
@@ -77,11 +79,6 @@ class MhrgPosition:
 def start_position(board: BoardParams) -> MhrgPosition:
     """The full rectangle."""
     return MhrgPosition(board, YoungDiagram((board.n,) * board.m))
-
-
-def position_from_profile(board: BoardParams, profile: bytes) -> MhrgPosition:
-    seq = DiagonalSeq(board, tuple(profile))
-    return MhrgPosition(board, diagram_of(seq))
 
 
 @dataclass(frozen=True)
@@ -133,6 +130,32 @@ def profile_of_word(word: int, m: int, n: int) -> bytes:
     return bytes(vals)
 
 
+def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
+    """Bead word of ``diagram`` on ``board``: row ``i`` (0-based, padded
+    with empty rows to ``m``) puts its bead on bit ``rows[i] + m - 1 - i``."""
+    if not diagram.fits(board):
+        raise DomainError(
+            f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
+        )
+    m = board.m
+    rows = diagram.rows + (0,) * (m - diagram.height)
+    return sum(_BIT[length + m - 1 - i] for i, length in enumerate(rows))
+
+
+def diagram_of_word(word: int, size: int) -> YoungDiagram:
+    """Inverse of :func:`word_of_diagram`: each bead of the ``size``-bit
+    ``word`` is a row as long as the number of holes below it."""
+    bits = format(word, f"0{size}b")  # highest bit, so the first row, first
+    holes = bits.count("0")
+    rows = []
+    for bit in bits:
+        if bit == "1":
+            rows.append(holes)
+        else:
+            holes -= 1
+    return YoungDiagram(tuple(rows))
+
+
 def word_options(word: int, size: int) -> set[int]:
     """Words reachable in one move from ``word`` (``size = m + n`` bits)."""
     top = size - 1
@@ -181,8 +204,7 @@ def in_game(board: BoardParams, diagram: YoungDiagram) -> bool:
     mirror-free and has ``C(floor((m + n) / 2), m) * 2**m`` positions, the
     number of mirror-free words with ``m`` beads (``tests/test_mhrg.py``).
     """
-    word = word_of_profile(diagonal_of(board, diagram).encode(), board.m)
-    return mirror_free(word, board.m + board.n)
+    return mirror_free(word_of_diagram(board, diagram), board.m + board.n)
 
 
 def mirror_free(word: int, size: int) -> bool:
@@ -191,91 +213,76 @@ def mirror_free(word: int, size: int) -> bool:
     return not word & int(format(word, f"0{size}b")[::-1], 2)
 
 
-def _corner_of_interval(vals: bytes, m: int, lo: int, hi: int) -> tuple[int, int]:
-    """Corner box of the hook whose removal decrements storage ``lo..hi``."""
-    klo, khi = lo - m, hi - m
-    i = vals[hi] if khi >= 0 else vals[hi] - khi
-    j = vals[lo] + klo if klo >= 0 else vals[lo]
-    return i, j
-
-
-def _hook(board: BoardParams, vals: bytes, lo: int, hi: int) -> HookRecord:
-    """Record of the hook whose removal decrements storage ``lo..hi``."""
+def _hook(board: BoardParams, word: int, a: int, b: int) -> HookRecord:
+    """Record of the hook that the bead move ``b -> a`` removes from
+    ``word``.  Its corner is the row of bead ``b`` (the beads at or above
+    it) and the column of hole ``a`` (the holes at or below it); it covers
+    diagonals ``a + 1 - m .. b - m``."""
     m = board.m
-    return HookRecord(
-        _corner_of_interval(vals, m, lo, hi),
-        lo - m,
-        hi - m,
-        interval_label_counts(board, lo - m, hi - m),
-    )
+    lo, hi = a + 1 - m, b - m
+    corner = ((word >> b).bit_count(), a + 1 - (word & (_BIT[a] - 1)).bit_count())
+    return HookRecord(corner, lo, hi, interval_label_counts(board, lo, hi))
 
 
 def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     """Moves via the bead word, one record per distinct result.
 
-    The bead move ``b -> a`` removes the hook of storage slots
-    ``a + 1 .. b``; its follow-up is the mirrored bead move, as in
-    :func:`word_options`, which decrements the mirror slots
-    ``m + n - b .. m + n - 1 - a``.  When several first hooks reach the same
-    result, the record with the lexicographically smallest corner is kept;
-    records are ordered by the canonical encoding of their results.  Records
-    are built for the kept moves only, but every forced follow-up is checked
-    to carry its first hook's labels.
+    The bead move ``b -> a`` removes the hook of diagonals
+    ``a + 1 - m .. b - m``; its follow-up is the mirrored bead move
+    ``m + n - 1 - a -> m + n - 1 - b``, as in :func:`word_options`.  When
+    several first hooks reach the same result, the record with the
+    lexicographically smallest corner is kept; records are ordered by the
+    canonical encoding (bytes profile) of their results.  Records are built
+    for the kept moves only, but every forced follow-up is checked to carry
+    its first hook's labels.
     """
     board = pos.board
     m, n = board.m, board.n
     last = m + n
     bit = _BIT
-    vals = pos.encode()
-    word = word_of_profile(vals, m)
+    word = word_of_diagram(board, pos.diagram)
     holes = [a for a in range(last) if not word & bit[a]]
-    # result word -> (corner, lo, hi, word after the first removal, forced?)
+    # result word -> (corner, a, b, word after the first removal, forced?)
     best: dict[int, tuple[tuple[int, int], int, int, int, bool]] = {}
+    row = m + 1  # beads run from the lowest, which ends the last row
     for b in range(last):
         if not word & bit[b]:
             continue
-        for a in holes:
+        row -= 1
+        for column, a in enumerate(holes, start=1):
             if a > b:
                 break
-            lo, hi = a + 1, b
-            mlo, mhi = last - hi, last - lo
             first = final = word ^ bit[a] ^ bit[b]
-            mirror = bit[mlo - 1] | bit[mhi]
-            forced = first & mirror == bit[mhi]
+            mirror = bit[last - 1 - b] | bit[last - 1 - a]
+            forced = first & mirror == bit[last - 1 - a]
             if forced:
-                labels = interval_label_counts(board, lo - m, hi - m)
-                if labels != interval_label_counts(board, mlo - m, mhi - m):
-                    first_hook = _hook(board, vals, lo, hi)
-                    second = _hook(board, profile_of_word(first, m, n), mlo, mhi)
+                labels = interval_label_counts(board, a + 1 - m, b - m)
+                if labels != interval_label_counts(board, n - b, n - 1 - a):
+                    first_hook = _hook(board, word, a, b)
+                    second = _hook(board, first, last - 1 - b, last - 1 - a)
                     raise EngineInvariantError(
                         f"mirror hook labels diverge at {pos}: {first_hook} vs {second}"
                     )
                 final = first ^ mirror
-            corner = _corner_of_interval(vals, m, lo, hi)
             kept = best.get(final)
-            if kept is None or corner < kept[0]:
-                best[final] = (corner, lo, hi, first, forced)
+            if kept is None or (row, column) < kept[0]:
+                best[final] = ((row, column), a, b, first, forced)
     records = []
-    for result, final in sorted((profile_of_word(w, m, n), w) for w in best):
-        _, lo, hi, first, forced = best[final]
-        second = (
-            _hook(board, profile_of_word(first, m, n), last - hi, last - lo)
-            if forced
-            else None
-        )
-        records.append(
-            MoveRecord(_hook(board, vals, lo, hi), second, position_from_profile(board, result))
-        )
+    for _, final in sorted((profile_of_word(w, m, n), w) for w in best):
+        _, a, b, first, forced = best[final]
+        second = _hook(board, first, last - 1 - b, last - 1 - a) if forced else None
+        result = MhrgPosition(board, diagram_of_word(final, last))
+        records.append(MoveRecord(_hook(board, word, a, b), second, result))
     return tuple(records)
 
 
 def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
     """Option set via the bead word."""
     board = pos.board
-    m, n = board.m, board.n
+    size = board.m + board.n
     return {
-        position_from_profile(board, profile_of_word(word, m, n))
-        for word in word_options(word_of_profile(pos.encode(), m), m + n)
+        MhrgPosition(board, diagram_of_word(word, size))
+        for word in word_options(word_of_diagram(board, pos.diagram), size)
     }
 
 
@@ -362,20 +369,19 @@ def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
 def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int]]:
     """Word options function of ``engine`` on ``board``: the bead-word rule,
     the rule book read through words, or both compared."""
-    m, n = board.m, board.n
-    size = m + n
+    size = board.m + board.n
 
     def diagonal(word: int) -> set[int]:
         return word_options(word, size)
 
     def semantic(word: int) -> set[int]:
-        pos = position_from_profile(board, profile_of_word(word, m, n))
-        return {word_of_profile(p.encode(), m) for p in options_semantic(pos)}
+        pos = MhrgPosition(board, diagram_of_word(word, size))
+        return {word_of_diagram(board, p.diagram) for p in options_semantic(pos)}
 
     def cross_check(word: int) -> set[int]:
         fast = word_options(word, size)
         if fast != semantic(word):
-            options_cross_check(position_from_profile(board, profile_of_word(word, m, n)))
+            options_cross_check(MhrgPosition(board, diagram_of_word(word, size)))
             raise EngineInvariantError("cross-check divergence")  # pragma: no cover
         return fast
 
@@ -396,19 +402,23 @@ def _closure(start: Hashable, options: Callable[[Hashable], Iterable[Hashable]])
     return seen
 
 
+def _reachable_words(board: BoardParams, engine: str) -> set[int]:
+    start = word_of_diagram(board, start_position(board).diagram)
+    return _closure(start, _word_options_fn(board, engine))
+
+
 def reachable_profiles(board: BoardParams, engine: str = "diagonal") -> set[bytes]:
     """Profiles of every position reachable from the full rectangle."""
     m, n = board.m, board.n
-    start = word_of_profile(start_position(board).encode(), m)
-    words = _closure(start, _word_options_fn(board, engine))
-    return {profile_of_word(word, m, n) for word in words}
+    return {profile_of_word(word, m, n) for word in _reachable_words(board, engine)}
 
 
 def reachable(board: BoardParams, engine: str = "diagonal") -> set[MhrgPosition]:
     """Positions reachable from the full rectangle (the game's position set)."""
+    size = board.m + board.n
     return {
-        position_from_profile(board, vals)
-        for vals in reachable_profiles(board, engine)
+        MhrgPosition(board, diagram_of_word(word, size))
+        for word in _reachable_words(board, engine)
     }
 
 
@@ -432,7 +442,7 @@ def solve(
     # A plain dict: lookups in a dict subclass cost more on the hot path.
     table = {word_of_profile(key, m): value for key, value in memo.items()}
     known = len(table)
-    value = grundy(word_of_profile(pos.encode(), m), options, table)
+    value = grundy(word_of_diagram(board, pos.diagram), options, table)
     # Insertion order puts the newly explored positions after the known ones.
     for word, word_value in islice(table.items(), known, None):
         memo.record(profile_of_word(word, m, n), word_value)

@@ -15,9 +15,11 @@ from hypothesis import settings
 
 from hookgames import (
     BoardParams,
+    DiagonalSeq,
     EngineInvariantError,
     MhrgPosition,
     YoungDiagram,
+    diagram_of,
     options_semantic,
     start_position,
 )
@@ -56,6 +58,34 @@ def enumerate_profiles(m: int, n: int) -> list[tuple[int, ...]]:
 
     ascend([0])
     return out
+
+
+def position_from_profile(board: BoardParams, profile: bytes) -> MhrgPosition:
+    """The position whose diagonal profile is ``profile``, through the
+    validated :class:`DiagonalSeq` and :func:`diagram_of`."""
+    return MhrgPosition(board, diagram_of(DiagonalSeq(board, tuple(profile))))
+
+
+def remove_hook_reference(diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:
+    """Remove the hook at ``(i, j)`` box by box: drop the arm and the leg,
+    move every box south-east of the corner one step up-left, and read the
+    rows back, failing on a row with a gap."""
+    rows = diagram.rows
+    hook = {(i, b) for b in range(j, rows[i - 1] + 1)}
+    hook |= {(a, j) for a in range(i + 1, len(rows) + 1) if rows[a - 1] >= j}
+    remaining: dict[int, set[int]] = {}
+    for a, b in diagram.boxes():
+        if (a, b) in hook:
+            continue
+        if a > i and b > j:
+            a, b = a - 1, b - 1
+        remaining.setdefault(a, set()).add(b)
+    out = [0] * len(rows)
+    for a, cols in remaining.items():
+        if cols != set(range(1, len(cols) + 1)):
+            raise EngineInvariantError(f"hook removal left a ragged row {a}")
+        out[a - 1] = len(cols)
+    return YoungDiagram(tuple(out))
 
 
 def brute_grundy_map(board: BoardParams) -> dict[tuple[int, ...], int]:

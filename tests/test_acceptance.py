@@ -7,6 +7,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 from pathlib import Path
 
+from conftest import position_from_profile
+
 from hookgames import (
     BoardParams,
     Periodicity,
@@ -27,7 +29,7 @@ from hookgames import (
     verify_widening,
 )
 from hookgames.closedforms import grundy_table, table_csv
-from hookgames.mhrg import position_from_profile, reachable_profiles
+from hookgames.mhrg import reachable_profiles
 from hookgames.shifted import shifted_diagonal_of, shifted_diagram_of
 
 GOLDEN = Path(__file__).parent / "data" / "table1.csv"

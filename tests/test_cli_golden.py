@@ -25,6 +25,13 @@ OPTION_POSITIONS = (
     ("3x4-421", ("-m", "3", "-n", "4", "--diagram", "4,2,1")),
     ("4x5-5421", ("-m", "4", "-n", "5", "--diagram", "5,4,2,1")),
 )
+# Move lists on the boards of the interactive benchmark, bead-word engine only:
+# mid-game positions of 9x9 and 2x40 and the full 6x13 rectangle.
+BENCHMARK_OPTION_POSITIONS = (
+    ("9x9-88843333", ("-m", "9", "-n", "9", "--diagram", "8,8,8,4,3,3,3,3")),
+    ("2x40-27-14", ("-m", "2", "-n", "40", "--diagram", "27,14")),
+    ("6x13", ("-m", "6", "-n", "13")),
+)
 
 CASES: dict[str, list[str]] = {}
 for engine in ENGINES:
@@ -40,7 +47,13 @@ for engine in ENGINES:
             CASES[f"options-{name}-{fmt}-{engine}"] = [
                 "options", *position, "--format", fmt, "--engine", engine,
             ]
+for name, position in BENCHMARK_OPTION_POSITIONS:
+    for fmt in ("json", "pretty"):
+        CASES[f"options-{name}-{fmt}-diagonal"] = [
+            "options", *position, "--format", fmt, "--engine", "diagonal",
+        ]
 CASES["reachable-3x5"] = ["reachable", "-m", "3", "-n", "5", "--format", "json"]
+CASES["reachable-4x6"] = ["reachable", "-m", "4", "-n", "6"]
 CASES["table-csv"] = ["table", "--format", "csv"]
 CASES["table-json"] = ["table", "--format", "json"]
 CASES["verify-widen"] = ["verify", "widen", "--max-side", "4", "--format", "json"]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from conftest import enumerate_profiles
+from conftest import enumerate_profiles, remove_hook_reference
 
 from hookgames import (
     BoardParams,
@@ -24,7 +24,7 @@ from hookgames import (
     transpose_position,
     unimodal_number,
 )
-from hookgames.diagrams import interval_label_counts
+from hookgames.diagrams import interval_label_counts, label_counts
 
 
 def test_board_validation():
@@ -136,6 +136,33 @@ def test_remove_hook_examples():
     assert remove_hook(BoardParams(1, 1), YoungDiagram((1,)), 1, 1).rows == ()
     with pytest.raises(DomainError):
         remove_hook(BoardParams(3, 5), YoungDiagram((5, 4, 3)), 1, 6)
+
+
+def test_remove_hook_matches_the_box_by_box_reference():
+    removals = 0
+    for m in range(1, 6):
+        for n in range(m, 8):
+            board = BoardParams(m, n)
+            for diagram in all_diagrams(board):
+                for i, j in diagram.boxes():
+                    expected = remove_hook_reference(diagram, i, j)
+                    assert remove_hook(board, diagram, i, j) == expected, (diagram, i, j)
+                    removals += 1
+    assert removals == 36_347
+
+
+def test_interval_label_counts_match_diagonal_labels():
+    for m in range(1, 7):
+        for n in range(m, 9):
+            board = BoardParams(m, n)
+            for lo in range(1 - m, n):
+                for hi in range(lo - 1, n):
+                    labels = [diagonal_label(board, k) for k in range(lo, hi + 1)]
+                    assert interval_label_counts(board, lo, hi) == label_counts(board, labels)
+    board = BoardParams(3, 5)
+    for lo, hi, bad in ((-3, 0, -3), (1, 5, 5), (5, 6, 5), (-4, 7, -4)):
+        with pytest.raises(DomainError, match=rf"^diagonal {bad} outside \(-3, 5\)$"):
+            interval_label_counts(board, lo, hi)
 
 
 def test_hook_size_matches_interval():

@@ -2,7 +2,12 @@ from dataclasses import replace
 from math import comb
 
 import pytest
-from conftest import brute_grundy_map, rule_book_move_reference, rule_book_moves_reference
+from conftest import (
+    brute_grundy_map,
+    position_from_profile,
+    rule_book_move_reference,
+    rule_book_moves_reference,
+)
 
 from hookgames import (
     BoardParams,
@@ -30,7 +35,6 @@ from hookgames.mhrg import (
     ENGINES,
     in_game,
     mirror_free,
-    position_from_profile,
     reachable_profiles,
     word_of_profile,
 )

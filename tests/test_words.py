@@ -3,15 +3,21 @@ rule-book engine, on boards past the exhaustive 6x6 checks."""
 
 from math import comb
 
-from conftest import enumerate_profiles
+import pytest
+from conftest import enumerate_profiles, position_from_profile
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hookgames import (
     BoardParams,
     DiagonalSeq,
+    DomainError,
     GrundyMemo,
+    YoungDiagram,
+    all_diagrams,
     decrement_interval,
+    diagonal_of,
+    diagram_of,
     grundy,
     moves_semantic,
     options_semantic,
@@ -19,9 +25,10 @@ from hookgames import (
     start_position,
 )
 from hookgames.mhrg import (
+    diagram_of_word,
     mirror_free,
-    position_from_profile,
     profile_of_word,
+    word_of_diagram,
     word_of_profile,
     word_options,
 )
@@ -115,6 +122,57 @@ def test_word_round_trip(case):
     vals = profile_of_word(word, m, n)
     DiagonalSeq(BoardParams(m, n), tuple(vals))  # validates the profile
     assert word_of_profile(vals, m) == word
+
+
+def assert_word_maps_match_the_profile_route(board: BoardParams, word: int) -> None:
+    m, n = board.m, board.n
+    diagram = diagram_of_word(word, m + n)
+    assert diagram == diagram_of(DiagonalSeq(board, tuple(profile_of_word(word, m, n))))
+    assert word_of_diagram(board, diagram) == word
+    assert word == word_of_profile(diagonal_of(board, diagram).encode(), m)
+
+
+def test_word_maps_match_the_profile_route_on_every_diagram():
+    diagrams = 0
+    for m in range(1, 7):
+        for n in range(m, 9):
+            board = BoardParams(m, n)
+            for diagram in all_diagrams(board):
+                word = word_of_diagram(board, diagram)
+                assert diagram_of_word(word, m + n) == diagram
+                assert_word_maps_match_the_profile_route(board, word)
+                diagrams += 1
+    assert diagrams == 10_352
+
+
+@given(walks())
+def test_word_maps_round_trip_on_walks(case):
+    m, n, visited = case
+    for word in visited:
+        assert_word_maps_match_the_profile_route(BoardParams(m, n), word)
+
+
+def test_word_maps_round_trip_on_the_largest_board():
+    board = BoardParams(64, 64)
+    word = word_of_diagram(board, YoungDiagram((64,) * 64))
+    assert word == ((1 << 64) - 1) << 64
+    for _ in range(6):
+        assert_word_maps_match_the_profile_route(board, word)
+        options = sorted(word_options(word, 128))
+        word = options[len(options) // 2]
+    assert word_of_diagram(board, YoungDiagram(())) == (1 << 64) - 1
+    assert_word_maps_match_the_profile_route(board, (1 << 64) - 1)
+
+
+def test_word_of_diagram_refuses_a_diagram_that_does_not_fit():
+    board = BoardParams(2, 3)
+    for rows in ((4,), (1, 1, 1)):
+        diagram = YoungDiagram(rows)
+        with pytest.raises(DomainError) as via_profile:
+            diagonal_of(board, diagram)
+        with pytest.raises(DomainError, match="does not fit a 2x3 board") as via_word:
+            word_of_diagram(board, diagram)
+        assert str(via_word.value) == str(via_profile.value)
 
 
 @given(walks())
