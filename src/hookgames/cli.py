@@ -18,7 +18,6 @@ from . import closedforms, isomorphisms, mhrg
 from .diagrams import (
     BoardParams,
     YoungDiagram,
-    diagonal_of,
     transpose_position,
     unimodal_number,
 )
@@ -77,9 +76,8 @@ def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
     on ``cross-check``, where they must agree."""
     if engine == "diagonal":
         return mhrg.in_game(board, diagram)
-    via_closure = diagonal_of(board, diagram).encode() in mhrg.reachable_profiles(
-        board, engine=engine
-    )
+    word = mhrg.word_of_diagram(board, diagram)
+    via_closure = word in mhrg.reachable_words(board, engine=engine)
     if engine == "cross-check" and via_closure != mhrg.in_game(board, diagram):
         raise EngineInvariantError(
             f"reachability of {diagram.literal()} on {board.m}x{board.n}: "
@@ -146,11 +144,10 @@ def cmd_reachable(args) -> int:
             f"note: transposed input to the {board.m}x{board.n} board",
             file=sys.stderr,
         )
-    m, size = board.m, board.m + board.n
-    literals = [
-        mhrg.diagram_of_word(mhrg.word_of_profile(p, m), size).literal()
-        for p in sorted(mhrg.reachable_profiles(board, engine=args.engine))
-    ]
+    size = board.m + board.n
+    words = mhrg.reachable_words(board, engine=args.engine)
+    words = sorted(words, key=lambda word: mhrg.profile_order(word, size))
+    literals = [mhrg.diagram_of_word(word, size).literal() for word in words]
     if args.format == "json":
         payload = {
             "board": [board.m, board.n],

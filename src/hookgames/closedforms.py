@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .diagrams import BoardParams, YoungDiagram, all_diagrams, diagonal_of
 from .errors import DomainError, RangeTooLargeError
 from .isomorphisms import is_symmetric
-from .mhrg import reachable_profiles, solve
+from .mhrg import reachable_words, solve, word_of_diagram
 from .shifted import all_shifted, solve_hrg
 
 TABLE_MAX_SIDE = 9       # golden grid scope; 9x9 explores 512 positions, 7x9 the most (1,024)
@@ -271,11 +271,11 @@ def _verify_row1(max_n: int) -> PredictionReport:
     for n in range(1, max_n + 1):
         board = BoardParams(1, n)
         _, memo = solve(board)
-        reached = reachable_profiles(board)
+        reached = reachable_words(board)
         for length in range(n + 1):
             report.checked += 1
             expect_reach, expect_value = predict_1n(n, length)
-            key = diagonal_of(board, YoungDiagram((length,))).encode()
+            key = word_of_diagram(board, YoungDiagram((length,)))
             actually_reached = key in reached
             if actually_reached != expect_reach:
                 report.mismatches.append(
@@ -306,12 +306,12 @@ def _verify_row2(max_n: int) -> PredictionReport:
         half = n // 2
         board = BoardParams(2, n)
         _, memo = solve(board)
-        reached = reachable_profiles(board)
+        reached = reachable_words(board)
         for diagram in all_diagrams(board):
             report.checked += 1
             rows = diagram.rows + (0, 0)
             lam1, lam2 = rows[0], rows[1]
-            key = diagonal_of(board, diagram).encode()
+            key = word_of_diagram(board, diagram)
             in_game = key in reached
             klass = predict_2n_class(half, lam1, lam2)
             expect_reach = klass is not TwoRowClass.UNREACHABLE
@@ -403,12 +403,11 @@ def _verify_symmetry(max_n: int) -> PredictionReport:
     report = PredictionReport("symmetric-reachable", {"max_n": max_n}, 0)
     for n in range(1, max_n + 1):
         for board in (BoardParams(n, n), BoardParams(n, n + 1)):
-            reached = reachable_profiles(board)
+            reached = reachable_words(board)
             for diagram in all_diagrams(board):
                 report.checked += 1
-                seq = diagonal_of(board, diagram)
-                symmetric = is_symmetric(seq)
-                in_game = seq.encode() in reached
+                symmetric = is_symmetric(diagonal_of(board, diagram))
+                in_game = word_of_diagram(board, diagram) in reached
                 if symmetric != in_game:
                     report.mismatches.append(
                         Mismatch(

@@ -8,8 +8,8 @@ A game position is a Young diagram that fits inside an ``m x n`` box with
 described by its diagonal profile: the number of boxes on each diagonal,
 indexed ``k = -m .. n``.  Removing a hook subtracts one from a contiguous
 interval of the profile.  The move engines work on bead words instead
-(``mhrg``); profiles remain the byte encoding of memo keys and the
-reference the bead-word rule is tested against.
+(``mhrg``), which also key memos; profiles remain the order of move
+lists and the reference the bead-word rule is tested against.
 
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between workers.
@@ -26,8 +26,8 @@ from .errors import DomainError, EngineInvariantError
 Box = tuple[int, int]
 Rows = tuple[int, ...]
 
-# Row lengths and diagonal counts must fit in one byte so positions encode
-# to fixed-width byte strings usable as memo keys.
+# Sides are capped so that ``mhrg._BIT`` covers every bit of a bead word
+# and ``DiagonalSeq.encode`` fits every profile entry in one byte.
 MAX_SIDE = 64
 
 

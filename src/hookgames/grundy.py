@@ -52,8 +52,9 @@ class GrundyMemo(dict):
 def memo_for(game: str, memo: GrundyMemo | None) -> GrundyMemo:
     """``memo``, or a fresh memo when it is ``None``, for ``game``.
 
-    Encodings of different games can collide (a 3x5 and a 4x4 profile are
-    both nine bytes), so a memo labelled with another game is refused.
+    Encodings of different games can collide (a bead word of the 3x5 board
+    with its top bit clear is also a word of 3x6), so a memo labelled with
+    another game is refused.
     """
     if memo is None:
         return GrundyMemo(game)

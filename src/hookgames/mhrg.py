@@ -13,8 +13,9 @@ follow-up is the mirrored bead move under ``i -> m + n - 1 - i``.
 reachable sets all come from it.  A word maps straight to a diagram
 (:func:`diagram_of_word`: each bead's row is as long as the holes below it)
 and back (:func:`word_of_diagram`), so positions are built without a
-profile.  Memo keys, :func:`reachable_profiles` and the order of move
-records stay bytes profiles.
+profile.  Memo keys are bead words too (:meth:`MhrgPosition.encode`);
+move records keep the order of their results' profiles (:func:`profile_order`).
+Bits are indexed through ``_BIT``, sized by ``MAX_SIDE`` (64 per side).
 
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
@@ -23,7 +24,7 @@ it with the bead-word rule at every position.
 
 :func:`in_game` answers reachability from the word alone: a position is in
 the game exactly when no mirror pair of bits holds two beads (its docstring
-proves that moves keep this invariant).  :func:`reachable_profiles` stays
+proves that moves keep this invariant).  :func:`reachable_words` stays
 the move closure, so the verifiers and the ``reachable`` listing check the
 game itself rather than the predicate.
 """
@@ -68,9 +69,10 @@ class MhrgPosition:
     def profile(self) -> DiagonalSeq:
         return diagonal_of(self.board, self.diagram)
 
-    def encode(self) -> bytes:
-        """Fixed-width byte string; the canonical memo key for this board."""
-        return self.profile().encode()
+    def encode(self) -> int:
+        """Bead word (:func:`word_of_diagram`); the canonical memo key for
+        this board."""
+        return word_of_diagram(self.board, self.diagram)
 
     def __str__(self) -> str:
         return self.diagram.literal()
@@ -107,27 +109,6 @@ class MoveRecord:
 # smaller word, so the game graph is acyclic by construction.
 
 _BIT = tuple(1 << i for i in range(2 * MAX_SIDE))  # a word has m + n bits
-
-
-def word_of_profile(vals: bytes, m: int) -> int:
-    """Bead word of a valid profile in storage order on an ``m``-row board."""
-    word = 0
-    for s in range(1, len(vals)):
-        step = vals[s] - vals[s - 1]
-        if (step == 0) if s <= m else step:
-            word |= _BIT[s - 1]
-    return word
-
-
-def profile_of_word(word: int, m: int, n: int) -> bytes:
-    """Inverse of :func:`word_of_profile` on the ``m x n`` board."""
-    vals = bytearray(m + n + 1)
-    v = 0
-    for s in range(1, m + n + 1):
-        bit = word >> (s - 1) & 1
-        v += -bit if s > m else 1 - bit
-        vals[s] = v
-    return bytes(vals)
 
 
 def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
@@ -207,10 +188,21 @@ def in_game(board: BoardParams, diagram: YoungDiagram) -> bool:
     return mirror_free(word_of_diagram(board, diagram), board.m + board.n)
 
 
+def _reversed(word: int, size: int) -> int:
+    """``word`` with bit ``i`` moved to bit ``size - 1 - i``."""
+    return int(format(word, f"0{size}b")[::-1], 2)
+
+
 def mirror_free(word: int, size: int) -> bool:
     """No two beads of the ``size``-bit ``word`` sit on a pair of bits
     ``(i, size - 1 - i)``; the middle bit of an odd ``size`` holds none."""
-    return not word & int(format(word, f"0{size}b")[::-1], 2)
+    return not word & _reversed(word, size)
+
+
+def profile_order(word: int, size: int) -> int:
+    """Sort key ordering ``size``-bit words as their profiles' bytes: at the
+    lowest differing bit the word with the hole has the larger profile."""
+    return -_reversed(word, size)
 
 
 def _hook(board: BoardParams, word: int, a: int, b: int) -> HookRecord:
@@ -231,10 +223,10 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     ``a + 1 - m .. b - m``; its follow-up is the mirrored bead move
     ``m + n - 1 - a -> m + n - 1 - b``, as in :func:`word_options`.  When
     several first hooks reach the same result, the record with the
-    lexicographically smallest corner is kept; records are ordered by the
-    canonical encoding (bytes profile) of their results.  Records are built
-    for the kept moves only, but every forced follow-up is checked to carry
-    its first hook's labels.
+    lexicographically smallest corner is kept; records are ordered by their
+    results' profiles (:func:`profile_order`).  Records are built for the
+    kept moves only, but every forced follow-up is checked to carry its
+    first hook's labels.
     """
     board = pos.board
     m, n = board.m, board.n
@@ -268,7 +260,7 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
             if kept is None or (row, column) < kept[0]:
                 best[final] = ((row, column), a, b, first, forced)
     records = []
-    for _, final in sorted((profile_of_word(w, m, n), w) for w in best):
+    for final in sorted(best, key=lambda w: profile_order(w, last)):
         _, a, b, first, forced = best[final]
         second = _hook(board, first, last - 1 - b, last - 1 - a) if forced else None
         result = MhrgPosition(board, diagram_of_word(final, last))
@@ -337,19 +329,28 @@ def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
     return MoveRecord(first, second, MhrgPosition(board, final))
 
 
-def moves_semantic(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves via the semantic engine, one record per distinct result: the
-    one with the smallest corner, which row-major order meets first."""
+def _semantic_records(pos: MhrgPosition) -> dict[YoungDiagram, MoveRecord]:
+    """Rule-book moves by result diagram, unsorted: per result the record
+    with the smallest corner, which row-major order meets first."""
     best: dict[YoungDiagram, MoveRecord] = {}
     for i, j in pos.diagram.boxes():
         record = move_for_box(pos, i, j)
         best.setdefault(record.result.diagram, record)
-    return tuple(sorted(best.values(), key=lambda record: record.result.encode()))
+    return best
+
+
+def moves_semantic(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
+    """Moves via the semantic engine, one record per distinct result, in
+    the order of :func:`moves_diagonal`."""
+    board, size = pos.board, pos.board.m + pos.board.n
+    best = _semantic_records(pos)
+    order = sorted(best, key=lambda d: profile_order(word_of_diagram(board, d), size))
+    return tuple(best[diagram] for diagram in order)
 
 
 def options_semantic(pos: MhrgPosition) -> set[MhrgPosition]:
     """Option set via the semantic engine."""
-    return {record.result for record in moves_semantic(pos)}
+    return {record.result for record in _semantic_records(pos).values()}
 
 
 def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
@@ -402,15 +403,9 @@ def _closure(start: Hashable, options: Callable[[Hashable], Iterable[Hashable]])
     return seen
 
 
-def _reachable_words(board: BoardParams, engine: str) -> set[int]:
-    start = word_of_diagram(board, start_position(board).diagram)
-    return _closure(start, _word_options_fn(board, engine))
-
-
-def reachable_profiles(board: BoardParams, engine: str = "diagonal") -> set[bytes]:
-    """Profiles of every position reachable from the full rectangle."""
-    m, n = board.m, board.n
-    return {profile_of_word(word, m, n) for word in _reachable_words(board, engine)}
+def reachable_words(board: BoardParams, engine: str = "diagonal") -> set[int]:
+    """Bead words of every position reachable from the full rectangle."""
+    return _closure(start_position(board).encode(), _word_options_fn(board, engine))
 
 
 def reachable(board: BoardParams, engine: str = "diagonal") -> set[MhrgPosition]:
@@ -418,7 +413,7 @@ def reachable(board: BoardParams, engine: str = "diagonal") -> set[MhrgPosition]
     size = board.m + board.n
     return {
         MhrgPosition(board, diagram_of_word(word, size))
-        for word in _reachable_words(board, engine)
+        for word in reachable_words(board, engine)
     }
 
 
@@ -431,19 +426,18 @@ def solve(
     """Game value of ``diagram`` (default: the full rectangle) on ``board``.
 
     Returns the value together with the memo, whose size is the number of
-    positions explored.  The memo is keyed by bytes profiles and must belong
-    to this board (label ``mhrg {m}x{n}``); entries already in it are reused.
-    The search itself runs on bead words.
+    positions explored.  The memo is keyed by bead words
+    (:meth:`MhrgPosition.encode`) and must belong to this board (label
+    ``mhrg {m}x{n}``); entries already in it are reused.
     """
     memo = memo_for(f"mhrg {board.m}x{board.n}", memo)
     options = _word_options_fn(board, engine)
     pos = start_position(board) if diagram is None else MhrgPosition(board, diagram)
-    m, n = board.m, board.n
     # A plain dict: lookups in a dict subclass cost more on the hot path.
-    table = {word_of_profile(key, m): value for key, value in memo.items()}
+    table = dict(memo)
     known = len(table)
-    value = grundy(word_of_diagram(board, pos.diagram), options, table)
-    # Insertion order puts the newly explored positions after the known ones.
-    for word, word_value in islice(table.items(), known, None):
-        memo.record(profile_of_word(word, m, n), word_value)
+    value = grundy(pos.encode(), options, table)
+    # Insertion order puts the newly explored positions after the known
+    # ones, and none of them is in the memo yet.
+    memo.update(islice(table.items(), known, None))
     return value, memo

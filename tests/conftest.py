@@ -60,6 +60,29 @@ def enumerate_profiles(m: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def word_of_profile(vals: bytes, m: int) -> int:
+    """Bead word of a valid profile in storage order on an ``m``-row board:
+    step ``s`` sets bit ``s - 1`` when it stays level on the ascending side
+    (``s <= m``) or steps down on the descending side."""
+    word = 0
+    for s in range(1, len(vals)):
+        step = vals[s] - vals[s - 1]
+        if (step == 0) if s <= m else step:
+            word |= 1 << (s - 1)
+    return word
+
+
+def profile_of_word(word: int, m: int, n: int) -> bytes:
+    """Inverse of :func:`word_of_profile` on the ``m x n`` board."""
+    vals = bytearray(m + n + 1)
+    v = 0
+    for s in range(1, m + n + 1):
+        bit = word >> (s - 1) & 1
+        v += -bit if s > m else 1 - bit
+        vals[s] = v
+    return bytes(vals)
+
+
 def position_from_profile(board: BoardParams, profile: bytes) -> MhrgPosition:
     """The position whose diagonal profile is ``profile``, through the
     validated :class:`DiagonalSeq` and :func:`diagram_of`."""
@@ -141,11 +164,11 @@ def rule_book_move_reference(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
 
 def rule_book_moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     """One reference move per distinct result, the smallest corner kept,
-    ordered by the result's memo key."""
+    ordered by the result's diagonal profile."""
     best: dict[bytes, MoveRecord] = {}
     for i, j in pos.diagram.boxes():
         record = rule_book_move_reference(pos, i, j)
-        key = record.result.encode()
+        key = record.result.profile().encode()
         kept = best.get(key)
         if kept is None or record.first.corner < kept.first.corner:
             best[key] = record

@@ -7,10 +7,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 from pathlib import Path
 
-from conftest import position_from_profile
-
 from hookgames import (
     BoardParams,
+    MhrgPosition,
     Periodicity,
     all_diagrams,
     all_shifted,
@@ -29,7 +28,7 @@ from hookgames import (
     verify_widening,
 )
 from hookgames.closedforms import grundy_table, table_csv
-from hookgames.mhrg import reachable_profiles
+from hookgames.mhrg import diagram_of_word, reachable_words
 from hookgames.shifted import shifted_diagonal_of, shifted_diagram_of
 
 GOLDEN = Path(__file__).parent / "data" / "table1.csv"
@@ -97,8 +96,8 @@ def test_acceptance_5_staircase_suite():
         board = BoardParams(n, n + 1)
         for s in all_shifted(n):
             assert to_shifted(from_shifted(s, n)) == s
-        for profile in reachable_profiles(board):
-            pos = position_from_profile(board, profile)
+        for word in reachable_words(board):
+            pos = MhrgPosition(board, diagram_of_word(word, 2 * n + 1))
             assert from_shifted(to_shifted(pos), n) == pos
     rep = verify("square", max_n=7)
     assert rep.passed, rep.summary()
@@ -119,8 +118,8 @@ def test_acceptance_6_engine_equivalence():
     for m in range(1, 7):
         for n in range(m, 7):
             board = BoardParams(m, n)
-            for profile in sorted(reachable_profiles(board)):
-                pos = position_from_profile(board, profile)
+            for word in sorted(reachable_words(board)):
+                pos = MhrgPosition(board, diagram_of_word(word, m + n))
                 assert options_semantic(pos) == options_diagonal(pos)
                 for rec in moves_semantic(pos):
                     removed = 1 if rec.second is None else 2

@@ -52,8 +52,18 @@ for name, position in BENCHMARK_OPTION_POSITIONS:
         CASES[f"options-{name}-{fmt}-diagonal"] = [
             "options", *position, "--format", fmt, "--engine", "diagonal",
         ]
+# A 6x7 position where 11 of its 14 moves carry a forced follow-up, listed by
+# the rule book and by the bead-word rule: both order moves by the result's
+# bytes profile.
+for engine in ("semantic", "diagonal"):
+    for fmt in ("json", "pretty"):
+        CASES[f"options-6x7-776332-{fmt}-{engine}"] = [
+            "options", "-m", "6", "-n", "7", "--diagram", "7,7,6,3,3,2",
+            "--format", fmt, "--engine", engine,
+        ]
 CASES["reachable-3x5"] = ["reachable", "-m", "3", "-n", "5", "--format", "json"]
 CASES["reachable-4x6"] = ["reachable", "-m", "4", "-n", "6"]
+CASES["reachable-6x8-json"] = ["reachable", "-m", "6", "-n", "8", "--format", "json"]
 CASES["table-csv"] = ["table", "--format", "csv"]
 CASES["table-json"] = ["table", "--format", "json"]
 CASES["verify-widen"] = ["verify", "widen", "--max-side", "4", "--format", "json"]

@@ -5,12 +5,12 @@ import pytest
 from hookgames import (
     BoardParams,
     DomainError,
+    MhrgPosition,
     Periodicity,
     RangeTooLargeError,
     TwoRowClass,
     YoungDiagram,
     detect_periodicity,
-    diagonal_of,
     grundy_table,
     nim_sum,
     predict_1n,
@@ -60,9 +60,9 @@ def test_predict_2n_class_examples():
 def test_predict_2n_class_matches_brute_force_spot():
     board = BoardParams(2, 4)
     _, memo = solve(board)
-    key = diagonal_of(board, YoungDiagram((3, 2))).encode()
+    key = MhrgPosition(board, YoungDiagram((3, 2))).encode()
     assert memo.get(key) == 0
-    key = diagonal_of(board, YoungDiagram((2,))).encode()
+    key = MhrgPosition(board, YoungDiagram((2,))).encode()
     assert memo.get(key) == 2  # matches the G2 family (2+4i, 4i) at i=0
 
 

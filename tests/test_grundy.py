@@ -15,11 +15,11 @@ from hookgames import (
     solve_hrg,
     start_position,
 )
-from hookgames.mhrg import reachable_profiles, word_of_profile, word_options
+from hookgames.mhrg import reachable_words, word_options
 
 
 def start_word(board):
-    return word_of_profile(start_position(board).encode(), board.m)
+    return start_position(board).encode()
 
 
 def test_mex_examples():
@@ -55,8 +55,7 @@ def test_grundy_bounded_by_option_count():
     board = BoardParams(3, 4)
     options = lambda w: word_options(w, 7)
     memo = {}
-    for profile in reachable_profiles(board):
-        word = word_of_profile(profile, 3)
+    for word in reachable_words(board):
         value = grundy(word, options, memo)
         assert value <= len(options(word))
 

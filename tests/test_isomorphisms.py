@@ -1,4 +1,5 @@
 import pytest
+from conftest import word_of_profile
 
 from hookgames import (
     BoardParams,
@@ -28,7 +29,7 @@ from hookgames.isomorphisms import (
     verify_widening_range,
     widen_word,
 )
-from hookgames.mhrg import reachable_profiles, word_of_profile, word_options
+from hookgames.mhrg import reachable_words, word_options
 
 
 def test_widen_diagonal_examples():
@@ -104,11 +105,12 @@ def test_word_maps_match_profile_and_position_maps():
                 continue
             for pos in reachable(BoardParams(m, n)):
                 wide = widen_diagonal(pos.profile())
-                word = word_of_profile(pos.encode(), m)
+                word = word_of_profile(pos.profile().encode(), m)
                 assert widen_word(word, m, n) == word_of_profile(wide.encode(), m)
+                assert widen_word(pos.encode(), m, n) == widen_position(pos).encode()
     for n in range(1, 8):
         for pos in reachable(BoardParams(n, n + 1)):
-            mask = halve_word(word_of_profile(pos.encode(), n), n)
+            mask = halve_word(pos.encode(), n)
             assert ShiftedDiagram.from_mask(mask) == to_shifted(pos)
 
 
@@ -123,7 +125,7 @@ def test_centre_equality_on_widened_boards():
 def test_verify_widening_reports_pass():
     report = verify_widening(2, 4)
     assert report.passed
-    assert report.checked == len(reachable_profiles(BoardParams(2, 4)))
+    assert report.checked == len(reachable_words(BoardParams(2, 4)))
     payload = report.to_json()
     assert payload["violations"] == []
     assert payload["map"].startswith("widen")
@@ -138,8 +140,8 @@ def test_verify_staircase_reports_pass():
 
 
 def test_verify_isomorphism_catches_corruption():
-    src = sorted(word_of_profile(p, 2) for p in reachable_profiles(BoardParams(2, 2)))
-    tgt = sorted(word_of_profile(p, 2) for p in reachable_profiles(BoardParams(2, 3)))
+    src = sorted(reachable_words(BoardParams(2, 2)))
+    tgt = sorted(reachable_words(BoardParams(2, 3)))
 
     def corrupted(word, a=src[0], b=src[1]):
         if word == a:

@@ -2,12 +2,7 @@ from dataclasses import replace
 from math import comb
 
 import pytest
-from conftest import (
-    brute_grundy_map,
-    position_from_profile,
-    rule_book_move_reference,
-    rule_book_moves_reference,
-)
+from conftest import brute_grundy_map, rule_book_move_reference, rule_book_moves_reference
 
 from hookgames import (
     BoardParams,
@@ -16,7 +11,6 @@ from hookgames import (
     MhrgPosition,
     YoungDiagram,
     all_diagrams,
-    diagonal_of,
     is_symmetric,
     move_for_box,
     moves_diagonal,
@@ -33,10 +27,11 @@ from hookgames.cli import MAX_SOLVE_CELLS
 from hookgames.diagrams import MAX_SIDE
 from hookgames.mhrg import (
     ENGINES,
+    diagram_of_word,
     in_game,
     mirror_free,
-    reachable_profiles,
-    word_of_profile,
+    reachable_words,
+    word_of_diagram,
 )
 
 
@@ -135,10 +130,8 @@ def test_reachable_contains_start_and_empty():
 def test_reachable_engines_agree():
     for m, n in [(1, 4), (2, 3), (2, 4), (3, 3)]:
         board = BoardParams(m, n)
-        assert reachable_profiles(board, "diagonal") == reachable_profiles(
-            board, "semantic"
-        )
-        reachable_profiles(board, "cross-check")
+        assert reachable_words(board, "diagonal") == reachable_words(board, "semantic")
+        reachable_words(board, "cross-check")
 
 
 def test_engine_equivalence_small_boards():
@@ -147,15 +140,15 @@ def test_engine_equivalence_small_boards():
     for m in range(1, 5):
         for n in range(m, 5):
             board = BoardParams(m, n)
-            for profile in sorted(reachable_profiles(board)):
-                pos = position_from_profile(board, profile)
+            for word in sorted(reachable_words(board)):
+                pos = MhrgPosition(board, diagram_of_word(word, m + n))
                 assert moves_semantic(pos) == moves_diagonal(pos)
 
 
 def test_moves_shrink_and_mirror():
     board = BoardParams(3, 4)
-    for profile in sorted(reachable_profiles(board)):
-        pos = position_from_profile(board, profile)
+    for word in sorted(reachable_words(board)):
+        pos = MhrgPosition(board, diagram_of_word(word, 7))
         for rec in moves_semantic(pos):
             assert rec.result.diagram.n_boxes < pos.diagram.n_boxes
             if rec.second is not None:
@@ -180,8 +173,9 @@ def test_move_records_deduplicate_by_result():
     results = [r.result.encode() for r in records]
     assert len(results) == len(set(results))
     assert {r.result for r in records} == options_diagonal(pos)
-    # canonical order by result encoding
-    assert results == sorted(results)
+    # canonical order by the results' diagonal profiles
+    profiles = [r.result.profile().encode() for r in records]
+    assert profiles == sorted(profiles)
     semantic = moves_semantic(pos)
     assert [r.result for r in semantic] == [r.result for r in records]
     assert [r.first.corner for r in semantic] == [r.first.corner for r in records]
@@ -211,8 +205,9 @@ def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
 
 def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
     # move_for_box compares labels only with hooks as long as the first one;
-    # the reference compares with every hook, reachable diagram or not.
-    moves = 0
+    # the reference compares with every hook, reachable diagram or not.  The
+    # option set, deduplicated without the sort, is the set of move results.
+    moves = diagrams = 0
     for m in range(1, 5):
         for n in range(m, 7):
             board = BoardParams(m, n)
@@ -222,8 +217,11 @@ def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
                     expected = rule_book_move_reference(pos, i, j)
                     assert move_for_box(pos, i, j) == expected, (m, n, diagram, (i, j))
                     moves += 1
-                assert moves_semantic(pos) == rule_book_moves_reference(pos), (m, n, diagram)
-    assert moves == 6247
+                records = moves_semantic(pos)
+                assert records == rule_book_moves_reference(pos), (m, n, diagram)
+                assert options_semantic(pos) == {r.result for r in records}
+                diagrams += 1
+    assert (moves, diagrams) == (6247, 708)
 
 
 def test_rule_book_guards_fire_on_forged_labels(monkeypatch):
@@ -257,9 +255,9 @@ def test_in_game_matches_the_move_closure_on_every_diagram():
     for m in range(1, 6):
         for n in range(m, 7):
             board = BoardParams(m, n)
-            closure = reachable_profiles(board)
+            closure = reachable_words(board)
             for diagram in all_diagrams(board):
-                expected = diagonal_of(board, diagram).encode() in closure
+                expected = word_of_diagram(board, diagram) in closure
                 assert in_game(board, diagram) == expected, (m, n, diagram.rows)
 
 
@@ -273,9 +271,9 @@ def test_reachable_set_is_mirror_free_on_every_solvable_board():
         for n in range(m, MAX_SIDE + 1):
             if m * n > MAX_SOLVE_CELLS:
                 break
-            profiles = reachable_profiles(BoardParams(m, n))
-            assert len(profiles) == comb((m + n) // 2, m) * 2**m, (m, n)
-            assert all(mirror_free(word_of_profile(p, m), m + n) for p in profiles), (m, n)
+            words = reachable_words(BoardParams(m, n))
+            assert len(words) == comb((m + n) // 2, m) * 2**m, (m, n)
+            assert all(mirror_free(word, m + n) for word in words), (m, n)
             boards += 1
     assert boards == 174
 
@@ -286,7 +284,7 @@ def test_solver_matches_independent_brute_force():
         expected = brute_grundy_map(board)
         _, memo = solve(board)
         for rows, value in expected.items():
-            key = diagonal_of(board, YoungDiagram(rows)).encode()
+            key = MhrgPosition(board, YoungDiagram(rows)).encode()
             assert memo.get(key) == value, (m, n, rows)
 
 
@@ -307,14 +305,18 @@ def test_cross_check_divergence_is_loud():
 
 
 def test_memo_of_another_game_is_refused():
-    # 3x5 and 4x4 profiles are both nine bytes and share keys with
-    # different values, so a shared memo would give 6 for the 4x4 start, not 4.
+    # A 3x5 bead word with its top bit clear is also a 3x6 word: the two
+    # memos share 10 keys, 6 of them with different values, so a shared memo
+    # would give 5 for the 3x6 start, not 0.  3x5 and 4x4 words differ in
+    # their bead counts, but the memo is refused there too.
     _, memo = solve(BoardParams(3, 5))
-    for engine in ENGINES:
-        with pytest.raises(DomainError, match="mhrg 3x5"):
-            solve(BoardParams(4, 4), engine=engine, memo=memo)
+    for board in (BoardParams(3, 6), BoardParams(4, 4)):
+        for engine in ENGINES:
+            with pytest.raises(DomainError, match="mhrg 3x5"):
+                solve(board, engine=engine, memo=memo)
     with pytest.raises(DomainError, match="mhrg 3x5"):
         solve_hrg(4, memo=memo)
+    assert solve(BoardParams(3, 6))[0] == 0
     assert solve(BoardParams(4, 4))[0] == 4
 
 

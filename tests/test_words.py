@@ -1,10 +1,16 @@
 """Differential tests of the bead-word core against the profile rule and the
 rule-book engine, on boards past the exhaustive 6x6 checks."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
-from conftest import enumerate_profiles, position_from_profile
+from conftest import (
+    enumerate_profiles,
+    position_from_profile,
+    profile_of_word,
+    word_of_profile,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,9 +33,8 @@ from hookgames import (
 from hookgames.mhrg import (
     diagram_of_word,
     mirror_free,
-    profile_of_word,
+    profile_order,
     word_of_diagram,
-    word_of_profile,
     word_options,
 )
 
@@ -70,7 +75,7 @@ def walks(draw) -> tuple[int, int, list[int]]:
     (so every one lies in the game's position set).  The walk goes on at
     least until the position has at most ``SEMANTIC_MAX_BOXES`` boxes."""
     m, n = draw(boards())
-    word = word_of_profile(start_position(BoardParams(m, n)).encode(), m)
+    word = start_position(BoardParams(m, n)).encode()
     visited = [word]
     extra = draw(st.integers(0, 3))
     while extra:
@@ -187,7 +192,7 @@ def test_word_options_match_both_engines(case):
         assert via_words == reference_options(vals, m, n)
         if boxes(word, m, n) <= SEMANTIC_MAX_BOXES:
             pos = position_from_profile(board, vals)
-            assert via_words == {p.encode() for p in options_semantic(pos)}
+            assert children == {p.encode() for p in options_semantic(pos)}
 
 
 @given(walks())
@@ -207,21 +212,38 @@ def test_forced_follow_up_is_the_mirrored_bead_move(case):
                 mirror = (record.second.lo + m - 1, record.second.hi + m)
                 assert mirror == (top - b, top - a) != (a, b)
                 expected ^= (1 << mirror[0]) ^ (1 << mirror[1])
-            assert word_of_profile(record.result.encode(), m) == expected
+            assert record.result.encode() == expected
 
 
 def test_solve_memo_matches_generic_grundy_up_to_7x8():
+    # The generic solve runs on bytes profiles by the profile rule; its keys
+    # are read back as bead words, the keys of solve's memo.
     for m in range(1, 8):
         for n in range(m, 9):
             board = BoardParams(m, n)
             _, memo = solve(board)
             generic = GrundyMemo(f"mhrg {m}x{n}")
             grundy(
-                start_position(board).encode(),
+                start_position(board).profile().encode(),
                 lambda vals: reference_options(vals, m, n),
                 generic,
             )
-            assert dict(memo) == dict(generic), (m, n)
+            words = {word_of_profile(vals, m): value for vals, value in generic.items()}
+            assert len(words) == len(generic)
+            assert dict(memo) == words, (m, n)
+
+
+def test_profile_order_sorts_like_profile_bytes():
+    # every m-bead word of every board up to 7x9, reachable or not
+    words = 0
+    for m in range(1, 8):
+        for n in range(m, 10):
+            size = m + n
+            board_words = [sum(1 << b for b in beads) for beads in combinations(range(size), m)]
+            by_key = sorted(board_words, key=lambda word: profile_order(word, size))
+            assert by_key == sorted(board_words, key=lambda word: profile_of_word(word, m, n))
+            words += len(board_words)
+    assert words == 39_666
 
 
 @given(st.one_of(board_words(), mirror_free_words()))
