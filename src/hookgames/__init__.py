@@ -23,20 +23,10 @@ from .closedforms import (
 )
 from .diagrams import (
     BoardParams,
-    BulgeKind,
-    DiagonalSeq,
     HookRecord,
-    Rejection,
-    RejectReason,
     YoungDiagram,
     all_diagrams,
-    bulge_kind,
-    decrement_interval,
-    diagonal_label,
-    diagonal_of,
-    diagram_of,
     hook_at,
-    label_multiset,
     max_label,
     remove_hook,
     transpose_position,
@@ -58,8 +48,6 @@ from .isomorphisms import (
     verify_isomorphism,
     verify_staircase_iso,
     verify_widening,
-    widen_diagonal,
-    widen_position,
 )
 from .mhrg import (
     MhrgPosition,
@@ -75,12 +63,9 @@ from .mhrg import (
     start_position,
 )
 from .shifted import (
-    ShiftedDiagonalSeq,
     ShiftedDiagram,
     all_shifted,
     hrg_options,
-    shifted_diagonal_of,
-    shifted_diagram_of,
     shifted_hook,
     shifted_remove_hook,
     solve_hrg,

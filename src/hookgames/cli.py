@@ -18,7 +18,6 @@ from . import closedforms, isomorphisms, mhrg
 from .diagrams import (
     BoardParams,
     YoungDiagram,
-    transpose_position,
     unimodal_number,
 )
 from .errors import DomainError, EngineInvariantError
@@ -44,23 +43,21 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _board_and_diagram(args) -> tuple[BoardParams, YoungDiagram, bool]:
-    """Build the board, transposing when more rows than columns are given."""
+    """Build the board, transposing when more rows than columns are given.
+    A diagram that does not fit is reported as given, on the board given."""
     m, n = args.m, args.n
     literal = getattr(args, "diagram", None)
-    rows = YoungDiagram.parse(literal).rows if literal is not None else None
-    transposed = m > n
-    if transposed:
-        if rows is None:
-            m, n = n, m
-        else:
-            m, n, rows = transpose_position(m, n, rows)
-    board = BoardParams(m, n)
-    diagram = YoungDiagram(rows) if rows is not None else YoungDiagram((n,) * m)
-    if not diagram.fits(board):
+    diagram = YoungDiagram.parse(literal) if literal is not None else None
+    board = BoardParams(min(m, n), max(m, n))
+    if diagram is None:
+        diagram = YoungDiagram((board.n,) * board.m)
+    elif diagram.height > m or diagram.width > n:
         raise DomainError(
             f"diagram {diagram.literal()} does not fit a {m}x{n} board"
         )
-    return board, diagram, transposed
+    elif m > n:
+        diagram = diagram.conjugate()
+    return board, diagram, m > n
 
 
 def _require_solvable(board: BoardParams, what: str) -> None:

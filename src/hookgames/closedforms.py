@@ -15,7 +15,7 @@ from enum import Enum
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .diagrams import BoardParams, YoungDiagram, all_diagrams, diagonal_of
+from .diagrams import BoardParams, YoungDiagram, all_diagrams
 from .errors import DomainError, RangeTooLargeError
 from .isomorphisms import is_symmetric
 from .mhrg import reachable_words, solve, word_of_diagram
@@ -406,8 +406,9 @@ def _verify_symmetry(max_n: int) -> PredictionReport:
             reached = reachable_words(board)
             for diagram in all_diagrams(board):
                 report.checked += 1
-                symmetric = is_symmetric(diagonal_of(board, diagram))
-                in_game = word_of_diagram(board, diagram) in reached
+                word = word_of_diagram(board, diagram)
+                symmetric = is_symmetric(word, board.m, board.n)
+                in_game = word in reached
                 if symmetric != in_game:
                     report.mismatches.append(
                         Mismatch(

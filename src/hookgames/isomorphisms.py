@@ -1,23 +1,21 @@
 """Structure-preserving maps between the games, and a generic verifier.
 
-Three maps matter:
+Three maps matter, all on bead words (``mhrg``) and staircase bead masks
+(``shifted``):
 
 * widening: inserting a hole into a position's bead word at bit
-  ``(n - m) / 2 + m`` (duplicating the centre entry of its diagonal
-  profile) carries the game on an ``m x n`` board (``m + n`` even) to the
-  game on ``m x (n+1)``;
-* halving: on an ``n x (n+1)`` board every reachable position has a
-  symmetric profile, and the top ``n`` bits of its bead word are the bead
-  mask of a shifted diagram in the size-``n`` staircase;
-* mirroring a shifted profile back to a symmetric one, the inverse of
-  halving.
+  ``(n - m) / 2 + m`` carries the game on an ``m x n`` board (``m + n``
+  even) to the game on ``m x (n+1)`` (:func:`widen_word`);
+* halving: on an ``n x (n+1)`` board every reachable position is
+  symmetric (:func:`is_symmetric`), and the top ``n`` bits of its bead
+  word are the bead mask of a shifted diagram in the size-``n`` staircase
+  (:func:`halve_word`, and :func:`to_shifted` on positions);
+* mirroring a staircase mask back into a symmetric word, the inverse of
+  halving (:func:`from_shifted`).
 
 ``verify_isomorphism`` is data-driven (two position sets, two options
 functions, one forward map) so a single verifier machine-checks all of
-them: bijectivity, option preservation, and game-value transport.  The
-widening and halving checks run on bead words and masks;
-:func:`widen_diagonal` and :func:`to_shifted` state the same maps on
-profiles and positions.
+them: bijectivity, option preservation, and game-value transport.
 """
 
 from __future__ import annotations
@@ -25,17 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Hashable, TypeVar
 
-from .diagrams import BoardParams, DiagonalSeq, diagram_of
+from .diagrams import BoardParams
 from .errors import DomainError, RangeTooLargeError
 from .grundy import grundy
-from .mhrg import MhrgPosition, _closure, diagram_of_word, word_options
-from .shifted import (
-    ShiftedDiagonalSeq,
-    ShiftedDiagram,
-    hrg_word_options,
-    shifted_diagonal_of,
-    shifted_diagram_of,
-)
+from .mhrg import MhrgPosition, _closure, _reversed, diagram_of_word, word_options
+from .shifted import ShiftedDiagram, hrg_word_options
 
 S = TypeVar("S")
 T = TypeVar("T")
@@ -44,52 +36,40 @@ WIDEN_MAX_SIDE = 8       # exhaustive widening checks stay at desk scale
 STAIRCASE_ISO_MAX_N = 7  # staircase isomorphism checks likewise
 
 
-def is_symmetric(seq: DiagonalSeq) -> bool:
-    """True when ``seq[i] == seq[n - m - i]`` for every diagonal ``i``."""
-    m, n = seq.board.m, seq.board.n
-    return all(seq[i] == seq[n - m - i] for i in range(-m, n + 1))
-
-
-def widen_diagonal(seq: DiagonalSeq) -> DiagonalSeq:
-    """Duplicate the centre entry ``c = (n - m) / 2``: a profile on the
-    ``m x n`` board becomes one on ``m x (n+1)``.  Requires ``m + n`` even."""
-    m, n = seq.board.m, seq.board.n
-    if (m + n) % 2:
-        raise DomainError(f"widening needs m + n even, got ({m}, {n})")
-    slot = (n - m) // 2 + m
-    values = seq.values[: slot + 1] + (seq.values[slot],) + seq.values[slot + 1 :]
-    return DiagonalSeq(BoardParams(m, n + 1), values)
-
-
-def widen_position(pos: MhrgPosition) -> MhrgPosition:
-    """Position-level widening map."""
-    seq = widen_diagonal(pos.profile())
-    return MhrgPosition(seq.board, diagram_of(seq))
+def is_symmetric(word: int, m: int, n: int) -> bool:
+    """Whether the diagram of ``word`` on the ``m x n`` board is symmetric:
+    it has as many boxes on diagonal ``i`` as on ``n - m - i``, for every
+    ``i``.  In bead words: the word and its reversal differ on exactly the
+    bits ``0 .. m - 1`` and ``n .. m + n - 1``."""
+    low = (1 << m) - 1
+    return word ^ _reversed(word, m + n) == low | low << n
 
 
 def to_shifted(pos: MhrgPosition) -> ShiftedDiagram:
-    """Read the right half of a symmetric profile on an ``n x (n+1)`` board
-    as a shifted diagram in the size-``n`` staircase."""
+    """The shifted diagram in the size-``n`` staircase that halving maps a
+    symmetric position on an ``n x (n+1)`` board to."""
     board = pos.board
     if board.n != board.m + 1:
         raise DomainError(
             f"map needs an n x (n+1) board, got {board.m}x{board.n}"
         )
-    seq = pos.profile()
-    if not is_symmetric(seq):
+    word = pos.encode()
+    if not is_symmetric(word, board.m, board.n):
         raise DomainError(f"profile of {pos} is not symmetric")
-    n = board.m
-    half = tuple(seq[k] for k in range(1, n + 2))
-    return shifted_diagram_of(ShiftedDiagonalSeq(n, half))
+    return ShiftedDiagram.from_mask(halve_word(word, board.m))
 
 
 def from_shifted(diagram: ShiftedDiagram, n: int) -> MhrgPosition:
-    """Mirror a shifted profile into the symmetric profile of a position on
-    the ``n x (n+1)`` board; inverse of :func:`to_shifted`."""
-    half = shifted_diagonal_of(diagram, n).values
-    values = tuple(reversed(half)) + half
-    seq = DiagonalSeq(BoardParams(n, n + 1), values)
-    return MhrgPosition(seq.board, diagram_of(seq))
+    """The symmetric position on the ``n x (n+1)`` board whose word has the
+    bead mask of ``diagram`` on its top ``n`` bits, a hole in the middle and
+    the mirror image of that mask's holes below; inverse of
+    :func:`to_shifted`."""
+    if not diagram.fits(n):
+        raise DomainError(f"{diagram.literal()} does not fit the size-{n} staircase")
+    board = BoardParams(n, n + 1)
+    mask = diagram.mask()
+    word = (mask << (n + 1)) | (_reversed(mask, n) ^ ((1 << n) - 1))
+    return MhrgPosition(board, diagram_of_word(word, 2 * n + 1))
 
 
 @dataclass(frozen=True)
@@ -236,16 +216,15 @@ def verify_isomorphism(
 
 def widen_word(word: int, m: int, n: int) -> int:
     """Widening on bead words: insert a hole at bit ``(n - m) / 2 + m`` of a
-    word on the ``m x n`` board, giving a word on ``m x (n+1)``.  Equals
-    :func:`widen_diagonal` on profiles."""
+    word on the ``m x n`` board, giving a word on ``m x (n+1)``.  On the
+    diagram this repeats the centre diagonal ``(n - m) / 2``."""
     slot = (n - m) // 2 + m
     return (word & ((1 << slot) - 1)) | ((word >> slot) << (slot + 1))
 
 
 def halve_word(word: int, n: int) -> int:
     """Halving on bead words: the top ``n`` bits of a word on the
-    ``n x (n+1)`` board, read as a staircase bead mask.  Equals
-    :func:`to_shifted` on reachable positions."""
+    ``n x (n+1)`` board, read as a staircase bead mask."""
     return word >> (n + 1)
 
 

@@ -4,17 +4,18 @@ A move removes the hook of a chosen box; if the remaining diagram contains
 a hook with the identical label multiset, that hook must be removed too
 (this happens at most once).
 
-The rule runs on bead words.  A valid diagonal profile is fixed by its
-``m + n`` unit steps, and one bit per step gives an ``(m + n)``-bit integer
-with exactly ``m`` set bits, the classical Maya (bead) word of a partition
-in a box.  A hook removal moves one bead down to a hole, and the forced
-follow-up is the mirrored bead move under ``i -> m + n - 1 - i``.
-:func:`word_options` is that rule; option sets, move records, solves and
-reachable sets all come from it.  A word maps straight to a diagram
-(:func:`diagram_of_word`: each bead's row is as long as the holes below it)
-and back (:func:`word_of_diagram`), so positions are built without a
-profile.  Memo keys are bead words too (:meth:`MhrgPosition.encode`);
-move records keep the order of their results' profiles (:func:`profile_order`).
+The rule runs on bead words.  A diagram in the box is fixed by the
+``m + n`` unit steps of its boundary from the bottom-left corner to the
+top-right one, and one bit per step, set for a step up, gives an
+``(m + n)``-bit integer with exactly ``m`` set bits, the classical Maya
+(bead) word of a partition in a box.  A hook removal moves one bead down
+to a hole, and the forced follow-up is the mirrored bead move under
+``i -> m + n - 1 - i``.  :func:`word_options` is that rule; option sets,
+move records, solves and reachable sets all come from it.  A word maps
+straight to a diagram (:func:`diagram_of_word`: each bead's row is as
+long as the holes below it) and back (:func:`word_of_diagram`).  Memo
+keys are bead words too (:meth:`MhrgPosition.encode`); move records keep
+the order of their results' diagonal profiles (:func:`profile_order`).
 Bits are indexed through ``_BIT``, sized by ``MAX_SIDE`` (64 per side).
 
 The semantic engine applies the rule book literally on diagrams, scanning
@@ -38,10 +39,8 @@ from typing import Callable, Hashable, Iterable
 from .diagrams import (
     MAX_SIDE,
     BoardParams,
-    DiagonalSeq,
     HookRecord,
     YoungDiagram,
-    diagonal_of,
     hook_at,
     interval_label_counts,
     remove_hook,
@@ -65,9 +64,6 @@ class MhrgPosition:
                 f"diagram {self.diagram.literal()} does not fit a "
                 f"{self.board.m}x{self.board.n} board"
             )
-
-    def profile(self) -> DiagonalSeq:
-        return diagonal_of(self.board, self.diagram)
 
     def encode(self) -> int:
         """Bead word (:func:`word_of_diagram`); the canonical memo key for
@@ -99,14 +95,14 @@ class MoveRecord:
 
 
 # ---------------------------------------------------------------------------
-# Bead-word core.  Step s of a profile (storage slots s-1 -> s) sets bit s-1
-# of the word when it is 0 on the ascending side (s <= m) or 1 on the
-# descending side.  An accepted interval decrement of slots a+1..b is then
-# the bead move from set bit b to clear bit a < b, and the forced follow-up
-# is the bead move (m+n-1-b, m+n-1-a), applied when it is legal after the
-# first one.  A self-mirrored move never fires twice: its mirror needs the
-# bead at b, which the first move just took away.  Every option is a
-# smaller word, so the game graph is acyclic by construction.
+# Bead-word core.  Bit k of the word is set when step k of the boundary
+# goes up, so row i (0-based) ends in the bead on bit rows[i] + m - 1 - i.
+# Removing the hook on diagonals a+1-m .. b-m is the bead move from set
+# bit b to clear bit a < b, and the forced follow-up is the bead move
+# (m+n-1-b, m+n-1-a), applied when it is legal after the first one.  A
+# self-mirrored move never fires twice: its mirror needs the bead at b,
+# which the first move just took away.  Every option is a smaller word, so
+# the game graph is acyclic by construction.
 
 _BIT = tuple(1 << i for i in range(2 * MAX_SIDE))  # a word has m + n bits
 

@@ -7,10 +7,10 @@ part is at most ``n``.  Its hook at ``(i, j)`` is the box plus its arm
 (right), leg (below) and tail (all of row ``j + 1``).
 
 The game runs on ``n``-bit bead masks, bit ``p - 1`` set when ``p`` is a
-part (the step bits of the diagonal profile ``[b_0 .. b_n]``).  Removing a
-hook removes a bead, moves it to a lower hole (the move of Welter's game),
-or removes it together with a lower bead; :func:`hrg_word_options` is that
-rule and :func:`solve_hrg` searches over masks.  The game value of any position is
+part (:meth:`ShiftedDiagram.mask`).  Removing a hook removes a bead, moves
+it to a lower hole (the move of Welter's game), or removes it together
+with a lower bead; :func:`hrg_word_options` is that rule and
+:func:`solve_hrg` searches over masks.  The game value of any position is
 the nim-sum of its parts.  :func:`hrg_options` applies the hook rule to
 diagrams and stays as the oracle.
 """
@@ -154,58 +154,6 @@ def hrg_options(diagram: ShiftedDiagram, n: int) -> set[ShiftedDiagram]:
             f"{diagram.literal()} does not fit the size-{n} staircase"
         )
     return {shifted_remove_hook(diagram, i, j) for i, j in diagram.boxes()}
-
-
-@dataclass(frozen=True)
-class ShiftedDiagonalSeq:
-    """Diagonal profile ``[b_0 .. b_n]`` of a shifted diagram: weakly
-    decreasing with steps of 0 or 1 and ``b_n = 0``."""
-
-    n: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.n + 1:
-            raise DomainError(
-                f"profile needs {self.n + 1} entries for staircase {self.n}, "
-                f"got {len(values)}"
-            )
-        if values[-1] != 0:
-            raise DomainError(f"entry at index {self.n} must be 0, got {values[-1]}")
-        for k in range(self.n):
-            if not 0 <= values[k] - values[k + 1] <= 1:
-                raise DomainError(f"adjacency violated at index {k}")
-
-    def __getitem__(self, k: int) -> int:
-        if not (0 <= k <= self.n):
-            raise DomainError(f"index {k} out of range 0..{self.n}")
-        return self.values[k]
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.values) + "]"
-
-
-def shifted_diagonal_of(diagram: ShiftedDiagram, n: int) -> ShiftedDiagonalSeq:
-    """Profile of ``diagram``: slot ``k`` counts boxes with ``j - i = k``."""
-    if not diagram.fits(n):
-        raise DomainError(
-            f"{diagram.literal()} does not fit the size-{n} staircase"
-        )
-    counts = [0] * (n + 1)
-    for k in range(n + 1):
-        counts[k] = sum(1 for p in diagram.parts if p > k)
-    return ShiftedDiagonalSeq(n, tuple(counts))
-
-
-def shifted_diagram_of(seq: ShiftedDiagonalSeq) -> ShiftedDiagram:
-    """Inverse of :func:`shifted_diagonal_of` (conjugate counting)."""
-    height = seq.values[0]
-    parts = tuple(
-        sum(1 for v in seq.values if v >= i) for i in range(1, height + 1)
-    )
-    return ShiftedDiagram(parts)
 
 
 def hrg_word_options(mask: int, n: int) -> set[int]:

@@ -2,28 +2,35 @@
 
 The enumerator walks the adjacency condition directly instead of going
 through diagrams, and the brute-force solver is plain recursion with mex
-computed inline over the rule-book engine, so the production profile
+computed inline over the rule-book engine, so the production bead-word
 engine and the iterative solver are both checked against code that shares
 nothing with them.
+
+Diagonal profiles live here only.  A diagram's profile counts its boxes on
+each diagonal ``j - i = k``, ``k = -m .. n``; removing a hook subtracts one
+from an interval of it.  The paper states its theorems on profiles, so
+they are the reference that the library's bead words are tested against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from hypothesis import settings
 
 from hookgames import (
     BoardParams,
-    DiagonalSeq,
+    DomainError,
     EngineInvariantError,
     MhrgPosition,
+    ShiftedDiagram,
     YoungDiagram,
-    diagram_of,
     options_semantic,
     start_position,
+    unimodal_number,
 )
-from hookgames.diagrams import hook_at, remove_hook
+from hookgames.diagrams import hook_at, label_counts, remove_hook
 from hookgames.mhrg import MoveRecord
 
 # Property tests draw the same examples on every run, so the suite stays
@@ -58,6 +65,161 @@ def enumerate_profiles(m: int, n: int) -> list[tuple[int, ...]]:
 
     ascend([0])
     return out
+
+
+def _pair_ok(left: int, right: int, index: int) -> bool:
+    """Adjacency condition for the pair ending at logical ``index``: counts
+    step by 0 or 1 up to diagonal 0 and by 0 or 1 down after it."""
+    diff = right - left if index <= 0 else left - right
+    return 0 <= diff <= 1
+
+
+@dataclass(frozen=True)
+class DiagonalSeq:
+    """Diagonal profile of a diagram in the box, validated.
+
+    ``values`` is stored with offset ``m`` (slot ``k + m`` holds the count
+    of diagonal ``k``); ``seq[k]`` reads logical indices.  Valid profiles
+    have zero ends and obey the adjacency condition."""
+
+    board: BoardParams
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        m, n = self.board.m, self.board.n
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != m + n + 1:
+            raise DomainError(f"profile needs {m + n + 1} entries, got {len(values)}")
+        if values[0] != 0:
+            raise DomainError(f"entry at index {-m} must be 0, got {values[0]}")
+        if values[-1] != 0:
+            raise DomainError(f"entry at index {n} must be 0, got {values[-1]}")
+        for s in range(1, len(values)):
+            if not _pair_ok(values[s - 1], values[s], s - m):
+                raise DomainError(f"adjacency violated at index {s - m}")
+
+    def __getitem__(self, k: int) -> int:
+        if not (-self.board.m <= k <= self.board.n):
+            raise DomainError(f"diagonal index {k} out of range")
+        return self.values[k + self.board.m]
+
+    def encode(self) -> bytes:
+        return bytes(self.values)
+
+
+def diagonal_of(board: BoardParams, diagram: YoungDiagram) -> DiagonalSeq:
+    """Diagonal profile of ``diagram``: slot ``k`` counts boxes with ``j - i = k``."""
+    if not diagram.fits(board):
+        raise DomainError(
+            f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
+        )
+    counts = [0] * (board.m + board.n + 1)
+    for i, j in diagram.boxes():
+        counts[j - i + board.m] += 1
+    return DiagonalSeq(board, tuple(counts))
+
+
+def diagram_of(seq: DiagonalSeq) -> YoungDiagram:
+    """Inverse of :func:`diagonal_of`: box ``(i, j)`` is present iff
+    ``min(i, j) <= seq[j - i]``."""
+    m, n = seq.board.m, seq.board.n
+    rows = []
+    for i in range(1, m + 1):
+        length = 0
+        for j in range(1, n + 1):
+            if min(i, j) <= seq[j - i]:
+                length = j
+            else:
+                break
+        rows.append(length)
+    return YoungDiagram(tuple(rows))
+
+
+def decrement_interval(seq: DiagonalSeq, lo: int, hi: int) -> DiagonalSeq | None:
+    """Subtract 1 from diagonals ``lo..hi``; ``None`` when the result is
+    not a valid profile.  Only the pairs at the interval's ends can break.
+    An interval outside ``(-m, n)`` is a domain error."""
+    m, n = seq.board.m, seq.board.n
+    if not (-m < lo <= hi < n):
+        raise DomainError(f"interval [{lo}, {hi}] outside (-{m}, {n})")
+    # The profile is unimodal, so the minimum over the interval sits at an end.
+    if min(seq[lo], seq[hi]) == 0:
+        return None
+    if not _pair_ok(seq[lo - 1], seq[lo] - 1, lo) or not _pair_ok(seq[hi] - 1, seq[hi + 1], hi + 1):
+        return None
+    values = list(seq.values)
+    for s in range(lo + m, hi + m + 1):
+        values[s] -= 1
+    return DiagonalSeq(seq.board, tuple(values))
+
+
+def profile_is_symmetric(seq: DiagonalSeq) -> bool:
+    """True when ``seq[i] == seq[n - m - i]`` for every diagonal ``i``."""
+    m, n = seq.board.m, seq.board.n
+    return all(seq[i] == seq[n - m - i] for i in range(-m, n + 1))
+
+
+def widen_diagonal(seq: DiagonalSeq) -> DiagonalSeq:
+    """Duplicate the centre entry ``(n - m) / 2``: a profile on the ``m x n``
+    board becomes one on ``m x (n+1)``.  Requires ``m + n`` even."""
+    m, n = seq.board.m, seq.board.n
+    if (m + n) % 2:
+        raise DomainError(f"widening needs m + n even, got ({m}, {n})")
+    slot = (n - m) // 2 + m
+    values = seq.values[: slot + 1] + seq.values[slot:]
+    return DiagonalSeq(BoardParams(m, n + 1), values)
+
+
+def diagonal_label(board: BoardParams, k: int) -> int:
+    """Label shared by every box on diagonal ``j - i = k``: ``min(k + m, n - k)``."""
+    if not (-board.m < k < board.n):
+        raise DomainError(f"diagonal {k} outside (-{board.m}, {board.n})")
+    return min(k + board.m, board.n - k)
+
+
+def label_multiset(board: BoardParams, diagram: YoungDiagram) -> tuple[int, ...]:
+    """Count vector of unimodal labels over all boxes of ``diagram``."""
+    return label_counts(board, [unimodal_number(board, i, j) for i, j in diagram.boxes()])
+
+
+@dataclass(frozen=True)
+class ShiftedDiagonalSeq:
+    """Diagonal profile ``[b_0 .. b_n]`` of a shifted diagram: weakly
+    decreasing with steps of 0 or 1 and ``b_n = 0``."""
+
+    n: int
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.n + 1:
+            raise DomainError(f"profile needs {self.n + 1} entries, got {len(values)}")
+        if values[-1] != 0:
+            raise DomainError(f"entry at index {self.n} must be 0, got {values[-1]}")
+        for k in range(self.n):
+            if not 0 <= values[k] - values[k + 1] <= 1:
+                raise DomainError(f"adjacency violated at index {k}")
+
+    def __getitem__(self, k: int) -> int:
+        return self.values[k]
+
+
+def shifted_diagonal_of(diagram: ShiftedDiagram, n: int) -> ShiftedDiagonalSeq:
+    """Profile of ``diagram`` in the size-``n`` staircase: slot ``k`` counts
+    boxes with ``j - i = k``."""
+    return ShiftedDiagonalSeq(
+        n, tuple(sum(1 for p in diagram.parts if p > k) for k in range(n + 1))
+    )
+
+
+def shifted_diagram_of(seq: ShiftedDiagonalSeq) -> ShiftedDiagram:
+    """Inverse of :func:`shifted_diagonal_of` (conjugate counting)."""
+    height = seq.values[0]
+    return ShiftedDiagram(
+        tuple(sum(1 for v in seq.values if v >= i) for i in range(1, height + 1))
+    )
 
 
 def word_of_profile(vals: bytes, m: int) -> int:
@@ -168,7 +330,7 @@ def rule_book_moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     best: dict[bytes, MoveRecord] = {}
     for i, j in pos.diagram.boxes():
         record = rule_book_move_reference(pos, i, j)
-        key = record.result.profile().encode()
+        key = diagonal_of(pos.board, record.result.diagram).encode()
         kept = best.get(key)
         if kept is None or record.first.corner < kept.first.corner:
             best[key] = record

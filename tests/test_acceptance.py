@@ -7,15 +7,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 from pathlib import Path
 
+from conftest import diagonal_of, diagram_of, shifted_diagonal_of, shifted_diagram_of
+
 from hookgames import (
     BoardParams,
     MhrgPosition,
     Periodicity,
+    ShiftedDiagram,
     all_diagrams,
     all_shifted,
     detect_periodicity,
-    diagram_of,
-    diagonal_of,
     from_shifted,
     moves_semantic,
     options_diagonal,
@@ -28,8 +29,7 @@ from hookgames import (
     verify_widening,
 )
 from hookgames.closedforms import grundy_table, table_csv
-from hookgames.mhrg import diagram_of_word, reachable_words
-from hookgames.shifted import shifted_diagonal_of, shifted_diagram_of
+from hookgames.mhrg import diagram_of_word, reachable_words, word_of_diagram
 
 GOLDEN = Path(__file__).parent / "data" / "table1.csv"
 
@@ -142,18 +142,20 @@ def test_acceptance_7_round_trips():
     board = BoardParams(6, 6)
     diagrams = 0
     for diagram in all_diagrams(board):
+        assert diagram_of_word(word_of_diagram(board, diagram), 12) == diagram
         assert diagram_of(diagonal_of(board, diagram)) == diagram
         diagrams += 1
     assert diagrams == 924
     shifted = 0
     for s in all_shifted(8):
+        assert ShiftedDiagram.from_mask(s.mask()) == s
         assert shifted_diagram_of(shifted_diagonal_of(s, 8)) == s
         shifted += 1
     assert shifted == 256
     elapsed = time.time() - t0
     assert elapsed < 1
     report(7, elapsed, 1, "924 boxed and 256 shifted diagrams round-trip "
-           "through their profiles")
+           "through their bead words and their profiles")
 
 
 def test_acceptance_8_periodicity_smoke():

@@ -102,6 +102,23 @@ def test_grundy_transposes_wide_input(capsys):
     assert "3x5" in out and "= 0" in out
 
 
+def test_fit_errors_name_the_diagram_and_board_as_given(capsys):
+    # Input with more rows than columns is transposed, but a diagram that
+    # does not fit is reported in the orientation the user typed.
+    cases = (
+        (("grundy", "-m", "5", "-n", "3", "--diagram", "4"), "4", "5x3"),
+        (("options", "-m", "5", "-n", "3", "--diagram", "3,3,3,3,3,1"), "3,3,3,3,3,1", "5x3"),
+        (("grundy", "-m", "3", "-n", "5", "--diagram", "1,1,1,1"), "1,1,1,1", "3x5"),
+    )
+    for argv, literal, board in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: diagram {literal} does not fit a {board} board\n"
+    code, out, err = run(capsys, "grundy", "-m", "5", "-n", "3", "--diagram", "3,3,2,1,1")
+    assert code == 0 and out.startswith("G(5,3,2 in 3x5) = ")
+    assert err == "note: transposed input to the 3x5 board\n"
+
+
 def test_grundy_usage_errors(capsys):
     code, _, err = run(capsys, "grundy", "-m", "3", "-n", "5", "--diagram", "1,2,x")
     assert code == 2 and "error:" in err

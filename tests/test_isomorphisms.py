@@ -1,16 +1,25 @@
 import pytest
-from conftest import word_of_profile
+from conftest import (
+    DiagonalSeq,
+    ShiftedDiagonalSeq,
+    diagonal_of,
+    diagram_of,
+    profile_is_symmetric,
+    shifted_diagonal_of,
+    shifted_diagram_of,
+    widen_diagonal,
+    word_of_profile,
+)
 
 from hookgames import (
     BoardParams,
-    DiagonalSeq,
     DomainError,
     GameMap,
     MhrgPosition,
     ShiftedDiagram,
     YoungDiagram,
+    all_diagrams,
     all_shifted,
-    diagonal_of,
     from_shifted,
     is_symmetric,
     reachable,
@@ -19,8 +28,6 @@ from hookgames import (
     verify_isomorphism,
     verify_staircase_iso,
     verify_widening,
-    widen_diagonal,
-    widen_position,
 )
 from hookgames import isomorphisms
 from hookgames.isomorphisms import (
@@ -29,7 +36,7 @@ from hookgames.isomorphisms import (
     verify_widening_range,
     widen_word,
 )
-from hookgames.mhrg import reachable_words, word_options
+from hookgames.mhrg import reachable_words, word_of_diagram, word_options
 
 
 def test_widen_diagonal_examples():
@@ -51,16 +58,37 @@ def test_widen_diagonal_examples():
 
 def test_widen_position_carries_start_to_start():
     for m, n in [(1, 1), (2, 2), (2, 4), (3, 5)]:
-        wide = widen_position(start_position(BoardParams(m, n)))
-        assert wide == start_position(BoardParams(m, n + 1))
+        wide = widen_word(start_position(BoardParams(m, n)).encode(), m, n)
+        assert wide == start_position(BoardParams(m, n + 1)).encode()
 
 
 def test_is_symmetric_examples():
-    assert is_symmetric(diagonal_of(BoardParams(3, 3), YoungDiagram((3, 3, 3))))
-    assert not is_symmetric(DiagonalSeq(BoardParams(2, 2), (0, 1, 1, 0, 0)))
+    # The full 3x3 square and the empty 3x5 board: the word and its
+    # reversal differ on bits 0..m-1 and n..m+n-1 only.
+    assert is_symmetric(0b111000, 3, 3)
+    assert is_symmetric(0b00000111, 3, 5)
+    # (1,1) on 2x2 has the profile (0,1,1,0,0).
+    assert not is_symmetric(0b0110, 2, 2)
+    assert word_of_diagram(BoardParams(2, 2), YoungDiagram((1, 1))) == 0b0110
     # (5,4,3) on the 3x5 board: the pair at diagonals (-1, 3) is (2, 1),
     # so the profile fails the a_i == a_{n-m-i} test.
-    assert not is_symmetric(DiagonalSeq(BoardParams(3, 5), (0, 1, 2, 3, 2, 2, 1, 1, 0)))
+    word = word_of_diagram(BoardParams(3, 5), YoungDiagram((5, 4, 3)))
+    assert not is_symmetric(word, 3, 5)
+    assert not profile_is_symmetric(DiagonalSeq(BoardParams(3, 5), (0, 1, 2, 3, 2, 2, 1, 1, 0)))
+
+
+def test_is_symmetric_matches_the_profile_test_on_every_diagram():
+    diagrams = symmetric = 0
+    for m in range(1, 7):
+        for n in range(m, 9):
+            board = BoardParams(m, n)
+            for diagram in all_diagrams(board):
+                expected = profile_is_symmetric(diagonal_of(board, diagram))
+                assert is_symmetric(word_of_diagram(board, diagram), m, n) == expected
+                diagrams += 1
+                symmetric += expected
+    assert diagrams == 10_352
+    assert 0 < symmetric < diagrams
 
 
 def test_to_shifted_examples():
@@ -77,6 +105,8 @@ def test_to_shifted_examples():
 def test_from_shifted_examples():
     assert from_shifted(ShiftedDiagram((3, 2, 1)), 3) == start_position(BoardParams(3, 4))
     assert from_shifted(ShiftedDiagram(()), 3).diagram.rows == ()
+    with pytest.raises(DomainError, match="^4,1 does not fit the size-3 staircase$"):
+        from_shifted(ShiftedDiagram((4, 1)), 3)
 
 
 def test_round_trip_between_rectangle_and_staircase():
@@ -92,8 +122,8 @@ def test_widening_image_is_the_reachable_set():
     # the widened reachable set IS the reachable set of the wider board
     for m, n in [(1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]:
         board = BoardParams(m, n)
-        image = {widen_position(pos) for pos in reachable(board)}
-        assert image == reachable(BoardParams(m, n + 1))
+        image = {widen_word(word, m, n) for word in reachable_words(board)}
+        assert image == reachable_words(BoardParams(m, n + 1))
 
 
 def test_word_maps_match_profile_and_position_maps():
@@ -104,21 +134,40 @@ def test_word_maps_match_profile_and_position_maps():
             if (m + n) % 2:
                 continue
             for pos in reachable(BoardParams(m, n)):
-                wide = widen_diagonal(pos.profile())
-                word = word_of_profile(pos.profile().encode(), m)
-                assert widen_word(word, m, n) == word_of_profile(wide.encode(), m)
-                assert widen_word(pos.encode(), m, n) == widen_position(pos).encode()
+                seq = diagonal_of(pos.board, pos.diagram)
+                wide = widen_diagonal(seq)
+                assert word_of_profile(seq.encode(), m) == pos.encode()
+                assert widen_word(pos.encode(), m, n) == word_of_profile(wide.encode(), m)
+                wide_pos = MhrgPosition(wide.board, diagram_of(wide))
+                assert widen_word(pos.encode(), m, n) == wide_pos.encode()
+    # halving reads the right half of a symmetric profile as a shifted one
     for n in range(1, 8):
         for pos in reachable(BoardParams(n, n + 1)):
-            mask = halve_word(pos.encode(), n)
-            assert ShiftedDiagram.from_mask(mask) == to_shifted(pos)
+            seq = diagonal_of(pos.board, pos.diagram)
+            half = ShiftedDiagonalSeq(n, tuple(seq[k] for k in range(1, n + 2)))
+            assert to_shifted(pos) == shifted_diagram_of(half)
+            assert ShiftedDiagram.from_mask(halve_word(pos.encode(), n)) == to_shifted(pos)
+
+
+def test_from_shifted_matches_the_mirrored_profile():
+    # every shifted diagram of every staircase of size 1..8
+    diagrams = 0
+    for n in range(1, 9):
+        board = BoardParams(n, n + 1)
+        for s in all_shifted(n):
+            half = shifted_diagonal_of(s, n).values
+            mirrored = DiagonalSeq(board, tuple(reversed(half)) + half)
+            assert profile_is_symmetric(mirrored)
+            assert from_shifted(s, n) == MhrgPosition(board, diagram_of(mirrored))
+            diagrams += 1
+    assert diagrams == 510
 
 
 def test_centre_equality_on_widened_boards():
     for m, n in [(1, 3), (2, 4), (3, 3), (4, 6)]:
         centre = (n - m) // 2
         for pos in reachable(BoardParams(m, n + 1)):
-            seq = pos.profile()
+            seq = diagonal_of(pos.board, pos.diagram)
             assert seq[centre] == seq[centre + 1]
 
 

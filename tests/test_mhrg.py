@@ -2,7 +2,12 @@ from dataclasses import replace
 from math import comb
 
 import pytest
-from conftest import brute_grundy_map, rule_book_move_reference, rule_book_moves_reference
+from conftest import (
+    brute_grundy_map,
+    diagonal_of,
+    rule_book_move_reference,
+    rule_book_moves_reference,
+)
 
 from hookgames import (
     BoardParams,
@@ -163,7 +168,7 @@ def test_reachable_positions_symmetric_on_near_square_boards():
     for n in range(1, 5):
         for board in (BoardParams(n, n), BoardParams(n, n + 1)):
             for pos in reachable(board):
-                assert is_symmetric(pos.profile())
+                assert is_symmetric(pos.encode(), board.m, board.n)
 
 
 def test_move_records_deduplicate_by_result():
@@ -174,7 +179,7 @@ def test_move_records_deduplicate_by_result():
     assert len(results) == len(set(results))
     assert {r.result for r in records} == options_diagonal(pos)
     # canonical order by the results' diagonal profiles
-    profiles = [r.result.profile().encode() for r in records]
+    profiles = [diagonal_of(board, r.result.diagram).encode() for r in records]
     assert profiles == sorted(profiles)
     semantic = moves_semantic(pos)
     assert [r.result for r in semantic] == [r.result for r in records]

@@ -1,14 +1,12 @@
 import pytest
+from conftest import ShiftedDiagonalSeq, shifted_diagonal_of, shifted_diagram_of
 
 from hookgames import (
     DomainError,
-    ShiftedDiagonalSeq,
     ShiftedDiagram,
     all_shifted,
     hrg_options,
     predict_shifted,
-    shifted_diagonal_of,
-    shifted_diagram_of,
     shifted_hook,
     shifted_remove_hook,
     solve_hrg,

@@ -6,6 +6,10 @@ from math import comb
 
 import pytest
 from conftest import (
+    DiagonalSeq,
+    decrement_interval,
+    diagonal_of,
+    diagram_of,
     enumerate_profiles,
     position_from_profile,
     profile_of_word,
@@ -16,14 +20,10 @@ from hypothesis import strategies as st
 
 from hookgames import (
     BoardParams,
-    DiagonalSeq,
     DomainError,
     GrundyMemo,
     YoungDiagram,
     all_diagrams,
-    decrement_interval,
-    diagonal_of,
-    diagram_of,
     grundy,
     moves_semantic,
     options_semantic,
@@ -103,11 +103,11 @@ def reference_options(vals: bytes, m: int, n: int) -> set[bytes]:
     for lo in range(1 - m, n):
         for hi in range(lo, n):
             first = decrement_interval(seq, lo, hi)
-            if not isinstance(first, DiagonalSeq):
+            if first is None:
                 continue
             mlo, mhi = n - m - hi, n - m - lo
             second = decrement_interval(first, mlo, mhi) if mlo != lo else None
-            out.add((second if isinstance(second, DiagonalSeq) else first).encode())
+            out.add((first if second is None else second).encode())
     return out
 
 
@@ -224,7 +224,7 @@ def test_solve_memo_matches_generic_grundy_up_to_7x8():
             _, memo = solve(board)
             generic = GrundyMemo(f"mhrg {m}x{n}")
             grundy(
-                start_position(board).profile().encode(),
+                diagonal_of(board, start_position(board).diagram).encode(),
                 lambda vals: reference_options(vals, m, n),
                 generic,
             )
