@@ -8,7 +8,6 @@ the 9x9 table of starting values.
 
 from .closedforms import (
     Periodicity,
-    PredictionReport,
     TwoRowClass,
     detect_periodicity,
     grundy_table,
@@ -38,10 +37,10 @@ from .errors import (
     HookGamesError,
     RangeTooLargeError,
 )
-from .grundy import GrundyMemo, Outcome, grundy, mex, outcome
+from .grundy import GrundyMemo, grundy, mex
 from .isomorphisms import (
     GameMap,
-    IsomorphismReport,
+    Report,
     from_shifted,
     is_symmetric,
     to_shifted,

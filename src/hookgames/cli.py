@@ -18,6 +18,7 @@ from . import closedforms, isomorphisms, mhrg
 from .diagrams import (
     BoardParams,
     YoungDiagram,
+    check_sides,
     unimodal_number,
 )
 from .errors import DomainError, EngineInvariantError
@@ -42,13 +43,20 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _board(m: int, n: int) -> BoardParams:
+    """The board of ``m x n`` input, transposed when more rows than columns
+    are given.  Sides out of range are reported as given."""
+    check_sides(m, n)
+    return BoardParams(min(m, n), max(m, n))
+
+
 def _board_and_diagram(args) -> tuple[BoardParams, YoungDiagram, bool]:
     """Build the board, transposing when more rows than columns are given.
     A diagram that does not fit is reported as given, on the board given."""
     m, n = args.m, args.n
     literal = getattr(args, "diagram", None)
     diagram = YoungDiagram.parse(literal) if literal is not None else None
-    board = BoardParams(min(m, n), max(m, n))
+    board = _board(m, n)
     if diagram is None:
         diagram = YoungDiagram((board.n,) * board.m)
     elif diagram.height > m or diagram.width > n:
@@ -266,7 +274,7 @@ def _engine_move(pos: mhrg.MhrgPosition, memo: GrundyMemo):
 
 def cmd_play(args, stdin: IO[str] | None = None) -> int:
     stream = stdin if stdin is not None else sys.stdin
-    board = BoardParams(min(args.m, args.n), max(args.m, args.n))
+    board = _board(args.m, args.n)
     _require_solvable(board, "playing against the engine")
     pos = mhrg.start_position(board)
     _, memo = mhrg.solve(board)

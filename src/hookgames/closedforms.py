@@ -10,24 +10,18 @@ listed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagrams import BoardParams, YoungDiagram, all_diagrams
 from .errors import DomainError, RangeTooLargeError
-from .isomorphisms import is_symmetric
+from .isomorphisms import Report, is_symmetric
 from .mhrg import reachable_words, solve, word_of_diagram
 from .shifted import all_shifted, solve_hrg
 
-TABLE_MAX_SIDE = 9       # golden grid scope; 9x9 explores 512 positions, 7x9 the most (1,024)
-ROW1_MAX_N = 40          # one-row boards
-ROW2_MAX_N = 24          # two-row full reachable-set suite
-START2_MAX_N = 40        # two-row starting values only (80 cells)
-SQUARE_MAX_N = 8         # square / near-square starting values
-NIM_MAX_N = 8            # staircase size for the nim-sum formula
-SYMMETRY_MAX_N = 6       # exhaustive symmetry characterisation
+TABLE_MAX_SIDE = 9  # golden grid scope; 9x9 explores 512 positions, 7x9 the most (1,024)
 
 
 def nim_sum(values: Iterable[int]) -> int:
@@ -203,254 +197,160 @@ def table_csv(grid: list[list[int]]) -> str:
     return "".join(",".join(str(v) for v in row) + "\n" for row in grid)
 
 
-@dataclass
-class Mismatch:
-    position: str
-    predicted: str
-    computed: str
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            "position": self.position,
-            "predicted": self.predicted,
-            "computed": self.computed,
-        }
+# A closed-form check is a generator over its range: it yields ``None``
+# for each check that holds and ``(position, predicted, computed)`` for
+# each that fails.  ``verify`` bounds the range before the check starts.
+_Finding = tuple[str, object, object] | None
 
 
-@dataclass
-class PredictionReport:
-    theorem: str
-    params: dict[str, int]
-    checked: int
-    mismatches: list[Mismatch] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "theorem": self.theorem,
-            "params": dict(self.params),
-            "checked": self.checked,
-            "mismatches": [m.to_json() for m in self.mismatches],
-        }
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.theorem} {self.params}: {self.checked} checks, "
-            f"{len(self.mismatches)} mismatches"
-        )
-
-
-def _verify_table1(max_m: int, max_n: int) -> PredictionReport:
-    if max(max_m, max_n) > TABLE_MAX_SIDE:
-        raise RangeTooLargeError(
-            f"table verification is bounded at {TABLE_MAX_SIDE}x{TABLE_MAX_SIDE}"
-        )
-    report = PredictionReport("golden-table", {"max_m": max_m, "max_n": max_n}, 0)
+def _verify_table1(max_m: int, max_n: int) -> Iterator[_Finding]:
     grid = grundy_table(max_m, max_n)
     golden = table1_golden()
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            report.checked += 1
             expected = golden[m - 1][n - 1]
             got = grid[m - 1][n - 1]
-            if got != expected:
-                report.mismatches.append(
-                    Mismatch(f"start {m}x{n}", str(expected), str(got))
-                )
-    return report
+            yield None if got == expected else (f"start {m}x{n}", expected, got)
 
 
-def _verify_row1(max_n: int) -> PredictionReport:
-    if max_n > ROW1_MAX_N:
-        raise RangeTooLargeError(f"one-row boards are bounded at n <= {ROW1_MAX_N}")
-    report = PredictionReport("one-row", {"max_n": max_n}, 0)
+def _verify_row1(max_n: int) -> Iterator[_Finding]:
     for n in range(1, max_n + 1):
         board = BoardParams(1, n)
         _, memo = solve(board)
         reached = reachable_words(board)
         for length in range(n + 1):
-            report.checked += 1
             expect_reach, expect_value = predict_1n(n, length)
             key = word_of_diagram(board, YoungDiagram((length,)))
             actually_reached = key in reached
             if actually_reached != expect_reach:
-                report.mismatches.append(
-                    Mismatch(
-                        f"1x{n} ({length})",
-                        f"reachable={expect_reach}",
-                        f"reachable={actually_reached}",
-                    )
+                yield (
+                    f"1x{n} ({length})",
+                    f"reachable={expect_reach}",
+                    f"reachable={actually_reached}",
                 )
-                continue
-            if expect_reach and memo.get(key) != expect_value:
-                report.mismatches.append(
-                    Mismatch(f"1x{n} ({length})", str(expect_value), str(memo.get(key)))
-                )
-    return report
+            elif expect_reach and memo.get(key) != expect_value:
+                yield f"1x{n} ({length})", expect_value, memo.get(key)
+            else:
+                yield None
 
 
-def _verify_row2(max_n: int) -> PredictionReport:
-    if max_n > ROW2_MAX_N:
-        raise RangeTooLargeError(f"the two-row suite is bounded at n <= {ROW2_MAX_N}")
-    report = PredictionReport("two-row", {"max_n": max_n}, 0)
-    listed = {
-        TwoRowClass.G0: 0,
-        TwoRowClass.G1: 1,
-        TwoRowClass.G2: 2,
-    }
+def _verify_row2(max_n: int) -> Iterator[_Finding]:
     for n in range(2, max_n + 1, 2):
-        half = n // 2
         board = BoardParams(2, n)
         _, memo = solve(board)
         reached = reachable_words(board)
         for diagram in all_diagrams(board):
-            report.checked += 1
             rows = diagram.rows + (0, 0)
-            lam1, lam2 = rows[0], rows[1]
             key = word_of_diagram(board, diagram)
             in_game = key in reached
-            klass = predict_2n_class(half, lam1, lam2)
+            klass = predict_2n_class(n // 2, rows[0], rows[1])
             expect_reach = klass is not TwoRowClass.UNREACHABLE
+            position = f"2x{n} {diagram.literal()}"
             if in_game != expect_reach:
-                report.mismatches.append(
-                    Mismatch(
-                        f"2x{n} {diagram.literal()}",
-                        f"reachable={expect_reach}",
-                        f"reachable={in_game}",
-                    )
-                )
+                yield position, f"reachable={expect_reach}", f"reachable={in_game}"
                 continue
             if not in_game:
+                yield None
                 continue
             value = memo.get(key)
             assert value is not None
-            if klass in listed:
-                if value != listed[klass]:
-                    report.mismatches.append(
-                        Mismatch(f"2x{n} {diagram.literal()}", str(listed[klass]), str(value))
-                    )
-            elif value in (0, 1, 2):
-                report.mismatches.append(
-                    Mismatch(
-                        f"2x{n} {diagram.literal()}",
-                        "value not in {0,1,2}",
-                        str(value),
-                    )
-                )
-    return report
+            if klass is TwoRowClass.OTHER:
+                holds, predicted = value not in (0, 1, 2), "value not in {0,1,2}"
+            else:
+                holds, predicted = value == klass.value, klass.value
+            yield None if holds else (position, predicted, value)
 
 
-def _verify_start2(max_n: int) -> PredictionReport:
-    if max_n > START2_MAX_N:
-        raise RangeTooLargeError(
-            f"two-row starting values are bounded at n <= {START2_MAX_N}"
-        )
-    report = PredictionReport("two-row-start", {"max_n": max_n}, 0)
+def _verify_start2(max_n: int) -> Iterator[_Finding]:
     for n in range(2, max_n + 1):
-        report.checked += 1
         value, _ = solve(BoardParams(2, n))
         expected = predict_start_2n(n)
-        if value != expected:
-            report.mismatches.append(Mismatch(f"start 2x{n}", str(expected), str(value)))
-    return report
+        yield None if value == expected else (f"start 2x{n}", expected, value)
 
 
-def _verify_square(max_n: int) -> PredictionReport:
-    if max_n > SQUARE_MAX_N:
-        raise RangeTooLargeError(
-            f"square starting values are bounded at n <= {SQUARE_MAX_N}"
-        )
-    report = PredictionReport("square-start", {"max_n": max_n}, 0)
+def _verify_square(max_n: int) -> Iterator[_Finding]:
     for n in range(1, max_n + 1):
         expected = predict_start_square(n)
         for board in (BoardParams(n, n), BoardParams(n, n + 1)):
-            report.checked += 1
             value, _ = solve(board)
-            if value != expected:
-                report.mismatches.append(
-                    Mismatch(
-                        f"start {board.m}x{board.n}", str(expected), str(value)
-                    )
-                )
-    return report
+            position = f"start {board.m}x{board.n}"
+            yield None if value == expected else (position, expected, value)
 
 
-def _verify_nim(n: int) -> PredictionReport:
-    if n > NIM_MAX_N:
-        raise RangeTooLargeError(f"staircases are bounded at n <= {NIM_MAX_N}")
-    report = PredictionReport("shifted-nim", {"n": n}, 0)
+def _verify_nim(n: int) -> Iterator[_Finding]:
     memo = None
     for diagram in all_shifted(n):
-        report.checked += 1
         value, memo = solve_hrg(n, diagram, memo)
         expected = predict_shifted(diagram.parts)
-        if value != expected:
-            report.mismatches.append(
-                Mismatch(diagram.literal(), str(expected), str(value))
-            )
-    return report
+        yield None if value == expected else (diagram.literal(), expected, value)
 
 
-def _verify_symmetry(max_n: int) -> PredictionReport:
-    if max_n > SYMMETRY_MAX_N:
-        raise RangeTooLargeError(
-            f"the symmetry characterisation is bounded at n <= {SYMMETRY_MAX_N}"
-        )
-    report = PredictionReport("symmetric-reachable", {"max_n": max_n}, 0)
+def _verify_symmetry(max_n: int) -> Iterator[_Finding]:
     for n in range(1, max_n + 1):
         for board in (BoardParams(n, n), BoardParams(n, n + 1)):
             reached = reachable_words(board)
             for diagram in all_diagrams(board):
-                report.checked += 1
                 word = word_of_diagram(board, diagram)
                 symmetric = is_symmetric(word, board.m, board.n)
                 in_game = word in reached
-                if symmetric != in_game:
-                    report.mismatches.append(
-                        Mismatch(
-                            f"{board.m}x{board.n} {diagram.literal()}",
-                            f"symmetric={symmetric}",
-                            f"reachable={in_game}",
-                        )
-                    )
-    return report
+                yield None if symmetric == in_game else (
+                    f"{board.m}x{board.n} {diagram.literal()}",
+                    f"symmetric={symmetric}",
+                    f"reachable={in_game}",
+                )
 
 
+# Each verification id: its report name, its check, and each parameter's
+# default and largest allowed value (desk scale).
 _VERIFIERS = {
-    "table1": (_verify_table1, {"max_m": 9, "max_n": 9}),
-    "row1": (_verify_row1, {"max_n": 20}),
-    "row2": (_verify_row2, {"max_n": 24}),
-    "start2": (_verify_start2, {"max_n": 40}),
-    "square": (_verify_square, {"max_n": 7}),
-    "nim": (_verify_nim, {"n": 7}),
-    "symmetry": (_verify_symmetry, {"max_n": 6}),
+    "table1": (
+        "golden-table",
+        _verify_table1,
+        {"max_m": (9, TABLE_MAX_SIDE), "max_n": (9, TABLE_MAX_SIDE)},
+    ),
+    "row1": ("one-row", _verify_row1, {"max_n": (20, 40)}),
+    "row2": ("two-row", _verify_row2, {"max_n": (24, 24)}),
+    "start2": ("two-row-start", _verify_start2, {"max_n": (40, 40)}),  # 80 cells
+    "square": ("square-start", _verify_square, {"max_n": (7, 8)}),
+    "nim": ("shifted-nim", _verify_nim, {"n": (7, 8)}),
+    "symmetry": ("symmetric-reachable", _verify_symmetry, {"max_n": (6, 6)}),
 }
 
 VERIFY_IDS = tuple(sorted(_VERIFIERS))
 
 
-def verify(theorem: str, **params: int) -> PredictionReport:
+def verify(theorem: str, **params: int) -> Report:
     """Run one named verification at the given (or default) range.
 
-    Ranges beyond the configured desk-scale bounds are refused with the
-    bound named, and so are ranges that would check nothing.
+    Before anything runs, parameters the id does not take and values past
+    their desk-scale bounds are refused with the bound named.  A range that
+    checks nothing is refused too.
     """
     try:
-        fn, defaults = _VERIFIERS[theorem]
+        name, check, spec = _VERIFIERS[theorem]
     except KeyError:
         raise DomainError(
             f"unknown verification {theorem!r}; choose from {VERIFY_IDS}"
         ) from None
-    merged = dict(defaults)
-    for key, value in params.items():
-        if key not in defaults:
+    for key in params:
+        if key not in spec:
             raise DomainError(f"{theorem} does not take parameter {key!r}")
-        merged[key] = value
-    report = fn(**merged)
+    merged = {key: params.get(key, default) for key, (default, _) in spec.items()}
+    for key, (_, bound) in spec.items():
+        if merged[key] > bound:
+            raise RangeTooLargeError(
+                f"{theorem} is bounded at {key} <= {bound}, got {merged[key]}"
+            )
+    report = Report(
+        {"theorem": name, "params": merged}, f"{name} {merged}:", "checks", "mismatches"
+    )
+    for finding in check(**merged):
+        report.checked += 1
+        if finding is not None:
+            position, predicted, computed = finding
+            report.findings.append(
+                {"position": position, "predicted": str(predicted), "computed": str(computed)}
+            )
     if report.checked == 0:
         given = ", ".join(f"{key}={value}" for key, value in merged.items())
         raise DomainError(f"{theorem} with {given} checks nothing; widen the range")

@@ -28,6 +28,12 @@ Rows = tuple[int, ...]
 MAX_SIDE = 64
 
 
+def check_sides(m: int, n: int) -> None:
+    """Refuse board sides outside ``1 .. MAX_SIDE``, named in the order given."""
+    if not (1 <= m <= MAX_SIDE and 1 <= n <= MAX_SIDE):
+        raise DomainError(f"board sides must lie in 1..{MAX_SIDE}, got ({m}, {n})")
+
+
 @dataclass(frozen=True)
 class BoardParams:
     """Dimensions ``(m, n)`` of the bounding box, with ``1 <= m <= n``.
@@ -41,10 +47,7 @@ class BoardParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.m <= MAX_SIDE and 1 <= self.n <= MAX_SIDE):
-            raise DomainError(
-                f"board sides must lie in 1..{MAX_SIDE}, got ({self.m}, {self.n})"
-            )
+        check_sides(self.m, self.n)
         if self.m > self.n:
             raise DomainError(
                 f"board needs m <= n, got ({self.m}, {self.n}); transpose first"

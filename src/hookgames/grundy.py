@@ -1,5 +1,5 @@
-"""Generic solver for finite impartial games: mex, memoised game values,
-outcome classes.
+"""Generic solver for finite impartial games: mex and memoised game
+values.
 
 The solver is agnostic about the position type: positions are their own
 hashable memo keys, and callers supply an options function.  Values are
@@ -9,15 +9,9 @@ insert-or-get table: re-insertion with a different value is an engine bug.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Collection, Hashable, Iterable
 
 from .errors import DomainError, EngineInvariantError
-
-
-class Outcome(Enum):
-    NEXT_WINS = "N"
-    PREVIOUS_WINS = "P"
 
 
 def mex(values: Iterable[int]) -> int:
@@ -101,12 +95,3 @@ def grundy(
             memo[node] = mex(map(memo.__getitem__, opts))
     return memo[pos]
 
-
-def outcome(
-    pos: Hashable,
-    options: Callable[[Hashable], Collection[Hashable]],
-    memo: dict,
-) -> Outcome:
-    """P-position (previous player wins) exactly when the game value is 0."""
-    value = grundy(pos, options, memo)
-    return Outcome.PREVIOUS_WINS if value == 0 else Outcome.NEXT_WINS

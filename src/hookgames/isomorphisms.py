@@ -15,7 +15,9 @@ Three maps matter, all on bead words (``mhrg``) and staircase bead masks
 
 ``verify_isomorphism`` is data-driven (two position sets, two options
 functions, one forward map) so a single verifier machine-checks all of
-them: bijectivity, option preservation, and game-value transport.
+them: bijectivity, option preservation, and game-value transport.  It and
+the closed-form checks of ``closedforms`` report through one type,
+:class:`Report`.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ def to_shifted(pos: MhrgPosition) -> ShiftedDiagram:
         )
     word = pos.encode()
     if not is_symmetric(word, board.m, board.n):
-        raise DomainError(f"profile of {pos} is not symmetric")
+        raise DomainError(
+            f"position {pos.diagram.literal()} on {board.m}x{board.n} is not symmetric"
+        )
     return ShiftedDiagram.from_mask(halve_word(word, board.m))
 
 
@@ -83,47 +87,39 @@ class GameMap:
 
 
 @dataclass
-class Violation:
-    kind: str
-    witness: dict[str, object]
+class Report:
+    """Machine-checked evidence for one claim: a closed form or a map.
 
-    def to_json(self) -> dict[str, object]:
-        out: dict[str, object] = {"kind": self.kind}
-        out.update(self.witness)
-        return out
-
-
-@dataclass
-class IsomorphismReport:
-    """Machine-checked evidence that a map is a game isomorphism.
-
-    Violations are report content, not errors; an empty list means PASS.
+    ``head`` holds the JSON fields that name the claim, ``title`` the
+    summary line's text before the count, and ``unit`` what is counted.
+    ``findings`` are plain dicts listed under ``key`` in JSON
+    (``"mismatches"`` or ``"violations"``); they are report content, not
+    errors, and an empty list means PASS.
     """
 
-    map_name: str
-    source: str
-    target: str
-    checked: int
-    violations: list[Violation] = field(default_factory=list)
+    head: dict[str, object]
+    title: str
+    unit: str
+    key: str
+    checked: int = 0
+    findings: list[dict[str, object]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.findings
 
     def to_json(self) -> dict[str, object]:
         return {
-            "map": self.map_name,
-            "source": self.source,
-            "target": self.target,
+            **self.head,
             "checked": self.checked,
-            "violations": [v.to_json() for v in self.violations],
+            self.key: [dict(finding) for finding in self.findings],
         }
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"{status} {self.map_name}: {self.source} -> {self.target}, "
-            f"{self.checked} positions, {len(self.violations)} violations"
+            f"{status} {self.title} {self.checked} {self.unit}, "
+            f"{len(self.findings)} {self.key}"
         )
 
 
@@ -135,7 +131,7 @@ def verify_isomorphism(
     target_options: Callable[[T], Collection[T]],
     render_source: Callable[[S], str] = str,
     render_target: Callable[[T], str] = str,
-) -> IsomorphismReport:
+) -> Report:
     """Check that ``gmap.forward`` is a game isomorphism on the given sets.
 
     Establishes, with a witness for every failure: (i) the map is a
@@ -144,39 +140,41 @@ def verify_isomorphism(
     source positions through ``render_source`` and target positions through
     ``render_target``.
     """
-    report = IsomorphismReport(
-        gmap.name, gmap.source, gmap.target, len(source_positions)
+    report = Report(
+        {"map": gmap.name, "source": gmap.source, "target": gmap.target},
+        f"{gmap.name}: {gmap.source} -> {gmap.target},",
+        "positions",
+        "violations",
+        len(source_positions),
     )
+    violations = report.findings
 
     images: dict[Hashable, S] = {}
     targets = set(target_positions)
     for pos in source_positions:
         image = gmap.forward(pos)
         if image in images:
-            report.violations.append(
-                Violation(
-                    "not-injective",
-                    {
-                        "first": render_source(images[image]),
-                        "second": render_source(pos),
-                        "image": render_target(image),
-                    },
-                )
+            violations.append(
+                {
+                    "kind": "not-injective",
+                    "first": render_source(images[image]),
+                    "second": render_source(pos),
+                    "image": render_target(image),
+                }
             )
             continue
         images[image] = pos
         if image not in targets:
-            report.violations.append(
-                Violation(
-                    "image-outside-target",
-                    {"source": render_source(pos), "image": render_target(image)},
-                )
+            violations.append(
+                {
+                    "kind": "image-outside-target",
+                    "source": render_source(pos),
+                    "image": render_target(image),
+                }
             )
     for target in target_positions:
         if target not in images:
-            report.violations.append(
-                Violation("target-not-covered", {"target": render_target(target)})
-            )
+            violations.append({"kind": "target-not-covered", "target": render_target(target)})
 
     memo_s: dict[S, int] = {}
     memo_t: dict[T, int] = {}
@@ -185,31 +183,27 @@ def verify_isomorphism(
         expected = {gmap.forward(child) for child in source_options(pos)}
         actual = set(target_options(image))
         if expected != actual:
-            report.violations.append(
-                Violation(
-                    "options-mismatch",
-                    {
-                        "source": render_source(pos),
-                        "missing": sorted(
-                            render_target(k) for k in expected - actual if k in targets
-                        ),
-                        "extra": sorted(render_target(k) for k in actual - expected),
-                    },
-                )
+            violations.append(
+                {
+                    "kind": "options-mismatch",
+                    "source": render_source(pos),
+                    "missing": sorted(
+                        render_target(k) for k in expected - actual if k in targets
+                    ),
+                    "extra": sorted(render_target(k) for k in actual - expected),
+                }
             )
             continue
         value_s = grundy(pos, source_options, memo_s)
         value_t = grundy(image, target_options, memo_t)
         if value_s != value_t:
-            report.violations.append(
-                Violation(
-                    "value-mismatch",
-                    {
-                        "source": render_source(pos),
-                        "source_value": value_s,
-                        "target_value": value_t,
-                    },
-                )
+            violations.append(
+                {
+                    "kind": "value-mismatch",
+                    "source": render_source(pos),
+                    "source_value": value_s,
+                    "target_value": value_t,
+                }
             )
     return report
 
@@ -249,13 +243,24 @@ def _diagram_literal(m: int, n: int) -> Callable[[int], str]:
     return render
 
 
-def verify_widening(m: int, n: int) -> IsomorphismReport:
-    """Machine-check that widening is an isomorphism from the game on the
-    ``m x n`` board to the game on ``m x (n+1)``.  Needs ``m + n`` even."""
-    if max(m, n) > WIDEN_MAX_SIDE:
+def _check_widen_side(side: int) -> None:
+    if side > WIDEN_MAX_SIDE:
         raise RangeTooLargeError(
             f"widening verification is bounded at sides <= {WIDEN_MAX_SIDE}"
         )
+
+
+def _check_staircase_size(n: int) -> None:
+    if n > STAIRCASE_ISO_MAX_N:
+        raise RangeTooLargeError(
+            f"staircase isomorphism verification is bounded at n <= {STAIRCASE_ISO_MAX_N}"
+        )
+
+
+def verify_widening(m: int, n: int) -> Report:
+    """Machine-check that widening is an isomorphism from the game on the
+    ``m x n`` board to the game on ``m x (n+1)``.  Needs ``m + n`` even."""
+    _check_widen_side(max(m, n))
     if (m + n) % 2:
         raise DomainError(f"widening needs m + n even, got ({m}, {n})")
     gmap = GameMap(
@@ -277,10 +282,12 @@ def verify_widening(m: int, n: int) -> IsomorphismReport:
     )
 
 
-def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[IsomorphismReport]:
-    """Widening reports for every ``m <= n <= max_side`` with ``m + n`` even."""
+def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[Report]:
+    """Widening reports for every ``m <= n <= max_side`` with ``m + n`` even.
+    The range is checked against its bounds before any board is."""
     if max_side < 1:
         raise DomainError(f"widening verification needs max_side >= 1, got {max_side}")
+    _check_widen_side(max_side)
     return [
         verify_widening(m, n)
         for m in range(1, max_side + 1)
@@ -289,13 +296,10 @@ def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[IsomorphismRep
     ]
 
 
-def verify_staircase_iso(n: int) -> IsomorphismReport:
+def verify_staircase_iso(n: int) -> Report:
     """Machine-check that halving is an isomorphism from the game on the
     ``n x (n+1)`` board to hook removal on the size-``n`` staircase."""
-    if n > STAIRCASE_ISO_MAX_N:
-        raise RangeTooLargeError(
-            f"staircase isomorphism verification is bounded at n <= {STAIRCASE_ISO_MAX_N}"
-        )
+    _check_staircase_size(n)
     gmap = GameMap(
         f"halve {n}x{n + 1}->staircase-{n}",
         f"mhrg {n}x{n + 1}",
@@ -314,8 +318,10 @@ def verify_staircase_iso(n: int) -> IsomorphismReport:
     )
 
 
-def verify_staircase_range(max_n: int = STAIRCASE_ISO_MAX_N) -> list[IsomorphismReport]:
-    """Staircase reports for every ``1 <= n <= max_n``."""
+def verify_staircase_range(max_n: int = STAIRCASE_ISO_MAX_N) -> list[Report]:
+    """Staircase reports for every ``1 <= n <= max_n``, refused before any
+    check when the range is out of bounds."""
     if max_n < 1:
         raise DomainError(f"staircase isomorphism verification needs n >= 1, got {max_n}")
+    _check_staircase_size(max_n)
     return [verify_staircase_iso(n) for n in range(1, max_n + 1)]

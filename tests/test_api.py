@@ -15,13 +15,11 @@ PUBLIC_NAMES = {
     "GrundyMemo",
     "HookGamesError",
     "HookRecord",
-    "IsomorphismReport",
     "MhrgPosition",
     "MoveRecord",
-    "Outcome",
     "Periodicity",
-    "PredictionReport",
     "RangeTooLargeError",
+    "Report",
     "ShiftedDiagram",
     "TwoRowClass",
     "YoungDiagram",
@@ -43,7 +41,6 @@ PUBLIC_NAMES = {
     "options_cross_check",
     "options_diagonal",
     "options_semantic",
-    "outcome",
     "predict_1n",
     "predict_2n_class",
     "predict_shifted",

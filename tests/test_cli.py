@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from hookgames.cli import main
+from hookgames import isomorphisms
+from hookgames.cli import ALL_VERIFY_IDS, main
 from hookgames.errors import EngineInvariantError
+from hookgames.isomorphisms import Report
 from hookgames.mhrg import ENGINES
 
 SCHEMA = json.loads(
@@ -119,6 +121,16 @@ def test_fit_errors_name_the_diagram_and_board_as_given(capsys):
     assert err == "note: transposed input to the 3x5 board\n"
 
 
+def test_side_errors_name_the_board_as_given(capsys):
+    for argv in (("grundy", "-m", "70", "-n", "1"), ("play", "-m", "70", "-n", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: board sides must lie in 1..64, got (70, 1)\n"
+    code, out, err = run(capsys, "reachable", "-m", "1", "-n", "70")
+    assert (code, out) == (2, "")
+    assert err == "error: board sides must lie in 1..64, got (1, 70)\n"
+
+
 def test_grundy_usage_errors(capsys):
     code, _, err = run(capsys, "grundy", "-m", "3", "-n", "5", "--diagram", "1,2,x")
     assert code == 2 and "error:" in err
@@ -182,37 +194,68 @@ def test_rule_book_options_are_bounded(capsys):
     assert code == 0 and out.endswith("# 45 moves\n")
 
 
+SMALL_RANGES = {
+    "table1": ("--max-m", "2", "--max-n", "2"),
+    "row1": ("--max-n", "6"),
+    "row2": ("--max-n", "6"),
+    "start2": ("--max-n", "8"),
+    "square": ("--max-n", "3"),
+    "nim": ("--n", "4"),
+    "symmetry": ("--max-n", "3"),
+    "widen": ("--max-side", "4"),
+    "shifted": ("--n", "4"),
+}
+
+
 def test_verify_pass_and_json_schema(capsys):
-    code, out, _ = run(capsys, "verify", "row1", "--max-n", "6")
-    assert code == 0 and out.startswith("PASS")
+    assert set(SMALL_RANGES) == set(ALL_VERIFY_IDS)
+    for theorem, flags in SMALL_RANGES.items():
+        code, out, _ = run(capsys, "verify", theorem, *flags)
+        assert code == 0 and out.startswith("PASS"), out
 
-    code, out, _ = run(
-        capsys, "verify", "table1", "--max-m", "2", "--max-n", "2", "--format", "json"
+        code, out, _ = run(capsys, "verify", theorem, *flags, "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        assert reports
+        for report in reports:
+            validate(report, SCHEMA)
+            assert report["checked"] > 0
+
+
+def test_verify_fail_reports_match_the_schema(capsys, monkeypatch):
+    # A forged closed form gives mismatches; options dropped on odd-size
+    # words give widening and halving violations.
+    monkeypatch.setattr("hookgames.closedforms.predict_start_2n", lambda n: 0)
+    original = isomorphisms.word_options
+
+    def corrupted(word, size):
+        options = original(word, size)
+        return set(sorted(options)[:-1]) if size % 2 else options
+
+    monkeypatch.setattr(isomorphisms, "word_options", corrupted)
+    for argv, key in (
+        (("start2", "--max-n", "4"), "mismatches"),
+        (("widen", "--max-side", "2"), "violations"),
+        (("shifted", "--n", "3"), "violations"),
+    ):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 1
+        reports = json.loads(out)
+        assert any(report[key] for report in reports)
+        for report in reports:
+            validate(report, SCHEMA)
+
+    code, out, _ = run(capsys, "verify", "start2", "--max-n", "4")
+    assert (code, out) == (
+        1, "FAIL two-row-start {'max_n': 4}: 3 checks, 3 mismatches\n"
     )
-    assert code == 0
-    for report in json.loads(out):
-        validate(report, SCHEMA)
-
-    code, out, _ = run(
-        capsys, "verify", "widen", "--max-side", "4", "--format", "json"
-    )
-    assert code == 0
-    for report in json.loads(out):
-        validate(report, SCHEMA)
-
-    code, out, _ = run(capsys, "verify", "shifted", "--n", "4")
-    assert code == 0 and "PASS" in out
-
-    code, out, _ = run(capsys, "verify", "nim", "--n", "5")
-    assert code == 0 and "PASS" in out
 
 
 def test_verify_fail_exit_code(capsys, monkeypatch):
-    from hookgames.closedforms import Mismatch, PredictionReport
-
     def fake_verify(theorem, **params):
-        return PredictionReport(
-            theorem, params, 1, [Mismatch("start 1x1", "1", "0")]
+        return Report(
+            {"theorem": theorem, "params": params}, theorem, "checks", "mismatches",
+            1, [{"position": "start 1x1", "predicted": "1", "computed": "0"}],
         )
 
     monkeypatch.setattr("hookgames.cli.closedforms.verify", fake_verify)

@@ -22,6 +22,7 @@ from hookgames import (
     table1_golden,
     verify,
 )
+from hookgames import cli, closedforms, isomorphisms
 from hookgames.closedforms import table_csv
 
 GOLDEN = Path(__file__).parent / "data" / "table1.csv"
@@ -127,10 +128,47 @@ def test_verify_ids_and_errors():
         verify("nim", max_m=3)
     with pytest.raises(RangeTooLargeError, match="n <= 40"):
         verify("row1", max_n=50)
-    with pytest.raises(RangeTooLargeError, match="n <= 24"):
+    with pytest.raises(RangeTooLargeError, match=r"^row2 is bounded at max_n <= 24, got 26$"):
         verify("row2", max_n=26)
     with pytest.raises(RangeTooLargeError, match="n <= 8"):
         verify("nim", n=9)
+
+
+@pytest.mark.parametrize(
+    "theorem, key, bound",
+    [
+        ("table1", "max_m", 9),
+        ("row1", "max_n", 40),
+        ("row2", "max_n", 24),
+        ("start2", "max_n", 40),
+        ("square", "max_n", 8),
+        ("nim", "n", 8),
+        ("symmetry", "max_n", 6),
+        ("widen", "max_side", 8),
+        ("shifted", "n", 7),
+    ],
+)
+def test_bound_plus_one_is_refused_before_any_check(monkeypatch, theorem, key, bound):
+    calls = []
+
+    def counted(check):
+        def wrapped(*args, **kwargs):
+            calls.append(check.__name__)
+            return check(*args, **kwargs)
+
+        return wrapped
+
+    for vid, (name, check, spec) in closedforms._VERIFIERS.items():
+        monkeypatch.setitem(closedforms._VERIFIERS, vid, (name, counted(check), spec))
+    for attr in ("verify_widening", "verify_staircase_iso"):
+        monkeypatch.setattr(isomorphisms, attr, counted(getattr(isomorphisms, attr)))
+
+    with pytest.raises(RangeTooLargeError, match=rf"<= {bound}\b"):
+        if theorem in cli.ISO_VERIFIERS:
+            cli.ISO_VERIFIERS[theorem][0](bound + 1)
+        else:
+            verify(theorem, **{key: bound + 1})
+    assert calls == []
 
 
 def test_verify_small_ranges_pass():

@@ -6,11 +6,9 @@ from hookgames import (
     BoardParams,
     EngineInvariantError,
     GrundyMemo,
-    Outcome,
     ShiftedDiagram,
     grundy,
     mex,
-    outcome,
     solve,
     solve_hrg,
     start_position,
@@ -38,17 +36,6 @@ def test_grundy_terminal_and_table_spots():
     assert value == 0
     value, _ = solve_hrg(7, ShiftedDiagram((7, 6, 4, 3, 2)))
     assert value == 4
-
-
-def test_outcome_examples():
-    memo = GrundyMemo("toy")
-    assert outcome(0, lambda p: [], memo) is Outcome.PREVIOUS_WINS
-
-    options = lambda w: word_options(w, 8)
-    assert outcome(start_word(BoardParams(3, 5)), options, {}) is Outcome.PREVIOUS_WINS
-
-    options = lambda w: word_options(w, 4)
-    assert outcome(start_word(BoardParams(2, 2)), options, {}) is Outcome.NEXT_WINS
 
 
 def test_grundy_bounded_by_option_count():

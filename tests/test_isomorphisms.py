@@ -97,8 +97,8 @@ def test_to_shifted_examples():
     assert to_shifted(empty).parts == ()
     with pytest.raises(DomainError):
         to_shifted(start_position(BoardParams(3, 5)))
-    with pytest.raises(DomainError):
-        # asymmetric profile on the right board shape
+    with pytest.raises(DomainError, match=r"^position 4 on 3x4 is not symmetric$"):
+        # asymmetric diagram on the right board shape
         to_shifted(MhrgPosition(BoardParams(3, 4), YoungDiagram((4,))))
 
 
@@ -210,10 +210,10 @@ def test_verify_isomorphism_catches_corruption():
         render_target=bin,
     )
     assert not report.passed
-    kinds = {v.kind for v in report.violations}
+    kinds = {v["kind"] for v in report.findings}
     assert "options-mismatch" in kinds
-    witness = [v for v in report.violations if v.kind == "options-mismatch"][0]
-    assert "source" in witness.witness
+    witness = [v for v in report.findings if v["kind"] == "options-mismatch"][0]
+    assert "source" in witness
 
 
 def test_verify_isomorphism_catches_non_injective_and_uncovered():
@@ -225,7 +225,7 @@ def test_verify_isomorphism_catches_non_injective_and_uncovered():
         lambda p: [p - 1] if p else [],
         lambda p: [p - 1] if p else [],
     )
-    kinds = {v.kind for v in report.violations}
+    kinds = {v["kind"] for v in report.findings}
     assert "not-injective" in kinds
     assert "target-not-covered" not in kinds  # both targets are hit
 
@@ -251,12 +251,12 @@ def test_verifiers_fail_with_literal_witnesses(monkeypatch):
     widen = verify_widening(2, 2)
     assert not widen.passed
     # (2,1) on 2x2 widens to (3,1) on 2x3
-    assert {"kind": "image-outside-target", "source": "2,1", "image": "3,1"} in [
-        v.to_json() for v in widen.violations
-    ]
+    assert {"kind": "image-outside-target", "source": "2,1", "image": "3,1"} in (
+        widen.to_json()["violations"]
+    )
     halve = verify_staircase_iso(3)
     assert not halve.passed
-    witnesses = [v.to_json() for v in halve.violations]
+    witnesses = halve.to_json()["violations"]
     assert {"kind": "target-not-covered", "target": "3,2"} in witnesses
     assert {
         "kind": "options-mismatch", "source": "4,4,4", "missing": [], "extra": ["3,2"]
