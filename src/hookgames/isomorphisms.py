@@ -284,7 +284,7 @@ def verify_widening(m: int, n: int) -> Report:
 
 def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[Report]:
     """Widening reports for every ``m <= n <= max_side`` with ``m + n`` even.
-    The range is checked against its bounds before any board is."""
+    A range out of bounds is refused before any board is checked."""
     if max_side < 1:
         raise DomainError(f"widening verification needs max_side >= 1, got {max_side}")
     _check_widen_side(max_side)
@@ -319,8 +319,8 @@ def verify_staircase_iso(n: int) -> Report:
 
 
 def verify_staircase_range(max_n: int = STAIRCASE_ISO_MAX_N) -> list[Report]:
-    """Staircase reports for every ``1 <= n <= max_n``, refused before any
-    check when the range is out of bounds."""
+    """Staircase reports for every ``1 <= n <= max_n``.  A range out of
+    bounds is refused before any board is checked."""
     if max_n < 1:
         raise DomainError(f"staircase isomorphism verification needs n >= 1, got {max_n}")
     _check_staircase_size(max_n)
