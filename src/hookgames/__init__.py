@@ -7,9 +7,7 @@ the 9x9 table of starting values.
 """
 
 from .closedforms import (
-    Periodicity,
     TwoRowClass,
-    detect_periodicity,
     grundy_table,
     nim_sum,
     predict_1n,
@@ -28,7 +26,6 @@ from .diagrams import (
     hook_at,
     max_label,
     remove_hook,
-    transpose_position,
     unimodal_number,
 )
 from .errors import (

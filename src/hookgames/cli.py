@@ -2,8 +2,8 @@
 dumps, option listing, verification runs, and a terminal play mode.
 
 Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for usage
-errors (bad flags, unparsable literals, ranges beyond the configured
-bounds).
+errors (bad flags, unparsable literals, work past the search budget or a
+range that checks nothing).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from . import closedforms, isomorphisms, mhrg
 from .diagrams import (
@@ -22,15 +22,12 @@ from .diagrams import (
     unimodal_number,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import GrundyMemo
+from .grundy import GrundyMemo, check_budget
 
-MAX_SOLVE_CELLS = 81  # exhaustive solving is desk scale only
-
-# Isomorphism verifications: the range function, the one parameter it
-# takes and that parameter's default.
+# Isomorphism verifications: the range function and the one flag it takes.
 ISO_VERIFIERS = {
-    "widen": (isomorphisms.verify_widening_range, "max_side", isomorphisms.WIDEN_MAX_SIDE),
-    "shifted": (isomorphisms.verify_staircase_range, "n", isomorphisms.STAIRCASE_ISO_MAX_N),
+    "widen": (isomorphisms.verify_widening_range, "max_side"),
+    "shifted": (isomorphisms.verify_staircase_range, "n"),
 }
 ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 
@@ -50,29 +47,30 @@ def _board(m: int, n: int) -> BoardParams:
     return BoardParams(min(m, n), max(m, n))
 
 
-def _board_and_diagram(args) -> tuple[BoardParams, YoungDiagram, bool]:
-    """Build the board, transposing when more rows than columns are given.
-    A diagram that does not fit is reported as given, on the board given."""
+def _board_and_diagram(
+    args, what: str, cost: Callable[[BoardParams, YoungDiagram | None], int]
+) -> tuple[BoardParams, YoungDiagram, bool]:
+    """Build the board, transposing when more rows than columns are given,
+    and refuse ``what`` when ``cost(board, diagram)`` passes the search
+    budget.  The start (``diagram=None``) costs least, so it is checked
+    before any diagram is transposed or built.  A board or diagram that
+    does not fit is reported as given."""
     m, n = args.m, args.n
     literal = getattr(args, "diagram", None)
     diagram = YoungDiagram.parse(literal) if literal is not None else None
     board = _board(m, n)
-    if diagram is None:
-        diagram = YoungDiagram((board.n,) * board.m)
-    elif diagram.height > m or diagram.width > n:
+    if diagram is not None and (diagram.height > m or diagram.width > n):
         raise DomainError(
             f"diagram {diagram.literal()} does not fit a {m}x{n} board"
         )
-    elif m > n:
+    what = f"{what} on {m}x{n}"
+    check_budget(what, [cost(board, None)])
+    if diagram is None:
+        return board, YoungDiagram((board.n,) * board.m), m > n
+    if m > n:
         diagram = diagram.conjugate()
+    check_budget(what, [cost(board, diagram)])
     return board, diagram, m > n
-
-
-def _require_solvable(board: BoardParams, what: str) -> None:
-    if board.cells > MAX_SOLVE_CELLS:
-        raise DomainError(
-            f"{what} is bounded at {MAX_SOLVE_CELLS} cells, got {board.cells}"
-        )
 
 
 def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
@@ -92,8 +90,7 @@ def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
 
 
 def cmd_grundy(args) -> int:
-    board, diagram, transposed = _board_and_diagram(args)
-    _require_solvable(board, "exhaustive solving")
+    board, diagram, transposed = _board_and_diagram(args, "exhaustive solving", mhrg.search_cost)
     value, memo = mhrg.solve(board, diagram, engine=args.engine)
     in_game = _in_game(board, diagram, args.engine)
     if transposed:
@@ -142,8 +139,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_reachable(args) -> int:
-    board, _, transposed = _board_and_diagram(args)
-    _require_solvable(board, "reachable-set enumeration")
+    board, _, transposed = _board_and_diagram(
+        args, "reachable-set enumeration", mhrg.search_cost
+    )
     if transposed:
         print(
             f"note: transposed input to the {board.m}x{board.n} board",
@@ -184,11 +182,12 @@ def _move_lines(records) -> list[str]:
 
 
 def cmd_options(args) -> int:
-    board, diagram, transposed = _board_and_diagram(args)
-    if args.engine != "diagonal":
-        # For each box, the rule-book engine compares the hook it removes
-        # with every remaining hook of the same length.
-        _require_solvable(board, "rule-book move listing")
+    # The bead-word rule examines one hook per box; the rule book compares
+    # each with the remaining hooks of its length.
+    power = 1 if args.engine == "diagonal" else 2
+    board, diagram, transposed = _board_and_diagram(
+        args, "move listing", lambda board, _: board.cells**power
+    )
     if transposed:
         print(
             f"note: transposed input to the {board.m}x{board.n} board",
@@ -234,11 +233,11 @@ def cmd_verify(args) -> int:
     given = {key: getattr(args, key) for key in ("max_m", "max_n", "n", "max_side")}
     params = {key: value for key, value in given.items() if value is not None}
     if args.theorem in ISO_VERIFIERS:
-        verify_range, key, default = ISO_VERIFIERS[args.theorem]
+        verify_range, key = ISO_VERIFIERS[args.theorem]
         extra = sorted(params.keys() - {key})
         if extra:
             raise DomainError(f"{args.theorem} does not take parameter {extra[0]!r}")
-        reports = verify_range(params.get(key, default))
+        reports = verify_range(params[key]) if key in params else verify_range()
     else:
         reports = [closedforms.verify(args.theorem, **params)]
     passed = all(r.passed for r in reports)
@@ -275,7 +274,7 @@ def _engine_move(pos: mhrg.MhrgPosition, memo: GrundyMemo):
 def cmd_play(args, stdin: IO[str] | None = None) -> int:
     stream = stdin if stdin is not None else sys.stdin
     board = _board(args.m, args.n)
-    _require_solvable(board, "playing against the engine")
+    check_budget(f"playing against the engine on {args.m}x{args.n}", [mhrg.search_cost(board)])
     pos = mhrg.start_position(board)
     _, memo = mhrg.solve(board)
     print(f"Hook removal on the {board.m}x{board.n} board. You move first.")

@@ -10,18 +10,16 @@ listed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .diagrams import BoardParams, YoungDiagram, all_diagrams
-from .errors import DomainError, RangeTooLargeError
+from .errors import DomainError
+from .grundy import capped_comb, capped_pow2, check_budget
 from .isomorphisms import Report, is_symmetric
-from .mhrg import reachable_words, solve, word_of_diagram
+from .mhrg import reachable_words, search_cost, solve, word_of_diagram
 from .shifted import all_shifted, solve_hrg
-
-TABLE_MAX_SIDE = 9  # golden grid scope; 9x9 explores 512 positions, 7x9 the most (1,024)
 
 
 def nim_sum(values: Iterable[int]) -> int:
@@ -171,23 +169,30 @@ def table1_golden() -> tuple[tuple[int, ...], ...]:
     return _TABLE1
 
 
+def _table_boards(max_m: int, max_n: int) -> Iterator[BoardParams]:
+    """Each board of the grid up to ``max_m x max_n`` once (transposed
+    boards are one), row by row and lazily."""
+    if max_n < 1:
+        return  # rather than walk max_m empty rows
+    seen = set()
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
+            board = BoardParams(min(m, n), max(m, n))
+            if board not in seen:
+                seen.add(board)
+                yield board
+
+
 def grundy_table(max_m: int, max_n: int, engine: str = "diagonal") -> list[list[int]]:
     """Starting values for every board up to ``max_m x max_n``, computed
     by exhaustive search (transposed boards share a value)."""
-    if not (1 <= max_m <= TABLE_MAX_SIDE and 1 <= max_n <= TABLE_MAX_SIDE):
-        error = RangeTooLargeError if max(max_m, max_n) > TABLE_MAX_SIDE else DomainError
-        raise error(
-            f"table regeneration needs sides in 1..{TABLE_MAX_SIDE} "
-            f"(at most {TABLE_MAX_SIDE}x{TABLE_MAX_SIDE}), got {max_m}x{max_n}"
-        )
-    values: dict[tuple[int, int], int] = {}
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            lo, hi = min(m, n), max(m, n)
-            if (lo, hi) not in values:
-                values[(lo, hi)], _ = solve(BoardParams(lo, hi), engine=engine)
+    check_budget(
+        f"table regeneration up to {max_m}x{max_n}",
+        map(search_cost, _table_boards(max_m, max_n)),
+    )
+    values = {board: solve(board, engine=engine)[0] for board in _table_boards(max_m, max_n)}
     return [
-        [values[(min(m, n), max(m, n))] for n in range(1, max_n + 1)]
+        [values[BoardParams(min(m, n), max(m, n))] for n in range(1, max_n + 1)]
         for m in range(1, max_m + 1)
     ]
 
@@ -199,13 +204,15 @@ def table_csv(grid: list[list[int]]) -> str:
 
 # A closed-form check is a generator over its range: it yields ``None``
 # for each check that holds and ``(position, predicted, computed)`` for
-# each that fails.  ``verify`` bounds the range before the check starts.
+# each that fails.  ``verify`` sizes the range before the check starts.
 _Finding = tuple[str, object, object] | None
 
 
 def _verify_table1(max_m: int, max_n: int) -> Iterator[_Finding]:
-    grid = grundy_table(max_m, max_n)
     golden = table1_golden()
+    if max(max_m, max_n) > 9:
+        raise DomainError(f"table1 compares with the 9x9 golden grid, got {max_m}x{max_n}")
+    grid = grundy_table(max_m, max_n)
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
             expected = golden[m - 1][n - 1]
@@ -300,20 +307,31 @@ def _verify_symmetry(max_n: int) -> Iterator[_Finding]:
                 )
 
 
-# Each verification id: its report name, its check, and each parameter's
-# default and largest allowed value (desk scale).
+def _start(m: int, n: int) -> int:
+    return search_cost(BoardParams(m, n))
+
+
+# Each verification id: its report name, its check, each parameter's
+# default, and the costs of the searches its check runs (``check_budget``):
+# a whole-board solve or move closure costs the board's mirror-free words, a
+# scan of every diagram ``C(m + n, m)``, and the size-``n`` staircase ``2**n``.
 _VERIFIERS = {
-    "table1": (
-        "golden-table",
-        _verify_table1,
-        {"max_m": (9, TABLE_MAX_SIDE), "max_n": (9, TABLE_MAX_SIDE)},
-    ),
-    "row1": ("one-row", _verify_row1, {"max_n": (20, 40)}),
-    "row2": ("two-row", _verify_row2, {"max_n": (24, 24)}),
-    "start2": ("two-row-start", _verify_start2, {"max_n": (40, 40)}),  # 80 cells
-    "square": ("square-start", _verify_square, {"max_n": (7, 8)}),
-    "nim": ("shifted-nim", _verify_nim, {"n": (7, 8)}),
-    "symmetry": ("symmetric-reachable", _verify_symmetry, {"max_n": (6, 6)}),
+    "table1": ("golden-table", _verify_table1, {"max_m": 9, "max_n": 9},
+               lambda max_m, max_n: map(search_cost, _table_boards(max_m, max_n))),
+    "row1": ("one-row", _verify_row1, {"max_n": 20},
+             lambda max_n: (2 * _start(1, n) for n in range(1, max_n + 1))),
+    "row2": ("two-row", _verify_row2, {"max_n": 24},
+             lambda max_n: (2 * _start(2, n) + capped_comb(n + 2, 2)
+                            for n in range(2, max_n + 1, 2))),
+    "start2": ("two-row-start", _verify_start2, {"max_n": 40},
+               lambda max_n: (_start(2, n) for n in range(2, max_n + 1))),
+    "square": ("square-start", _verify_square, {"max_n": 7},
+               lambda max_n: (_start(n, n) + _start(n, n + 1) for n in range(1, max_n + 1))),
+    "nim": ("shifted-nim", _verify_nim, {"n": 7},
+            lambda n: [capped_pow2(n)] if n >= 0 else []),
+    "symmetry": ("symmetric-reachable", _verify_symmetry, {"max_n": 6},
+                 lambda max_n: (_start(n, n) + _start(n, n + 1) + capped_comb(2 * n, n)
+                                + capped_comb(2 * n + 1, n) for n in range(1, max_n + 1))),
 }
 
 VERIFY_IDS = tuple(sorted(_VERIFIERS))
@@ -322,25 +340,22 @@ VERIFY_IDS = tuple(sorted(_VERIFIERS))
 def verify(theorem: str, **params: int) -> Report:
     """Run one named verification at the given (or default) range.
 
-    Before anything runs, parameters the id does not take and values past
-    their desk-scale bounds are refused with the bound named.  A range that
-    checks nothing is refused too.
+    Before anything runs, parameters the id does not take are refused, and
+    so is a range that needs more than the search budget or checks nothing
+    (:func:`~hookgames.grundy.check_budget`).
     """
     try:
-        name, check, spec = _VERIFIERS[theorem]
+        name, check, defaults, costs = _VERIFIERS[theorem]
     except KeyError:
         raise DomainError(
             f"unknown verification {theorem!r}; choose from {VERIFY_IDS}"
         ) from None
     for key in params:
-        if key not in spec:
+        if key not in defaults:
             raise DomainError(f"{theorem} does not take parameter {key!r}")
-    merged = {key: params.get(key, default) for key, (default, _) in spec.items()}
-    for key, (_, bound) in spec.items():
-        if merged[key] > bound:
-            raise RangeTooLargeError(
-                f"{theorem} is bounded at {key} <= {bound}, got {merged[key]}"
-            )
+    merged = {key: params.get(key, default) for key, default in defaults.items()}
+    given = ", ".join(f"{key}={value}" for key, value in merged.items())
+    check_budget(f"{theorem} with {given}", costs(**merged))
     report = Report(
         {"theorem": name, "params": merged}, f"{name} {merged}:", "checks", "mismatches"
     )
@@ -351,39 +366,5 @@ def verify(theorem: str, **params: int) -> Report:
             report.findings.append(
                 {"position": position, "predicted": str(predicted), "computed": str(computed)}
             )
-    if report.checked == 0:
-        given = ", ".join(f"{key}={value}" for key, value in merged.items())
-        raise DomainError(f"{theorem} with {given} checks nothing; widen the range")
     return report
 
-
-@dataclass(frozen=True)
-class Periodicity:
-    preperiod: int
-    period: int
-    saltus: int
-
-
-def detect_periodicity(
-    values: Sequence[int], max_period: int, max_saltus: int
-) -> Periodicity | None:
-    """Smallest ``(preperiod, period, saltus)`` with
-    ``values[i + period] == values[i] + saltus`` for all ``i >= preperiod``,
-    requiring at least two full confirming periods beyond the preperiod.
-
-    Returns ``None`` when no such triple fits inside the observed window.
-    """
-    size = len(values)
-    for preperiod in range(size):
-        for period in range(1, max_period + 1):
-            if size < preperiod + 3 * period:
-                break
-            saltus = values[preperiod + period] - values[preperiod]
-            if abs(saltus) > max_saltus:
-                continue
-            if all(
-                values[i + period] == values[i] + saltus
-                for i in range(preperiod, size - period)
-            ):
-                return Periodicity(preperiod, period, saltus)
-    return None

@@ -23,24 +23,21 @@ from .errors import DomainError, EngineInvariantError
 Box = tuple[int, int]
 Rows = tuple[int, ...]
 
-# Sides are capped so that ``mhrg._BIT`` covers every bit of a bead word.
-# The cap is also the only bound on listing moves with the bead-word engine.
-MAX_SIDE = 64
-
 
 def check_sides(m: int, n: int) -> None:
-    """Refuse board sides outside ``1 .. MAX_SIDE``, named in the order given."""
-    if not (1 <= m <= MAX_SIDE and 1 <= n <= MAX_SIDE):
-        raise DomainError(f"board sides must lie in 1..{MAX_SIDE}, got ({m}, {n})")
+    """Refuse board sides below 1, named in the order given.  Sides have no
+    upper bound; callers that search a board size the work first."""
+    if m < 1 or n < 1:
+        raise DomainError(f"board sides must be at least 1, got ({m}, {n})")
 
 
 @dataclass(frozen=True)
 class BoardParams:
     """Dimensions ``(m, n)`` of the bounding box, with ``1 <= m <= n``.
 
-    Boards with more rows than columns are not representable; use
-    :func:`transpose_position` to flip such input first (the two games are
-    isomorphic).
+    Boards with more rows than columns are not representable; transpose
+    such input first (conjugate the diagram), as the two games are
+    isomorphic.
     """
 
     m: int
@@ -56,10 +53,6 @@ class BoardParams:
     @property
     def cells(self) -> int:
         return self.m * self.n
-
-    def diag_range(self) -> range:
-        """Logical diagonal indices ``-m .. n`` (inclusive)."""
-        return range(-self.m, self.n + 1)
 
 
 def max_label(board: BoardParams) -> int:
@@ -143,15 +136,6 @@ class YoungDiagram:
             for j in range(length):
                 cols[j] += 1
         return YoungDiagram(tuple(cols))
-
-
-def transpose_position(m: int, n: int, rows: Rows) -> tuple[int, int, Rows]:
-    """Flip an ``(m, n, rows)`` triple to ``(n, m, conjugate rows)``.
-
-    Lets callers with more rows than columns canonicalise before building
-    a :class:`BoardParams`; the two orientations play the same game.
-    """
-    return n, m, YoungDiagram(rows).conjugate().rows
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ class DomainError(HookGamesError, ValueError):
 
 
 class RangeTooLargeError(DomainError):
-    """A verification range exceeds the configured desk-scale bound."""
+    """Work would explore more positions than the search budget allows."""
 
 
 class EngineInvariantError(HookGamesError, RuntimeError):

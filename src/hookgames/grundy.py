@@ -5,13 +5,48 @@ The solver is agnostic about the position type: positions are their own
 hashable memo keys, and callers supply an options function.  Values are
 deterministic functions of the position, so the memo behaves as an
 insert-or-get table: re-insertion with a different value is an engine bug.
+Searches are unbounded; entry points that take sizes from a caller refuse
+work past :data:`SEARCH_BUDGET` first (:func:`check_budget`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Collection, Hashable, Iterable
 
-from .errors import DomainError, EngineInvariantError
+from .errors import DomainError, EngineInvariantError, RangeTooLargeError
+
+SEARCH_BUDGET = 1 << 16  # positions one entry point may explore, in total
+
+
+def check_budget(what: str, costs: Iterable[int]) -> None:
+    """Refuse ``what`` when its ``costs`` (positions per search, or hooks a
+    move listing examines) add up to more than :data:`SEARCH_BUDGET`, or to
+    nothing.  Costs are read only until the sum passes the budget, so a
+    range of a billion boards is refused after its first few."""
+    total = 0
+    for cost in costs:
+        total += cost
+        if total > SEARCH_BUDGET:
+            raise RangeTooLargeError(f"{what} needs more than {SEARCH_BUDGET} positions")
+    if not total:
+        raise DomainError(f"{what} checks nothing")
+
+
+def capped_comb(n: int, k: int) -> int:
+    """``C(n, k)`` for ``0 <= k <= n``, or ``SEARCH_BUDGET + 1`` if larger:
+    ``C(n, i) >= 2**i`` never falls for ``i <= min(k, n - k)``, so this
+    stops within 17 steps however large ``n`` is."""
+    value = 1
+    for i in range(min(k, n - k)):
+        value = value * (n - i) // (i + 1)
+        if value > SEARCH_BUDGET:
+            return SEARCH_BUDGET + 1
+    return value
+
+
+def capped_pow2(e: int) -> int:
+    """``2**e`` for ``e >= 0``, or a number past ``SEARCH_BUDGET`` if larger."""
+    return 1 << min(e, SEARCH_BUDGET.bit_length())
 
 
 def mex(values: Iterable[int]) -> int:

@@ -23,19 +23,18 @@ the closed-form checks of ``closedforms`` report through one type,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Hashable, TypeVar
+from typing import Callable, Collection, Hashable, Iterator, TypeVar
 
 from .diagrams import BoardParams
-from .errors import DomainError, RangeTooLargeError
-from .grundy import grundy
-from .mhrg import MhrgPosition, _closure, _reversed, diagram_of_word, word_options
+from .errors import DomainError
+from .grundy import capped_pow2, check_budget, grundy
+from .mhrg import (
+    MhrgPosition, _reversed, diagram_of_word, reachable_words, search_cost, word_options
+)
 from .shifted import ShiftedDiagram, hrg_word_options
 
 S = TypeVar("S")
 T = TypeVar("T")
-
-WIDEN_MAX_SIDE = 8       # exhaustive widening checks stay at desk scale
-STAIRCASE_ISO_MAX_N = 7  # staircase isomorphism checks likewise
 
 
 def is_symmetric(word: int, m: int, n: int) -> bool:
@@ -222,106 +221,84 @@ def halve_word(word: int, n: int) -> int:
     return word >> (n + 1)
 
 
-def _word_game(m: int, n: int) -> tuple[list[int], Callable[[int], set[int]]]:
-    """Sorted reachable bead words of the ``m x n`` game, and its options."""
-    size = m + n
-
-    def options(word: int) -> set[int]:
-        return word_options(word, size)
-
-    # The full rectangle has its m beads on bits n .. m + n - 1.
-    return sorted(_closure(((1 << m) - 1) << n, options)), options
+# A check costs the positions of both games it closes and solves.
+def _widening_cost(m: int, n: int) -> int:
+    return search_cost(BoardParams(m, n)) + search_cost(BoardParams(m, n + 1))
 
 
-def _diagram_literal(m: int, n: int) -> Callable[[int], str]:
-    """Renderer of bead words on the ``m x n`` board as diagram literals."""
-    size = m + n
-
-    def render(word: int) -> str:
-        return diagram_of_word(word, size).literal()
-
-    return render
-
-
-def _check_widen_side(side: int) -> None:
-    if side > WIDEN_MAX_SIDE:
-        raise RangeTooLargeError(
-            f"widening verification is bounded at sides <= {WIDEN_MAX_SIDE}"
-        )
-
-
-def _check_staircase_size(n: int) -> None:
-    if n > STAIRCASE_ISO_MAX_N:
-        raise RangeTooLargeError(
-            f"staircase isomorphism verification is bounded at n <= {STAIRCASE_ISO_MAX_N}"
-        )
+def _halving_cost(n: int) -> int:
+    return search_cost(BoardParams(n, n + 1)) + capped_pow2(n)  # the staircase's 2**n masks
 
 
 def verify_widening(m: int, n: int) -> Report:
     """Machine-check that widening is an isomorphism from the game on the
-    ``m x n`` board to the game on ``m x (n+1)``.  Needs ``m + n`` even."""
-    _check_widen_side(max(m, n))
+    ``m x n`` board to the game on ``m x (n+1)``.  Needs a board
+    (``1 <= m <= n``) with ``m + n`` even."""
+    source, target = BoardParams(m, n), BoardParams(m, n + 1)
     if (m + n) % 2:
         raise DomainError(f"widening needs m + n even, got ({m}, {n})")
+    check_budget(f"widening verification of {m}x{n}", [_widening_cost(m, n)])
     gmap = GameMap(
         f"widen {m}x{n}->{m}x{n + 1}",
         f"mhrg {m}x{n}",
         f"mhrg {m}x{n + 1}",
         lambda word: widen_word(word, m, n),
     )
-    sources, source_options = _word_game(m, n)
-    targets, target_options = _word_game(m, n + 1)
     return verify_isomorphism(
         gmap,
-        sources,
-        targets,
-        source_options,
-        target_options,
-        _diagram_literal(m, n),
-        _diagram_literal(m, n + 1),
+        sorted(reachable_words(source)),
+        sorted(reachable_words(target)),
+        lambda word: word_options(word, m + n),
+        lambda word: word_options(word, m + n + 1),
+        lambda word: diagram_of_word(word, m + n).literal(),
+        lambda word: diagram_of_word(word, m + n + 1).literal(),
     )
 
 
-def verify_widening_range(max_side: int = WIDEN_MAX_SIDE) -> list[Report]:
+def _widening_boards(max_side: int) -> Iterator[tuple[int, int]]:
+    """Every ``1 <= m <= n <= max_side`` with ``m + n`` even, lazily."""
+    return ((m, n) for m in range(1, max_side + 1) for n in range(m, max_side + 1, 2))
+
+
+def verify_widening_range(max_side: int = 8) -> list[Report]:
     """Widening reports for every ``m <= n <= max_side`` with ``m + n`` even.
-    A range out of bounds is refused before any board is checked."""
-    if max_side < 1:
-        raise DomainError(f"widening verification needs max_side >= 1, got {max_side}")
-    _check_widen_side(max_side)
-    return [
-        verify_widening(m, n)
-        for m in range(1, max_side + 1)
-        for n in range(m, max_side + 1)
-        if (m + n) % 2 == 0
-    ]
+    A range past the search budget, or empty, is refused before any board
+    is checked."""
+    check_budget(
+        f"widening verification for sides in 1..{max_side}",
+        (_widening_cost(m, n) for m, n in _widening_boards(max_side)),
+    )
+    return [verify_widening(m, n) for m, n in _widening_boards(max_side)]
 
 
 def verify_staircase_iso(n: int) -> Report:
     """Machine-check that halving is an isomorphism from the game on the
-    ``n x (n+1)`` board to hook removal on the size-``n`` staircase."""
-    _check_staircase_size(n)
+    ``n x (n+1)`` board (``n >= 1``) to hook removal on the size-``n``
+    staircase."""
+    board = BoardParams(n, n + 1)
+    check_budget(f"staircase isomorphism verification of {n}x{n + 1}", [_halving_cost(n)])
     gmap = GameMap(
         f"halve {n}x{n + 1}->staircase-{n}",
         f"mhrg {n}x{n + 1}",
         f"hrg staircase-{n}",
         lambda word: halve_word(word, n),
     )
-    sources, source_options = _word_game(n, n + 1)
     return verify_isomorphism(
         gmap,
-        sources,
+        sorted(reachable_words(board)),
         range(1 << n),
-        source_options,
+        lambda word: word_options(word, 2 * n + 1),
         lambda mask: hrg_word_options(mask, n),
-        _diagram_literal(n, n + 1),
+        lambda word: diagram_of_word(word, 2 * n + 1).literal(),
         lambda mask: ShiftedDiagram.from_mask(mask).literal(),
     )
 
 
-def verify_staircase_range(max_n: int = STAIRCASE_ISO_MAX_N) -> list[Report]:
-    """Staircase reports for every ``1 <= n <= max_n``.  A range out of
-    bounds is refused before any board is checked."""
-    if max_n < 1:
-        raise DomainError(f"staircase isomorphism verification needs n >= 1, got {max_n}")
-    _check_staircase_size(max_n)
+def verify_staircase_range(max_n: int = 7) -> list[Report]:
+    """Staircase reports for every ``1 <= n <= max_n``.  A range past the
+    search budget, or empty, is refused before any board is checked."""
+    check_budget(
+        f"staircase isomorphism verification for n in 1..{max_n}",
+        map(_halving_cost, range(1, max_n + 1)),
+    )
     return [verify_staircase_iso(n) for n in range(1, max_n + 1)]

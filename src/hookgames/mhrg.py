@@ -16,7 +16,8 @@ straight to a diagram (:func:`diagram_of_word`: each bead's row is as
 long as the holes below it) and back (:func:`word_of_diagram`).  Memo
 keys are bead words too (:meth:`MhrgPosition.encode`); move records keep
 the order of their results' diagonal profiles (:func:`profile_order`).
-Bits are indexed through ``_BIT``, sized by ``MAX_SIDE`` (64 per side).
+Bits are indexed through one cached table per word size (``_bits``), so
+boards have no largest side.
 
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
@@ -25,19 +26,20 @@ it with the bead-word rule at every position.
 
 :func:`in_game` answers reachability from the word alone: a position is in
 the game exactly when no mirror pair of bits holds two beads (its docstring
-proves that moves keep this invariant).  :func:`reachable_words` stays
-the move closure, so the verifiers and the ``reachable`` listing check the
-game itself rather than the predicate.
+proves both directions).  :func:`reachable_words` stays the move closure,
+so the verifiers and the ``reachable`` listing check the game itself
+rather than the predicate.  The count of mirror-free words sizes a search
+before it starts (:func:`search_cost`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Callable, Hashable, Iterable
 
 from .diagrams import (
-    MAX_SIDE,
     BoardParams,
     HookRecord,
     YoungDiagram,
@@ -46,7 +48,7 @@ from .diagrams import (
     remove_hook,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import GrundyMemo, grundy, memo_for
+from .grundy import SEARCH_BUDGET, GrundyMemo, capped_comb, capped_pow2, grundy, memo_for
 
 ENGINES = ("diagonal", "semantic", "cross-check")
 
@@ -104,7 +106,10 @@ class MoveRecord:
 # which the first move just took away.  Every option is a smaller word, so
 # the game graph is acyclic by construction.
 
-_BIT = tuple(1 << i for i in range(2 * MAX_SIDE))  # a word has m + n bits
+@cache
+def _bits(size: int) -> tuple[int, ...]:
+    """``1 << i`` for every bit ``i`` of a ``size``-bit word."""
+    return tuple(1 << i for i in range(size))
 
 
 def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
@@ -115,8 +120,9 @@ def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
             f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
         )
     m = board.m
+    bit = _bits(m + board.n)
     rows = diagram.rows + (0,) * (m - diagram.height)
-    return sum(_BIT[length + m - 1 - i] for i, length in enumerate(rows))
+    return sum(bit[length + m - 1 - i] for i, length in enumerate(rows))
 
 
 def diagram_of_word(word: int, size: int) -> YoungDiagram:
@@ -136,7 +142,7 @@ def diagram_of_word(word: int, size: int) -> YoungDiagram:
 def word_options(word: int, size: int) -> set[int]:
     """Words reachable in one move from ``word`` (``size = m + n`` bits)."""
     top = size - 1
-    bit = _BIT
+    bit = _bits(size)
     holes = [a for a in range(size) if not word & bit[a]]
     out: set[int] = set()
     add = out.add
@@ -176,12 +182,42 @@ def in_game(board: BoardParams, diagram: YoungDiagram) -> bool:
       empty and ``b``'s pair holds one bead.  Otherwise ``a``'s pair ends
       with one bead and ``b``'s pair with none.  No other bit changes.
 
-    Conversely, every mirror-free word is reachable: that is checked, not
-    proved.  On every board with at most 81 cells the move closure is
-    mirror-free and has ``C(floor((m + n) / 2), m) * 2**m`` positions, the
-    number of mirror-free words with ``m`` beads (``tests/test_mhrg.py``).
+    Conversely, every mirror-free word ``w`` other than the start has a
+    mirror-free parent ``p > w`` with a move ``p -> w``.  A chain of
+    parents rises, so it is finite and ends at the one word without a
+    parent, the start (all beads on the top ``m`` bits):
+
+    * if a bead sits on a low bit ``i < top - i``, its mirror ``top - i``
+      is a hole.  Moving the bead up there gives ``p``, still mirror-free,
+      and the move ``top - i -> i`` from ``p`` leads back: its follow-up
+      would need a bead on ``top - i``, which the move just vacated;
+    * otherwise every bead is high (on a bit ``i > top - i``; the middle
+      bit is a hole), and as ``w`` is not the start some bead ``b`` has a
+      hole ``c > b`` above it.  The low bits ``top - b`` and ``top - c``
+      are holes, so moving the bead to ``c`` gives a mirror-free ``p``,
+      and the move ``c -> b`` from ``p`` leads back: its follow-up needs a
+      bead on ``top - b``, a hole.
+
+    So the reachable words are exactly the mirror-free ones, and there are
+    ``C(floor((m + n) / 2), m) * 2**m`` of them: choose the ``m`` mirror
+    pairs that hold a bead, then a side in each.  ``tests/test_mhrg.py``
+    checks this count against the move closure on every board with at
+    most 81 cells.
     """
     return mirror_free(word_of_diagram(board, diagram), board.m + board.n)
+
+
+def search_cost(board: BoardParams, diagram: YoungDiagram | None = None) -> int:
+    """Most positions a search from ``diagram`` (default: the start) on
+    ``board`` explores, or a number past ``SEARCH_BUDGET`` if larger: the
+    mirror-free words (:func:`in_game`) from a reachable position, else all
+    ``C(m + n, m)`` words.  The first count is the smaller, so a board past
+    the budget is refused without reading the diagram."""
+    m, n = board.m, board.n
+    mirror_free_words = capped_comb((m + n) // 2, m) * capped_pow2(m)
+    if diagram is None or mirror_free_words > SEARCH_BUDGET or in_game(board, diagram):
+        return mirror_free_words
+    return capped_comb(m + n, m)
 
 
 def _reversed(word: int, size: int) -> int:
@@ -208,7 +244,7 @@ def _hook(board: BoardParams, word: int, a: int, b: int) -> HookRecord:
     diagonals ``a + 1 - m .. b - m``."""
     m = board.m
     lo, hi = a + 1 - m, b - m
-    corner = ((word >> b).bit_count(), a + 1 - (word & (_BIT[a] - 1)).bit_count())
+    corner = ((word >> b).bit_count(), a + 1 - (word & ((1 << a) - 1)).bit_count())
     return HookRecord(corner, lo, hi, interval_label_counts(board, lo, hi))
 
 
@@ -227,7 +263,7 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     board = pos.board
     m, n = board.m, board.n
     last = m + n
-    bit = _BIT
+    bit = _bits(last)
     word = word_of_diagram(board, pos.diagram)
     holes = [a for a in range(last) if not word & bit[a]]
     # result word -> (corner, a, b, word after the first removal, forced?)

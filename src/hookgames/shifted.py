@@ -26,9 +26,6 @@ from .grundy import GrundyMemo, grundy, memo_for
 Box = tuple[int, int]
 Parts = tuple[int, ...]
 
-# Positions of the size-n staircase form a 2^n family; desk scale only.
-MAX_STAIRCASE = 32
-
 
 @dataclass(frozen=True)
 class ShiftedDiagram:
@@ -45,17 +42,6 @@ class ShiftedDiagram:
                 raise DomainError(f"parts must strictly decrease: {parts}")
         if parts and parts[-1] <= 0:
             raise DomainError(f"parts must be positive: {parts}")
-
-    @classmethod
-    def parse(cls, text: str) -> "ShiftedDiagram":
-        text = text.strip()
-        if text in ("-", ""):
-            return cls(())
-        try:
-            parts = tuple(int(p) for p in text.split(","))
-        except ValueError as exc:
-            raise DomainError(f"bad shifted literal {text!r}") from exc
-        return cls(parts)
 
     def literal(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
@@ -96,16 +82,16 @@ class ShiftedDiagram:
 
 def staircase(n: int) -> ShiftedDiagram:
     """The staircase ``(n, n-1, ..., 1)``."""
-    if not (1 <= n <= MAX_STAIRCASE):
-        raise DomainError(f"staircase size must lie in 1..{MAX_STAIRCASE}, got {n}")
+    if n < 1:
+        raise DomainError(f"staircase size must be at least 1, got {n}")
     return ShiftedDiagram(tuple(range(n, 0, -1)))
 
 
 def all_shifted(n: int) -> Iterator[ShiftedDiagram]:
     """Every shifted diagram inside the size-``n`` staircase (one per
-    subset of ``{1..n}``)."""
-    if not (0 <= n <= MAX_STAIRCASE):
-        raise DomainError(f"staircase size must lie in 0..{MAX_STAIRCASE}, got {n}")
+    subset of ``{1..n}``, ``2**n`` in all)."""
+    if n < 0:
+        raise DomainError(f"staircase size must be at least 0, got {n}")
     for mask in range(1 << n):
         yield ShiftedDiagram.from_mask(mask)
 

@@ -17,7 +17,6 @@ PUBLIC_NAMES = {
     "HookRecord",
     "MhrgPosition",
     "MoveRecord",
-    "Periodicity",
     "RangeTooLargeError",
     "Report",
     "ShiftedDiagram",
@@ -25,7 +24,6 @@ PUBLIC_NAMES = {
     "YoungDiagram",
     "all_diagrams",
     "all_shifted",
-    "detect_periodicity",
     "from_shifted",
     "grundy",
     "grundy_table",
@@ -56,7 +54,6 @@ PUBLIC_NAMES = {
     "start_position",
     "table1_golden",
     "to_shifted",
-    "transpose_position",
     "unimodal_number",
     "verify",
     "verify_isomorphism",

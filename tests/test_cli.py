@@ -122,13 +122,13 @@ def test_fit_errors_name_the_diagram_and_board_as_given(capsys):
 
 
 def test_side_errors_name_the_board_as_given(capsys):
-    for argv in (("grundy", "-m", "70", "-n", "1"), ("play", "-m", "70", "-n", "1")):
+    for argv in (("grundy", "-m", "3", "-n", "0"), ("play", "-m", "3", "-n", "0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: board sides must lie in 1..64, got (70, 1)\n"
-    code, out, err = run(capsys, "reachable", "-m", "1", "-n", "70")
+        assert err == "error: board sides must be at least 1, got (3, 0)\n"
+    code, out, err = run(capsys, "reachable", "-m", "-1", "-n", "5")
     assert (code, out) == (2, "")
-    assert err == "error: board sides must lie in 1..64, got (1, 70)\n"
+    assert err == "error: board sides must be at least 1, got (-1, 5)\n"
 
 
 def test_grundy_usage_errors(capsys):
@@ -136,8 +136,8 @@ def test_grundy_usage_errors(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "grundy", "-m", "3", "-n", "5", "--diagram", "6,1")
     assert code == 2
-    code, _, err = run(capsys, "grundy", "-m", "10", "-n", "10")
-    assert code == 2 and "81" in err
+    code, _, err = run(capsys, "grundy", "-m", "17", "-n", "17")
+    assert code == 2 and "needs more than 65536 positions" in err
 
 
 def test_table_pretty_and_small_grid(capsys):
@@ -158,8 +158,9 @@ def test_table_csv_golden(tmp_path, capsys):
 
 
 def test_table_limit(capsys):
-    code, _, err = run(capsys, "table", "--max-m", "10")
-    assert code == 2 and "9x9" in err
+    code, _, err = run(capsys, "table", "--max-m", "12", "--max-n", "12")
+    assert code == 2
+    assert err == "error: table regeneration up to 12x12 needs more than 65536 positions\n"
 
 
 def test_reachable_listing(capsys):
@@ -186,11 +187,12 @@ def test_options_listing_shows_forced_removal(capsys):
 
 
 def test_rule_book_options_are_bounded(capsys):
+    # The rule book examines cells**2 hook pairs: 272**2 is past the budget.
     for engine in ("semantic", "cross-check"):
-        code, out, err = run(capsys, "options", "-m", "10", "-n", "9", "--engine", engine)
+        code, out, err = run(capsys, "options", "-m", "17", "-n", "16", "--engine", engine)
         assert code == 2 and out == ""
-        assert "81 cells" in err and "90" in err
-    code, out, _ = run(capsys, "options", "-m", "10", "-n", "9")
+        assert err == "error: move listing on 17x16 needs more than 65536 positions\n"
+    code, out, _ = run(capsys, "options", "-m", "10", "-n", "9", "--engine", "semantic")
     assert code == 0 and out.endswith("# 45 moves\n")
 
 
@@ -264,8 +266,9 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
 
 
 def test_verify_range_refusal(capsys):
-    code, _, err = run(capsys, "verify", "row2", "--max-n", "30")
-    assert code == 2 and "24" in err
+    code, _, err = run(capsys, "verify", "row2", "--max-n", "62")
+    assert code == 2
+    assert err == "error: row2 with max_n=62 needs more than 65536 positions\n"
 
 
 @pytest.mark.parametrize(
@@ -302,7 +305,7 @@ def test_verify_flag_the_theorem_does_not_take_is_usage_error(capsys, argv, flag
 def test_table_lower_bound_names_the_range(capsys):
     code, out, err = run(capsys, "table", "--max-m", "0")
     assert code == 2 and out == ""
-    assert "1..9" in err
+    assert err == "error: table regeneration up to 0x9 checks nothing\n"
 
 
 def test_verify_unknown_id_is_usage_error(capsys):
@@ -332,10 +335,10 @@ def test_play_rejects_illegal_box(capsys, monkeypatch):
 
 def test_play_refuses_boards_past_the_solve_bound(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n"))
-    code = main(["play", "-m", "10", "-n", "10"])
+    code = main(["play", "-m", "17", "-n", "17"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "81" in captured.err
+    assert "needs more than 65536 positions" in captured.err
 
 
 def test_play_full_game_against_engine(capsys, monkeypatch):

@@ -6,11 +6,9 @@ from hookgames import (
     BoardParams,
     DomainError,
     MhrgPosition,
-    Periodicity,
     RangeTooLargeError,
     TwoRowClass,
     YoungDiagram,
-    detect_periodicity,
     grundy_table,
     nim_sum,
     predict_1n,
@@ -22,7 +20,6 @@ from hookgames import (
     table1_golden,
     verify,
 )
-from hookgames import cli, closedforms, isomorphisms
 from hookgames.closedforms import table_csv
 
 GOLDEN = Path(__file__).parent / "data" / "table1.csv"
@@ -110,8 +107,8 @@ def test_table1_golden_symmetry_and_column_pairing():
 def test_grundy_table_small():
     grid = grundy_table(2, 3)
     assert grid == [[1, 1, 3], [1, 3, 3]]
-    with pytest.raises(RangeTooLargeError, match="9x9"):
-        grundy_table(10, 9)
+    with pytest.raises(RangeTooLargeError, match="^table regeneration up to 12x12 needs"):
+        grundy_table(12, 12)
 
 
 def test_table_csv_is_lf_and_matches_golden():
@@ -126,49 +123,17 @@ def test_verify_ids_and_errors():
         verify("fermat")
     with pytest.raises(DomainError, match="parameter"):
         verify("nim", max_m=3)
-    with pytest.raises(RangeTooLargeError, match="n <= 40"):
-        verify("row1", max_n=50)
-    with pytest.raises(RangeTooLargeError, match=r"^row2 is bounded at max_n <= 24, got 26$"):
-        verify("row2", max_n=26)
-    with pytest.raises(RangeTooLargeError, match="n <= 8"):
-        verify("nim", n=9)
-
-
-@pytest.mark.parametrize(
-    "theorem, key, bound",
-    [
-        ("table1", "max_m", 9),
-        ("row1", "max_n", 40),
-        ("row2", "max_n", 24),
-        ("start2", "max_n", 40),
-        ("square", "max_n", 8),
-        ("nim", "n", 8),
-        ("symmetry", "max_n", 6),
-        ("widen", "max_side", 8),
-        ("shifted", "n", 7),
-    ],
-)
-def test_bound_plus_one_is_refused_before_any_check(monkeypatch, theorem, key, bound):
-    calls = []
-
-    def counted(check):
-        def wrapped(*args, **kwargs):
-            calls.append(check.__name__)
-            return check(*args, **kwargs)
-
-        return wrapped
-
-    for vid, (name, check, spec) in closedforms._VERIFIERS.items():
-        monkeypatch.setitem(closedforms._VERIFIERS, vid, (name, counted(check), spec))
-    for attr in ("verify_widening", "verify_staircase_iso"):
-        monkeypatch.setattr(isomorphisms, attr, counted(getattr(isomorphisms, attr)))
-
-    with pytest.raises(RangeTooLargeError, match=rf"<= {bound}\b"):
-        if theorem in cli.ISO_VERIFIERS:
-            cli.ISO_VERIFIERS[theorem][0](bound + 1)
-        else:
-            verify(theorem, **{key: bound + 1})
-    assert calls == []
+    with pytest.raises(RangeTooLargeError, match="^row1 with max_n=256 needs more than"):
+        verify("row1", max_n=256)
+    with pytest.raises(
+        RangeTooLargeError, match=r"^row2 with max_n=62 needs more than 65536 positions$"
+    ):
+        verify("row2", max_n=62)
+    with pytest.raises(RangeTooLargeError, match="^nim with n=17 needs more than"):
+        verify("nim", n=17)
+    # The golden grid, not the budget, bounds table1.
+    with pytest.raises(DomainError, match=r"^table1 compares with the 9x9 golden grid, got 10x9$"):
+        verify("table1", max_m=10)
 
 
 def test_verify_small_ranges_pass():
@@ -186,22 +151,3 @@ def test_verify_small_ranges_pass():
         assert report.checked > 0
         payload = report.to_json()
         assert payload["mismatches"] == []
-
-
-def test_detect_periodicity_examples():
-    assert detect_periodicity([1, 1, 3, 3, 5, 5, 7, 7, 9], 4, 4) == Periodicity(0, 2, 2)
-    assert detect_periodicity([1, 1, 1, 1], 3, 3) == Periodicity(0, 1, 0)
-    assert detect_periodicity([0, 1, 0, 2, 0, 3], 2, 9) is None
-
-
-def test_detect_periodicity_window_and_bounds():
-    # needs two full confirming periods beyond the preperiod
-    assert detect_periodicity([1, 2], 2, 2) is None
-    assert detect_periodicity([1, 2, 3], 2, 2) == Periodicity(0, 1, 1)
-    assert detect_periodicity([5, 7, 5, 7, 5, 7], 3, 3) == Periodicity(0, 2, 0)
-    assert detect_periodicity([5, 7, 5, 7, 5], 3, 3) is None
-    # saltus cap filters the arithmetic progression
-    assert detect_periodicity([0, 3, 6, 9, 12], 4, 2) is None
-    assert detect_periodicity([0, 3, 6, 9, 12], 4, 3) == Periodicity(0, 1, 3)
-    # preperiod skips an irregular head
-    assert detect_periodicity([9, 5, 5, 5, 5, 5, 5], 3, 3) == Periodicity(1, 1, 0)

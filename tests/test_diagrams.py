@@ -20,7 +20,6 @@ from hookgames import (
     hook_at,
     max_label,
     remove_hook,
-    transpose_position,
     unimodal_number,
 )
 from hookgames.diagrams import interval_label_counts, label_counts
@@ -31,10 +30,12 @@ def test_board_validation():
     BoardParams(9, 9)
     with pytest.raises(DomainError):
         BoardParams(5, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^board sides must be at least 1, got \(0, 4\)$"):
         BoardParams(0, 4)
-    with pytest.raises(DomainError):
-        BoardParams(1, 65)
+    with pytest.raises(DomainError, match=r"got \(-3, -1\)$"):
+        BoardParams(-3, -1)
+    # Sides have no upper bound.
+    assert BoardParams(100, 200).cells == 20_000
 
 
 def test_young_diagram_canonical_form():
@@ -306,10 +307,3 @@ def test_label_multiset_counting_identity():
             expected = seq[left] if left == right else seq[left] + seq[right]
             assert counts[label - 1] == expected
 
-
-def test_transpose_position():
-    m, n, rows = transpose_position(5, 3, (3, 3, 2, 1, 1))
-    assert (m, n) == (3, 5)
-    assert rows == (5, 3, 2)
-    board = BoardParams(m, n)
-    assert YoungDiagram(rows).fits(board)

@@ -29,7 +29,7 @@ from hookgames import (
     verify_staircase_iso,
     verify_widening,
 )
-from hookgames import isomorphisms
+from hookgames import isomorphisms, mhrg
 from hookgames.isomorphisms import (
     halve_word,
     verify_staircase_range,
@@ -238,9 +238,10 @@ def test_grundy_transport_along_working_maps():
 
 
 def test_verifiers_fail_with_literal_witnesses(monkeypatch):
-    # Drop the largest option on odd-size words: the 2x3 target of widening
-    # and the 3x4 source of halving.  Witnesses render source and target
-    # positions each through their own side's renderer.
+    # Drop the largest option on odd-size words, in the move closures and
+    # in the options the maps are checked against: the 2x3 target of
+    # widening and the 3x4 source of halving.  Witnesses render source and
+    # target positions each through their own side's renderer.
     original = word_options
 
     def corrupted(word, size):
@@ -248,6 +249,7 @@ def test_verifiers_fail_with_literal_witnesses(monkeypatch):
         return set(sorted(options)[:-1]) if size % 2 else options
 
     monkeypatch.setattr(isomorphisms, "word_options", corrupted)
+    monkeypatch.setattr(mhrg, "word_options", corrupted)
     widen = verify_widening(2, 2)
     assert not widen.passed
     # (2,1) on 2x2 widens to (3,1) on 2x3
@@ -261,3 +263,21 @@ def test_verifiers_fail_with_literal_witnesses(monkeypatch):
     assert {
         "kind": "options-mismatch", "source": "4,4,4", "missing": [], "extra": ["3,2"]
     } in witnesses
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: verify_widening(4, 2), r"^board needs m <= n, got \(4, 2\); transpose first$"),
+        (lambda: verify_widening(0, 2), r"^board sides must be at least 1, got \(0, 2\)$"),
+        (lambda: verify_widening(-1, 3), r"^board sides must be at least 1, got \(-1, 3\)$"),
+        (lambda: verify_widening(3, 4), r"^widening needs m \+ n even, got \(3, 4\)$"),
+        (lambda: verify_staircase_iso(0), r"^board sides must be at least 1, got \(0, 1\)$"),
+        (lambda: verify_staircase_iso(-2), r"^board sides must be at least 1, got \(-2, -1\)$"),
+    ],
+)
+def test_isomorphism_checks_refuse_boards_the_theorems_do_not_cover(check, message):
+    # Widening is stated for m <= n and halving for n >= 1; outside them a
+    # check would report on boards that do not exist.
+    with pytest.raises(DomainError, match=message):
+        check()

@@ -24,11 +24,10 @@ def test_shifted_diagram_validation():
         ShiftedDiagram((2, 0))
 
 
-def test_shifted_parse_literal_boxes():
-    s = ShiftedDiagram.parse("3,1")
-    assert s.parts == (3, 1)
+def test_shifted_literal_and_boxes():
+    s = ShiftedDiagram((3, 1))
     assert s.literal() == "3,1"
-    assert ShiftedDiagram.parse("-").parts == ()
+    assert ShiftedDiagram(()).literal() == "-"
     assert set(s.boxes()) == {(1, 1), (1, 2), (1, 3), (2, 2)}
     assert (2, 2) in s and (2, 3) not in s
 
