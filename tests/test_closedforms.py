@@ -20,7 +20,9 @@ from hookgames import (
     table1_golden,
     verify,
 )
+from hookgames import cli, closedforms, isomorphisms
 from hookgames.closedforms import table_csv
+from hookgames.grundy import SEARCH_BUDGET
 
 GOLDEN = Path(__file__).parent / "data" / "table1.csv"
 
@@ -134,6 +136,63 @@ def test_verify_ids_and_errors():
     # The golden grid, not the budget, bounds table1.
     with pytest.raises(DomainError, match=r"^table1 compares with the 9x9 golden grid, got 10x9$"):
         verify("table1", max_m=10)
+
+
+class _Admitted(Exception):
+    """Raised in place of a check that its range's refusals let through."""
+
+
+# Each id and the largest range its own hand-set bound admitted before the
+# search budget replaced those bounds (table1's is still the golden grid).
+@pytest.mark.parametrize(
+    "theorem, key, bound",
+    [
+        ("table1", "max_m", 9),
+        ("row1", "max_n", 40),
+        ("row2", "max_n", 24),
+        ("start2", "max_n", 40),
+        ("square", "max_n", 8),
+        ("nim", "n", 8),
+        ("symmetry", "max_n", 6),
+        ("widen", "max_side", 8),
+        ("shifted", "n", 7),
+    ],
+)
+def test_bound_plus_one_is_refused_before_any_check(monkeypatch, theorem, key, bound):
+    # Ranges from ``bound`` on are admitted until the budget (for table1,
+    # the golden grid) refuses one, and that one is refused before its
+    # check is called.
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    for vid, (name, _, defaults, costs) in closedforms._VERIFIERS.items():
+        monkeypatch.setitem(closedforms._VERIFIERS, vid, (name, admitted, defaults, costs))
+    for attr in ("verify_widening", "verify_staircase_iso"):
+        monkeypatch.setattr(isomorphisms, attr, admitted)
+
+    def run(value):
+        if theorem in cli.ISO_VERIFIERS:
+            cli.ISO_VERIFIERS[theorem][0](value)
+        else:
+            verify(theorem, **{key: value})
+
+    def admits(value):
+        try:
+            run(value)
+        except _Admitted:
+            return True
+        except DomainError:
+            return False
+        pytest.fail(f"{theorem} with {key}={value} ran no check")
+
+    past = next(value for value in range(bound, bound + 1000) if not admits(value))
+    assert past > bound
+    if theorem == "table1":
+        refusal = DomainError, rf"^table1 compares with the 9x9 golden grid, got {past}x9$"
+    else:
+        refusal = RangeTooLargeError, rf"\b{past} needs more than {SEARCH_BUDGET} positions$"
+    with pytest.raises(refusal[0], match=refusal[1]):
+        run(past)
 
 
 def test_verify_small_ranges_pass():

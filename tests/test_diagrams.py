@@ -307,3 +307,10 @@ def test_label_multiset_counting_identity():
             expected = seq[left] if left == right else seq[left] + seq[right]
             assert counts[label - 1] == expected
 
+
+def test_transpose_position():
+    # A position with more rows than columns is played on the transposed
+    # board, with the conjugate diagram.
+    rows = YoungDiagram((3, 3, 2, 1, 1)).conjugate().rows
+    assert rows == (5, 3, 2)
+    assert YoungDiagram(rows).fits(BoardParams(3, 5))
