@@ -306,8 +306,7 @@ def _verify_symmetry(max_n: int) -> Iterator[_Finding]:
 
 
 def _table1_costs(max_m: int, max_n: int) -> Iterator[int]:
-    """The grid's costs; a grid the budget admits is then refused, before
-    the check starts, if it reaches past the 9x9 golden grid."""
+    """The grid's costs, then a refusal past the 9x9 golden grid."""
     yield from map(search_cost, _table_boards(max_m, max_n))
     if min(max_m, max_n) >= 1 and max(max_m, max_n) > 9:
         raise DomainError(f"table1 compares with the 9x9 golden grid, got {max_m}x{max_n}")
