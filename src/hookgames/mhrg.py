@@ -16,8 +16,17 @@ straight to a diagram (:func:`diagram_of_word`: each bead's row is as
 long as the holes below it) and back (:func:`word_of_diagram`).  Memo
 keys are bead words too (:meth:`MhrgPosition.encode`); move records keep
 the order of their results' diagonal profiles (:func:`profile_order`).
-Bits are indexed through one cached table per word size (``_bits``), so
-boards have no largest side.
+
+On a reachable word the rule is a game of signed coins.  Number the
+mirror pairs of bits ``(p, m + n - 1 - p)``, ``p < k = (m + n) // 2``,
+and give pair ``p`` the absolute value ``k - p``; the middle bit of an
+odd ``m + n`` stays empty.  A bead on the high bit of a pair is the coin
+``+(k - p)``, one on the low bit the coin ``-(k - p)``, and the ``m``
+coins sit on distinct pairs.  A move is a *slide*, one coin ``x`` to a
+value ``y < x`` on a free pair, or a *flip*, two coins ``x`` and ``z``
+with ``x + z > 0`` (``z = x`` is one coin) both changing sign.  The sum
+of the coins falls at every move, and a position is only its coins, so
+``m x n`` and ``m x (n + 1)`` with ``m + n`` even are the same game.
 
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
@@ -35,7 +44,6 @@ before it starts (:func:`search_cost`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from typing import Callable, Hashable, Iterable
 
@@ -106,12 +114,6 @@ class MoveRecord:
 # which the first move just took away.  Every option is a smaller word, so
 # the game graph is acyclic by construction.
 
-@cache
-def _bits(size: int) -> tuple[int, ...]:
-    """``1 << i`` for every bit ``i`` of a ``size``-bit word."""
-    return tuple(1 << i for i in range(size))
-
-
 def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
     """Bead word of ``diagram`` on ``board``: row ``i`` (0-based, padded
     with empty rows to ``m``) puts its bead on bit ``rows[i] + m - 1 - i``."""
@@ -120,9 +122,8 @@ def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
             f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
         )
     m = board.m
-    bit = _bits(m + board.n)
     rows = diagram.rows + (0,) * (m - diagram.height)
-    return sum(bit[length + m - 1 - i] for i, length in enumerate(rows))
+    return sum(1 << (length + m - 1 - i) for i, length in enumerate(rows))
 
 
 def diagram_of_word(word: int, size: int) -> YoungDiagram:
@@ -140,25 +141,63 @@ def diagram_of_word(word: int, size: int) -> YoungDiagram:
 
 
 def word_options(word: int, size: int) -> set[int]:
-    """Words reachable in one move from ``word`` (``size = m + n`` bits)."""
+    """Words reachable in one move from ``word`` (``size = m + n`` bits).
+
+    A hole ``a`` of the word is in ``rev`` (the reversed word) when its
+    mirror ``top - a`` holds a bead, ``top = size - 1``.  Each bead ``b``
+    (bit ``hb``, mirror bit ``mb``) moves down through two masks of the
+    holes below it:
+
+    * *slides*, the holes of ``slide_to = ~word & ~rev & ~mid`` below
+      ``hb``: their mirrors are holes, so no follow-up fires.  The middle
+      bit ``mid`` of an odd size is left out: it is its own mirror, so a
+      move to it fires the follow-up ``mid -> top - b`` and lands on the
+      single flip of the next item;
+    * *flips*, for a high bead (``mb < hb``): the single flip
+      ``b -> top - b``, and each hole ``a`` of ``flip_to = ~word & rev``
+      strictly between ``mb`` and ``hb``, whose follow-up moves the bead
+      ``top - a`` to ``top - b``.  A hole of ``flip_to`` below ``mb``
+      would flip the same two beads as the higher bead ``top - a`` does
+      from its own masks, so each flip is emitted once, from its higher
+      bead.
+
+    On a mirror-free word every option is thus added once.  Words that are
+    not mirror-free (unreachable positions only) take one more branch: a
+    bead whose mirror holds a bead moves to every hole below it, as no
+    follow-up can fire.  The middle bead is its own mirror (``mb == hb``)
+    and keeps only its slides; its moves to holes of ``flip_to`` fire a
+    follow-up and equal the single flips of the beads above.
+    """
     top = size - 1
-    bit = _bits(size)
-    holes = [a for a in range(size) if not word & bit[a]]
+    rev = _reversed(word, size)
+    mid = (size & 1) << (top >> 1)
+    holes = ~word
+    slide_to = holes & ~rev & ~mid
+    flip_to = holes & rev
     out: set[int] = set()
     add = out.add
-    for b in range(size):
-        if not word & bit[b]:
-            continue
-        without_b = word ^ bit[b]
-        mirror_hole = bit[top - b]
-        for a in holes:
-            if a > b:
-                break
-            first = without_b ^ bit[a]
-            mirror_bead = bit[top - a]
-            if first & (mirror_hole | mirror_bead) == mirror_bead:
-                first ^= mirror_hole | mirror_bead
-            add(first)
+    beads = word
+    while beads:
+        hb = beads & -beads
+        beads ^= hb
+        base = word ^ hb
+        if rev & hb and hb != mid:
+            below = holes & (hb - 1)
+        else:
+            below = slide_to & (hb - 1)
+            mb = 1 << (top + 1 - hb.bit_length())
+            if mb < hb:
+                flipped = base | mb
+                add(flipped)
+                flips = flip_to & (hb - 1) & -(mb << 1)  # holes above mb
+                while flips:
+                    ha = flips & -flips
+                    flips ^= ha
+                    add((flipped | ha) ^ 1 << (top + 1 - ha.bit_length()))
+        while below:
+            ha = below & -below
+            below ^= ha
+            add(base | ha)
     return out
 
 
@@ -222,7 +261,7 @@ def search_cost(board: BoardParams, diagram: YoungDiagram | None = None) -> int:
 
 def _reversed(word: int, size: int) -> int:
     """``word`` with bit ``i`` moved to bit ``size - 1 - i``."""
-    return int(format(word, f"0{size}b")[::-1], 2)
+    return int(bin(word)[:1:-1].ljust(size, "0"), 2)
 
 
 def mirror_free(word: int, size: int) -> bool:
@@ -258,27 +297,29 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     lexicographically smallest corner is kept; records are ordered by their
     results' profiles (:func:`profile_order`).  Records are built for the
     kept moves only, but every forced follow-up is checked to carry its
-    first hook's labels.
+    first hook's labels.  The loop tries every bead-hole pair, not
+    :func:`word_options`' masks, so that check also covers the moves whose
+    results the masks find from another bead.
     """
     board = pos.board
     m, n = board.m, board.n
     last = m + n
-    bit = _bits(last)
     word = word_of_diagram(board, pos.diagram)
-    holes = [a for a in range(last) if not word & bit[a]]
+    holes = [a for a in range(last) if not word >> a & 1]
     # result word -> (corner, a, b, word after the first removal, forced?)
     best: dict[int, tuple[tuple[int, int], int, int, int, bool]] = {}
     row = m + 1  # beads run from the lowest, which ends the last row
     for b in range(last):
-        if not word & bit[b]:
+        if not word >> b & 1:
             continue
         row -= 1
         for column, a in enumerate(holes, start=1):
             if a > b:
                 break
-            first = final = word ^ bit[a] ^ bit[b]
-            mirror = bit[last - 1 - b] | bit[last - 1 - a]
-            forced = first & mirror == bit[last - 1 - a]
+            first = final = word ^ 1 << a ^ 1 << b
+            mirror_bead = 1 << (last - 1 - a)
+            mirror = 1 << (last - 1 - b) | mirror_bead
+            forced = first & mirror == mirror_bead
             if forced:
                 labels = interval_label_counts(board, a + 1 - m, b - m)
                 if labels != interval_label_counts(board, n - b, n - 1 - a):

@@ -273,6 +273,27 @@ def remove_hook_reference(diagram: YoungDiagram, i: int, j: int) -> YoungDiagram
     return YoungDiagram(tuple(out))
 
 
+def word_options_reference(word: int, size: int) -> set[int]:
+    """Options of the ``size``-bit bead word ``word`` by every bead-hole
+    pair: each bead ``b`` moves to each hole ``a < b``, and the mirrored
+    move ``top - a -> top - b`` follows when it is legal after the first
+    (``top = size - 1``).  A flip of two beads is found from both."""
+    top = size - 1
+    out = set()
+    for b in range(size):
+        if not word >> b & 1:
+            continue
+        for a in range(b):
+            if word >> a & 1:
+                continue
+            first = word ^ 1 << a ^ 1 << b
+            mirror = 1 << (top - b) | 1 << (top - a)
+            if first & mirror == 1 << (top - a):
+                first ^= mirror
+            out.add(first)
+    return out
+
+
 def brute_grundy_map(board: BoardParams) -> dict[tuple[int, ...], int]:
     """Game value of every position reachable from the full rectangle,
     computed by plain recursion over the rule-book engine."""

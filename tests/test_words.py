@@ -14,6 +14,7 @@ from conftest import (
     position_from_profile,
     profile_of_word,
     word_of_profile,
+    word_options_reference,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -193,6 +194,37 @@ def test_word_options_match_both_engines(case):
         if boxes(word, m, n) <= SEMANTIC_MAX_BOXES:
             pos = position_from_profile(board, vals)
             assert children == {p.encode() for p in options_semantic(pos)}
+
+
+def test_word_options_match_the_all_pairs_reference_on_every_word():
+    # Every m-bead word of the boards with m + n <= 14, odd sizes and even,
+    # mirror-free or not: the masks must find what every bead-hole pair finds.
+    words = not_mirror_free = 0
+    for m in range(1, 8):
+        for n in range(m, 15 - m):
+            size = m + n
+            for beads in combinations(range(size), m):
+                word = sum(1 << b for b in beads)
+                assert word_options(word, size) == word_options_reference(word, size), (
+                    m, n, bin(word)
+                )
+                words += 1
+                not_mirror_free += not mirror_free(word, size)
+    assert (words, not_mirror_free) == (18_722, 14_364)
+
+
+@given(board_words())
+def test_word_options_match_the_profile_rule_on_any_word(case):
+    # Random words are seldom mirror-free, so this reaches the positions that
+    # walks from the start never visit.
+    m, n, word = case
+    vals = profile_of_word(word, m, n)
+    children = word_options(word, m + n)
+    assert children == word_options_reference(word, m + n)
+    assert {profile_of_word(child, m, n) for child in children} == reference_options(vals, m, n)
+    if boxes(word, m, n) <= SEMANTIC_MAX_BOXES:
+        pos = position_from_profile(BoardParams(m, n), vals)
+        assert children == {p.encode() for p in options_semantic(pos)}
 
 
 @given(walks())
