@@ -5,6 +5,13 @@ The solver is agnostic about the position type: positions are their own
 hashable memo keys, and callers supply an options function.  Values are
 deterministic functions of the position, so the memo behaves as an
 insert-or-get table: re-insertion with a different value is an engine bug.
+
+There are two entry points.  :func:`grundy` values one position by a
+depth-first search below it, for any game.  :func:`grundy_in_order` values
+a whole known position set listed so that every option comes before its
+position, with no search at all; a game whose positions are proved to be
+such a set (the boxed game's whole board, ``mhrg.solve``) uses it.
+
 Searches are unbounded; entry points that take sizes from a caller refuse
 work past :data:`SEARCH_BUDGET` first (:func:`check_budget`).
 """
@@ -83,10 +90,15 @@ def memo_for(game: str, memo: GrundyMemo | None) -> GrundyMemo:
 
     Encodings of different games can collide (a bead word of the 3x5 board
     with its top bit clear is also a word of 3x6), so a memo labelled with
-    another game is refused.
+    another game is refused, and so is a table that is not a
+    :class:`GrundyMemo`, which carries no game label to check.
     """
     if memo is None:
         return GrundyMemo(game)
+    if not isinstance(memo, GrundyMemo):
+        raise DomainError(
+            f"memo for {game!r} must be a GrundyMemo, not {type(memo).__name__}"
+        )
     if memo.game != game:
         raise DomainError(f"memo belongs to {memo.game!r}, not to {game!r}")
     return memo
@@ -130,3 +142,30 @@ def grundy(
             memo[node] = mex(map(memo.__getitem__, opts))
     return memo[pos]
 
+
+def grundy_in_order(
+    order: Iterable[Hashable],
+    options: Callable[[Hashable], Collection[Hashable]],
+    memo: dict,
+) -> None:
+    """Value every position of ``order`` that ``memo`` lacks, in that order.
+
+    Each value is the mex over the values of the position's options, read
+    from ``memo``, so ``order`` must list every option before its position
+    (options already in ``memo`` excepted); ``options`` must return a
+    collection, so that only those reads can raise :class:`KeyError`.  New
+    positions are added to ``memo`` in ``order``, each exactly once.  An
+    option that is not valued yet, because it lies outside ``order`` or
+    comes after its position, raises :class:`EngineInvariantError`.
+    """
+    value_of = memo.__getitem__
+    for pos in order:
+        if pos in memo:
+            continue
+        opts = options(pos)
+        try:
+            memo[pos] = mex(map(value_of, opts))
+        except KeyError as missing:
+            raise EngineInvariantError(
+                f"option {missing.args[0]!r} of {pos!r} is not valued before it"
+            ) from None

@@ -35,16 +35,18 @@ it with the bead-word rule at every position.
 
 :func:`in_game` answers reachability from the word alone: a position is in
 the game exactly when no mirror pair of bits holds two beads (its docstring
-proves both directions).  :func:`reachable_words` stays the move closure,
-so the verifiers and the ``reachable`` listing check the game itself
-rather than the predicate.  The count of mirror-free words sizes a search
-before it starts (:func:`search_cost`).
+proves both directions).  The count of mirror-free words sizes a search
+before it starts (:func:`search_cost`), and a whole-board :func:`solve`
+values the list of them (:func:`mirror_free_words`) in increasing order,
+with no search: every option is a smaller word.  :func:`reachable_words`
+stays the move closure, so the verifiers, the ``reachable`` listing and the
+tests check the game itself rather than the predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from typing import Callable, Hashable, Iterable
 
 from .diagrams import (
@@ -56,7 +58,15 @@ from .diagrams import (
     remove_hook,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import SEARCH_BUDGET, GrundyMemo, capped_comb, capped_pow2, grundy, memo_for
+from .grundy import (
+    SEARCH_BUDGET,
+    GrundyMemo,
+    capped_comb,
+    capped_pow2,
+    grundy,
+    grundy_in_order,
+    memo_for,
+)
 
 ENGINES = ("diagonal", "semantic", "cross-check")
 
@@ -253,10 +263,27 @@ def search_cost(board: BoardParams, diagram: YoungDiagram | None = None) -> int:
     ``C(m + n, m)`` words.  The first count is the smaller, so a board past
     the budget is refused without reading the diagram."""
     m, n = board.m, board.n
-    mirror_free_words = capped_comb((m + n) // 2, m) * capped_pow2(m)
-    if diagram is None or mirror_free_words > SEARCH_BUDGET or in_game(board, diagram):
-        return mirror_free_words
+    in_game_count = capped_comb((m + n) // 2, m) * capped_pow2(m)
+    if diagram is None or in_game_count > SEARCH_BUDGET or in_game(board, diagram):
+        return in_game_count
     return capped_comb(m + n, m)
+
+
+def mirror_free_words(m: int, n: int) -> list[int]:
+    """Every mirror-free ``(m + n)``-bit word with ``m`` beads, increasing:
+    the positions of the ``m x n`` game (:func:`in_game`).  Choose ``m`` of
+    the ``(m + n) // 2`` mirror pairs ``(p, m + n - 1 - p)``, then a side
+    in each."""
+    top = m + n - 1
+    words = []
+    for pairs in combinations(range((m + n) // 2), m):
+        batch = [sum(1 << p for p in pairs)]  # every bead on its low side
+        for p in pairs:
+            up = (1 << top - p) - (1 << p)
+            batch += [word + up for word in batch]
+        words += batch
+    words.sort()
+    return words
 
 
 def _reversed(word: int, size: int) -> int:
@@ -502,14 +529,31 @@ def solve(
     positions explored.  The memo is keyed by bead words
     (:meth:`MhrgPosition.encode`) and must belong to this board (label
     ``mhrg {m}x{n}``); entries already in it are reused.
+
+    The full rectangle, whether given or by default, is solved by valuing
+    :func:`mirror_free_words` in increasing order (:func:`grundy_in_order`).
+    That is exact: those words are the positions reachable from the start
+    (:func:`in_game` proves it), and every option is a smaller word, so
+    each is valued before the positions that move to it.  An engine whose
+    option leaves that set or is not a smaller word raises
+    :class:`EngineInvariantError`.  Any other diagram is solved by the
+    depth-first search below it (:func:`grundy`), which explores only its
+    own subgame and also serves diagrams outside the game.
     """
-    memo = memo_for(f"mhrg {board.m}x{board.n}", memo)
+    m, n = board.m, board.n
+    memo = memo_for(f"mhrg {m}x{n}", memo)
     options = _word_options_fn(board, engine)
     pos = start_position(board) if diagram is None else MhrgPosition(board, diagram)
+    word = pos.encode()
     # A plain dict: lookups in a dict subclass cost more on the hot path.
     table = dict(memo)
     known = len(table)
-    value = grundy(pos.encode(), options, table)
+    # The start (every bead on the top m bits), unless a warm memo has it.
+    if word == ((1 << m) - 1) << n and word not in table:
+        grundy_in_order(mirror_free_words(m, n), options, table)
+        value = table[word]
+    else:
+        value = grundy(word, options, table)
     # Insertion order puts the newly explored positions after the known
     # ones, and none of them is in the memo yet.
     memo.update(islice(table.items(), known, None))

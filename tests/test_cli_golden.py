@@ -61,7 +61,18 @@ for engine in ("semantic", "diagonal"):
             "options", "-m", "6", "-n", "7", "--diagram", "7,7,6,3,3,2",
             "--format", fmt, "--engine", engine,
         ]
-CASES["reachable-3x5"] = ["reachable", "-m", "3", "-n", "5", "--format", "json"]
+# Whole-board solves, which sweep the mirror-free words (the 6x13 start also
+# given as an explicit diagram), and a mid-game 6x13 position, which the
+# depth-first search solves.
+CASES["grundy-10x11-json"] = ["grundy", "-m", "10", "-n", "11", "--format", "json"]
+CASES["grundy-6x13-json"] = ["grundy", "-m", "6", "-n", "13", "--format", "json"]
+CASES["grundy-6x13-full-json"] = [
+    "grundy", "-m", "6", "-n", "13", "--diagram", "13,13,13,13,13,13", "--format", "json",
+]
+CASES["grundy-6x13-13-12-10-6-3-1-json"] = [
+    "grundy", "-m", "6", "-n", "13", "--diagram", "13,12,10,6,3,1", "--format", "json",
+]
+CASES["reachable-3x5"] =["reachable", "-m", "3", "-n", "5", "--format", "json"]
 CASES["reachable-4x6"] = ["reachable", "-m", "4", "-n", "6"]
 CASES["reachable-6x8-json"] = ["reachable", "-m", "6", "-n", "8", "--format", "json"]
 CASES["table-csv"] = ["table", "--format", "csv"]

@@ -4,6 +4,7 @@ import pytest
 
 from hookgames import (
     BoardParams,
+    DomainError,
     EngineInvariantError,
     GrundyMemo,
     ShiftedDiagram,
@@ -13,6 +14,7 @@ from hookgames import (
     solve_hrg,
     start_position,
 )
+from hookgames.grundy import grundy_in_order
 from hookgames.mhrg import reachable_words, word_options
 
 
@@ -88,3 +90,22 @@ def test_deep_game_does_not_recurse():
     assert memo.get(0) == 0 and memo.get(1) == 1 and memo.get(3999) == 1
     assert len(memo) == 4001
 
+
+def test_in_order_refuses_an_option_that_comes_later():
+    graph = {0: [1], 1: []}
+    with pytest.raises(EngineInvariantError, match="option 1 of 0 is not valued before it"):
+        grundy_in_order([0, 1], graph.__getitem__, GrundyMemo("toy"))
+
+
+def test_in_order_passes_on_a_key_error_from_the_options():
+    # Only a missing value is an engine invariant; a failing options function
+    # keeps its own error.
+    with pytest.raises(KeyError, match="boom"):
+        grundy_in_order([0], lambda p: {}["boom"], {})
+
+
+def test_plain_dict_memo_is_refused():
+    with pytest.raises(DomainError, match="'mhrg 2x3'.*GrundyMemo, not dict"):
+        solve(BoardParams(2, 3), memo={})
+    with pytest.raises(DomainError, match="'hrg staircase-4'.*GrundyMemo, not dict"):
+        solve_hrg(4, memo={})

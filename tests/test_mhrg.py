@@ -28,13 +28,17 @@ from hookgames import (
     solve_hrg,
     start_position,
 )
+from hookgames.grundy import grundy
 from hookgames.mhrg import (
     ENGINES,
     diagram_of_word,
     in_game,
     mirror_free,
+    mirror_free_words,
     reachable_words,
+    search_cost,
     word_of_diagram,
+    word_options,
 )
 
 
@@ -264,22 +268,70 @@ def test_in_game_matches_the_move_closure_on_every_diagram():
                 assert in_game(board, diagram) == expected, (m, n, diagram.rows)
 
 
+def solvable_boards():
+    """Every board with sides up to 64 and at most 81 cells."""
+    return [
+        BoardParams(m, n) for m in range(1, 10) for n in range(m, 65) if m * n <= 81
+    ]
+
+
 def test_reachable_set_is_mirror_free_on_every_solvable_board():
-    # Every board with sides up to 64 and at most 81 cells: the move
-    # closure lies inside the mirror-free words and has as many positions as
-    # there are of them (choose m of the floor((m + n) / 2) mirror pairs,
-    # then a side in each), so the two sets are equal, as in_game's
-    # docstring proves.
-    boards = 0
-    for m in range(1, 10):
-        for n in range(m, 65):
-            if m * n > 81:
-                break
-            words = reachable_words(BoardParams(m, n))
-            assert len(words) == comb((m + n) // 2, m) * 2**m, (m, n)
-            assert all(mirror_free(word, m + n) for word in words), (m, n)
-            boards += 1
-    assert boards == 174
+    # The move closure lies inside the mirror-free words and has as many
+    # positions as there are of them (choose m of the floor((m + n) / 2)
+    # mirror pairs, then a side in each), so the two sets are equal, as
+    # in_game's docstring proves.  mirror_free_words, which whole-board
+    # solves value in order, lists exactly that set, increasing.
+    boards = solvable_boards()
+    for board in boards:
+        m, n = board.m, board.n
+        words = reachable_words(board)
+        assert len(words) == comb((m + n) // 2, m) * 2**m, (m, n)
+        assert all(mirror_free(word, m + n) for word in words), (m, n)
+        swept = mirror_free_words(m, n)
+        assert set(swept) == words, (m, n)
+        assert all(a < b for a, b in zip(swept, swept[1:])), (m, n)
+    assert len(boards) == 174
+
+
+def dfs_values(board) -> dict[int, int]:
+    size = board.m + board.n
+    table = {}
+    grundy(start_position(board).encode(), lambda w: word_options(w, size), table)
+    return table
+
+
+def test_whole_board_sweep_matches_the_search_on_every_solvable_board():
+    # The sweep's memo equals a depth-first search's and holds as many
+    # positions as search_cost counts.  Boards of at most 48 cells are also
+    # solved from a memo warmed by a subgame solve (the middle option of the
+    # start), which the sweep extends.
+    for board in solvable_boards():
+        expected = dfs_values(board)
+        value, memo = solve(board)
+        assert dict(memo) == expected and value == expected[start_position(board).encode()]
+        assert len(memo) == search_cost(board), (board.m, board.n)
+        if board.m * board.n > 48:
+            continue
+        size = board.m + board.n
+        children = sorted(word_options(start_position(board).encode(), size))
+        sub = diagram_of_word(children[len(children) // 2], size)
+        _, memo = solve(board, sub)
+        warmed = dict(memo)
+        assert solve(board, memo=memo)[0] == value
+        assert dict(memo) == expected, (board.m, board.n)
+        assert list(memo)[: len(warmed)] == list(warmed)  # known entries first
+
+
+def test_sweep_refuses_an_option_outside_its_order(monkeypatch):
+    # An engine that emits a larger word breaks the increasing order: here
+    # every position, the first and smallest (3) included, gets the start
+    # (24), which is valued last.
+    import hookgames.mhrg as mh
+
+    original = mh.word_options
+    monkeypatch.setattr(mh, "word_options", lambda word, size: original(word, size) | {24})
+    with pytest.raises(EngineInvariantError, match="option 24 of 3 is not valued before it"):
+        solve(BoardParams(2, 3))
 
 
 def test_solver_matches_independent_brute_force():
