@@ -49,12 +49,13 @@ def _board(m: int, n: int) -> BoardParams:
 
 def _board_and_diagram(
     args, what: str, cost: Callable[[BoardParams, YoungDiagram | None], int]
-) -> tuple[BoardParams, YoungDiagram, bool]:
-    """Build the board, transposing when more rows than columns are given,
-    and refuse ``what`` when ``cost(board, diagram)`` passes the search
-    budget.  The start (``diagram=None``) costs least, so it is checked
-    before any diagram is transposed or built.  A board or diagram that
-    does not fit is reported as given."""
+) -> tuple[BoardParams, YoungDiagram]:
+    """Build the board, transposing when more rows than columns are given
+    (with a note on stderr once the input is accepted), and refuse ``what``
+    when ``cost(board, diagram)`` passes the search budget.  The start
+    (``diagram=None``) costs least, so it is checked before any diagram is
+    transposed or built.  A board or diagram that does not fit is reported
+    as given."""
     m, n = args.m, args.n
     literal = getattr(args, "diagram", None)
     diagram = YoungDiagram.parse(literal) if literal is not None else None
@@ -66,11 +67,14 @@ def _board_and_diagram(
     what = f"{what} on {m}x{n}"
     check_budget(what, [cost(board, None)])
     if diagram is None:
-        return board, YoungDiagram((board.n,) * board.m), m > n
+        diagram = YoungDiagram((board.n,) * board.m)
+    else:
+        if m > n:
+            diagram = diagram.conjugate()
+        check_budget(what, [cost(board, diagram)])
     if m > n:
-        diagram = diagram.conjugate()
-    check_budget(what, [cost(board, diagram)])
-    return board, diagram, m > n
+        print(f"note: transposed input to the {board.m}x{board.n} board", file=sys.stderr)
+    return board, diagram
 
 
 def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
@@ -90,14 +94,9 @@ def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
 
 
 def cmd_grundy(args) -> int:
-    board, diagram, transposed = _board_and_diagram(args, "exhaustive solving", mhrg.search_cost)
+    board, diagram = _board_and_diagram(args, "exhaustive solving", mhrg.search_cost)
     value, memo = mhrg.solve(board, diagram, engine=args.engine)
     in_game = _in_game(board, diagram, args.engine)
-    if transposed:
-        print(
-            f"note: transposed input to the {board.m}x{board.n} board",
-            file=sys.stderr,
-        )
     if not in_game:
         print(
             "warning: position is not reachable from the full rectangle",
@@ -139,14 +138,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_reachable(args) -> int:
-    board, _, transposed = _board_and_diagram(
-        args, "reachable-set enumeration", mhrg.search_cost
-    )
-    if transposed:
-        print(
-            f"note: transposed input to the {board.m}x{board.n} board",
-            file=sys.stderr,
-        )
+    board, _ = _board_and_diagram(args, "reachable-set enumeration", mhrg.search_cost)
     size = board.m + board.n
     words = mhrg.reachable_words(board, engine=args.engine)
     words = sorted(words, key=lambda word: mhrg.profile_order(word, size))
@@ -185,22 +177,16 @@ def cmd_options(args) -> int:
     # The bead-word rule examines one hook per box; the rule book compares
     # each with the remaining hooks of its length.
     power = 1 if args.engine == "diagonal" else 2
-    board, diagram, transposed = _board_and_diagram(
+    board, diagram = _board_and_diagram(
         args, "move listing", lambda board, _: board.cells**power
     )
-    if transposed:
-        print(
-            f"note: transposed input to the {board.m}x{board.n} board",
-            file=sys.stderr,
-        )
     pos = mhrg.MhrgPosition(board, diagram)
     if args.engine == "semantic":
         records = mhrg.moves_semantic(pos)
-    elif args.engine == "cross-check":
-        mhrg.options_cross_check(pos)
-        records = mhrg.moves_diagonal(pos)
     else:
         records = mhrg.moves_diagonal(pos)
+    if args.engine == "cross-check" and records != mhrg.moves_semantic(pos):
+        raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
     if args.format == "json":
         payload = {
             "board": [board.m, board.n],

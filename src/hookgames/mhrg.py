@@ -11,11 +11,17 @@ top-right one, and one bit per step, set for a step up, gives an
 (bead) word of a partition in a box.  A hook removal moves one bead down
 to a hole, and the forced follow-up is the mirrored bead move under
 ``i -> m + n - 1 - i``.  :func:`word_options` is that rule; option sets,
-move records, solves and reachable sets all come from it.  A word maps
-straight to a diagram (:func:`diagram_of_word`: each bead's row is as
-long as the holes below it) and back (:func:`word_of_diagram`).  Memo
-keys are bead words too (:meth:`MhrgPosition.encode`); move records keep
-the order of their results' diagonal profiles (:func:`profile_order`).
+move records, solves and reachable sets all come from it.  A move record
+is decoded from one option word (:func:`moves_diagonal`): the highest bead
+it loses is the first move's bead, and a second lost bead makes the move
+forced.  Its label check still covers every forced move, also those that
+reach a kept result from another corner: they remove the kept record's
+intervals swapped, or take the middle bit of an odd ``m + n``, which is
+checked on its own.  A word maps straight to a diagram
+(:func:`diagram_of_word`: each bead's row is as long as the holes below
+it) and back (:func:`word_of_diagram`).  Memo keys are bead words too
+(:meth:`MhrgPosition.encode`); move records keep the order of their
+results' diagonal profiles (:func:`profile_order`).
 
 On a reachable word the rule is a game of signed coins.  Number the
 mirror pairs of bits ``(p, m + n - 1 - p)``, ``p < k = (m + n) // 2``,
@@ -314,57 +320,60 @@ def _hook(board: BoardParams, word: int, a: int, b: int) -> HookRecord:
     return HookRecord(corner, lo, hi, interval_label_counts(board, lo, hi))
 
 
-def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves via the bead word, one record per distinct result.
+def _forced_move(pos: MhrgPosition, word: int, a: int, b: int) -> tuple[HookRecord, HookRecord]:
+    """Hooks of the bead move ``b -> a`` from ``word`` and of its forced
+    follow-up, which must carry the same labels."""
+    top = pos.board.m + pos.board.n - 1
+    first = _hook(pos.board, word, a, b)
+    second = _hook(pos.board, word ^ 1 << a ^ 1 << b, top - b, top - a)
+    if first.labels != second.labels:
+        raise EngineInvariantError(f"mirror hook labels diverge at {pos}: {first} vs {second}")
+    return first, second
 
-    The bead move ``b -> a`` removes the hook of diagonals
-    ``a + 1 - m .. b - m``; its follow-up is the mirrored bead move
-    ``m + n - 1 - a -> m + n - 1 - b``, as in :func:`word_options`.  When
-    several first hooks reach the same result, the record with the
-    lexicographically smallest corner is kept; records are ordered by their
-    results' profiles (:func:`profile_order`).  Records are built for the
-    kept moves only, but every forced follow-up is checked to carry its
-    first hook's labels.  The loop tries every bead-hole pair, not
-    :func:`word_options`' masks, so that check also covers the moves whose
-    results the masks find from another bead.
+
+def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
+    """Moves via the bead word, one record per distinct result, ordered by
+    the results' profiles (:func:`profile_order`).
+
+    Each record is decoded from a result ``final`` of :func:`word_options`
+    (``top = m + n - 1``), keeping the move with the lexicographically
+    smallest corner.  The beads lost, ``word & ~final``, are one or two,
+    and the highest, ``b``, is the first move's bead: the higher the bead,
+    the smaller the corner row.  A second lost bead ``c`` makes the move a
+    flip of two coins, ``b -> top - c`` followed by ``c -> top - b``.
+    Otherwise the move is ``b -> a`` to the one hole gained, with no
+    follow-up.  A kept forced record must carry equal labels on both hooks.
+
+    Every other forced move that reaches a kept result is checked the same
+    way, though no record is built for it.  The flip of two coins started
+    from ``c`` removes the kept record's two intervals, swapped.  When
+    ``m + n`` is odd, the single flip ``b -> top - b`` is also reached
+    through the middle bit ``mid``: by ``b -> mid -> top - b`` when ``mid``
+    is a hole (a larger corner column than the kept move's), and by
+    ``mid -> top - b`` then ``b -> mid`` when it holds a bead (a larger
+    row).  Both routes remove diagonals ``mid + 1 - m .. b - m`` and
+    ``n - b .. n - 1 - mid``.  No other forced move exists, so the checks
+    cover every forced move of the position.
     """
     board = pos.board
-    m, n = board.m, board.n
-    last = m + n
+    size = board.m + board.n
+    top = size - 1
+    mid = top >> 1  # the middle bit, when size is odd
     word = word_of_diagram(board, pos.diagram)
-    holes = [a for a in range(last) if not word >> a & 1]
-    # result word -> (corner, a, b, word after the first removal, forced?)
-    best: dict[int, tuple[tuple[int, int], int, int, int, bool]] = {}
-    row = m + 1  # beads run from the lowest, which ends the last row
-    for b in range(last):
-        if not word >> b & 1:
-            continue
-        row -= 1
-        for column, a in enumerate(holes, start=1):
-            if a > b:
-                break
-            first = final = word ^ 1 << a ^ 1 << b
-            mirror_bead = 1 << (last - 1 - a)
-            mirror = 1 << (last - 1 - b) | mirror_bead
-            forced = first & mirror == mirror_bead
-            if forced:
-                labels = interval_label_counts(board, a + 1 - m, b - m)
-                if labels != interval_label_counts(board, n - b, n - 1 - a):
-                    first_hook = _hook(board, word, a, b)
-                    second = _hook(board, first, last - 1 - b, last - 1 - a)
-                    raise EngineInvariantError(
-                        f"mirror hook labels diverge at {pos}: {first_hook} vs {second}"
-                    )
-                final = first ^ mirror
-            kept = best.get(final)
-            if kept is None or (row, column) < kept[0]:
-                best[final] = ((row, column), a, b, first, forced)
     records = []
-    for final in sorted(best, key=lambda w: profile_order(w, last)):
-        _, a, b, first, forced = best[final]
-        second = _hook(board, first, last - 1 - b, last - 1 - a) if forced else None
-        result = MhrgPosition(board, diagram_of_word(final, last))
-        records.append(MoveRecord(_hook(board, word, a, b), second, result))
+    for final in sorted(word_options(word, size), key=lambda w: profile_order(w, size)):
+        gone = word & ~final
+        b = gone.bit_length() - 1
+        c = gone ^ 1 << b
+        if c:
+            first, second = _forced_move(pos, word, top + 1 - c.bit_length(), b)
+        else:
+            a = (final & ~word).bit_length() - 1
+            if size & 1 and a == top - b:
+                _forced_move(pos, word, *((a, mid) if word >> mid & 1 else (mid, b)))
+            first, second = _hook(board, word, a, b), None
+        result = MhrgPosition(board, diagram_of_word(final, size))
+        records.append(MoveRecord(first, second, result))
     return tuple(records)
 
 
@@ -455,16 +464,10 @@ def options_semantic(pos: MhrgPosition) -> set[MhrgPosition]:
 
 def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
     """Run both engines and fail loudly on any divergence."""
-    via_diagonal = options_diagonal(pos)
-    via_semantic = options_semantic(pos)
-    if via_diagonal != via_semantic:
-        only_d = sorted(str(p) for p in via_diagonal - via_semantic)
-        only_s = sorted(str(p) for p in via_semantic - via_diagonal)
-        raise EngineInvariantError(
-            f"engines diverge at {pos} on {pos.board.m}x{pos.board.n}: "
-            f"diagonal-only {only_d}, semantic-only {only_s}"
-        )
-    return via_diagonal
+    board = pos.board
+    size = board.m + board.n
+    cross_check = _word_options_fn(board, "cross-check")
+    return {MhrgPosition(board, diagram_of_word(w, size)) for w in cross_check(pos.encode())}
 
 
 def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int]]:
@@ -480,10 +483,14 @@ def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int
         return {word_of_diagram(board, p.diagram) for p in options_semantic(pos)}
 
     def cross_check(word: int) -> set[int]:
-        fast = word_options(word, size)
-        if fast != semantic(word):
-            options_cross_check(MhrgPosition(board, diagram_of_word(word, size)))
-            raise EngineInvariantError("cross-check divergence")  # pragma: no cover
+        fast, slow = word_options(word, size), semantic(word)
+        if fast != slow:
+            only_d = sorted(diagram_of_word(w, size).literal() for w in fast - slow)
+            only_s = sorted(diagram_of_word(w, size).literal() for w in slow - fast)
+            raise EngineInvariantError(
+                f"engines diverge at {diagram_of_word(word, size).literal()} on "
+                f"{board.m}x{board.n}: diagonal-only {only_d}, semantic-only {only_s}"
+            )
         return fast
 
     engines = {"diagonal": diagonal, "semantic": semantic, "cross-check": cross_check}

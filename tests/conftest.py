@@ -31,7 +31,7 @@ from hookgames import (
     unimodal_number,
 )
 from hookgames.diagrams import hook_at, label_counts, remove_hook
-from hookgames.mhrg import MoveRecord
+from hookgames.mhrg import MoveRecord, diagram_of_word, word_of_diagram
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic and its running time bounded.
@@ -292,6 +292,57 @@ def word_options_reference(word: int, size: int) -> set[int]:
                 first ^= mirror
             out.add(first)
     return out
+
+
+def moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
+    """Move records by every bead-hole pair.  Bead ``b`` moves to each hole
+    ``a < b``, removing the hook whose corner is the row of ``b`` (the beads
+    at or above it) and the column of ``a`` (the holes at or below it).  The
+    mirrored move ``top - a -> top - b`` follows when it is legal after the
+    first (``top = m + n - 1``), and every such follow-up, kept or not, must
+    remove a hook with the first one's labels.  Hooks are read off the
+    diagrams box by box (``hook_at``).  Per result the smallest corner is
+    kept, and records are ordered by the result's diagonal profile."""
+    board = pos.board
+    m, n = board.m, board.n
+    top = m + n - 1
+    word = word_of_diagram(board, pos.diagram)
+
+    def corner(w: int, a: int, b: int) -> tuple[int, int]:
+        return (w >> b).bit_count(), a + 1 - (w & ((1 << a) - 1)).bit_count()
+
+    def hook(w: int, a: int, b: int):
+        diagram = pos.diagram if w == word else diagram_of_word(w, m + n)
+        return hook_at(board, diagram, *corner(w, a, b))
+
+    # result word -> (corner, a, b, word after the first move, forced?)
+    best: dict[int, tuple[tuple[int, int], int, int, int, bool]] = {}
+    for b in range(m + n):
+        if not word >> b & 1:
+            continue
+        for a in range(b):
+            if word >> a & 1:
+                continue
+            first = final = word ^ 1 << a ^ 1 << b
+            mirror = 1 << (top - b) | 1 << (top - a)
+            forced = first & mirror == 1 << (top - a)
+            if forced:
+                first_hook, second_hook = hook(word, a, b), hook(first, top - b, top - a)
+                if first_hook.labels != second_hook.labels:
+                    raise EngineInvariantError(
+                        f"mirror hook labels diverge at {pos}: {first_hook} vs {second_hook}"
+                    )
+                final = first ^ mirror
+            kept = best.get(final)
+            if kept is None or corner(word, a, b) < kept[0]:
+                best[final] = (corner(word, a, b), a, b, first, forced)
+    records = []
+    for final in sorted(best, key=lambda w: profile_of_word(w, m, n)):
+        _, a, b, first, forced = best[final]
+        second = hook(first, top - b, top - a) if forced else None
+        result = MhrgPosition(board, diagram_of_word(final, m + n))
+        records.append(MoveRecord(hook(word, a, b), second, result))
+    return tuple(records)
 
 
 def brute_grundy_map(board: BoardParams) -> dict[tuple[int, ...], int]:

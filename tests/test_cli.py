@@ -1,11 +1,12 @@
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
-from hookgames import isomorphisms
+from hookgames import isomorphisms, mhrg
 from hookgames.cli import ALL_VERIFY_IDS, main
 from hookgames.errors import EngineInvariantError
 from hookgames.isomorphisms import Report
@@ -184,6 +185,23 @@ def test_options_listing_shows_forced_removal(capsys):
     payload = json.loads(out)
     results = {m["result"] for m in payload["moves"]}
     assert results == {"2,1", "1", "-"}
+
+
+def test_options_cross_check_compares_the_printed_records(capsys, monkeypatch):
+    # The rule book's records are forged so that one corner differs while
+    # every result still agrees: the listing must abort, not print.
+    real = mhrg.moves_semantic
+
+    def one_corner_off(pos):
+        record, *rest = real(pos)
+        i, j = record.first.corner
+        return (replace(record, first=replace(record.first, corner=(i, j + 1))), *rest)
+
+    monkeypatch.setattr(mhrg, "moves_semantic", one_corner_off)
+    argv = ["options", "-m", "3", "-n", "4", "--diagram", "4,2,1", "--engine", "cross-check"]
+    with pytest.raises(EngineInvariantError, match=r"move records diverge at 4,2,1 on 3x4"):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_rule_book_options_are_bounded(capsys):

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import pytest
 from conftest import (
     brute_grundy_map,
     diagonal_of,
+    moves_reference,
     rule_book_move_reference,
     rule_book_moves_reference,
 )
@@ -210,6 +212,26 @@ def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
         moves_diagonal(pos)
 
 
+def test_mirror_label_check_runs_on_kept_forced_records(monkeypatch):
+    # On the 2x2 start the hook at (1,2), diagonals 0..1, forces the one at
+    # (1,1), diagonals -1..0, and that record is kept.
+    pos = start_position(BoardParams(2, 2))
+    [record] = [r for r in moves_diagonal(pos) if r.second is not None]
+    assert (record.first.corner, record.second.corner) == ((1, 2), (1, 1))
+    assert (record.second.lo, record.second.hi) == (-1, 0)
+    import hookgames.mhrg as mh
+
+    original = mh.interval_label_counts
+
+    def corrupt(board, lo, hi):
+        counts = original(board, lo, hi)
+        return counts + (0,) if (lo, hi) == (-1, 0) else counts
+
+    monkeypatch.setattr(mh, "interval_label_counts", corrupt)
+    with pytest.raises(EngineInvariantError, match="mirror hook labels diverge at 2,2"):
+        moves_diagonal(pos)
+
+
 def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
     # move_for_box compares labels only with hooks as long as the first one;
     # the reference compares with every hook, reachable diagram or not.  The
@@ -226,9 +248,25 @@ def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
                     moves += 1
                 records = moves_semantic(pos)
                 assert records == rule_book_moves_reference(pos), (m, n, diagram)
+                assert records == moves_diagonal(pos), (m, n, diagram)
                 assert options_semantic(pos) == {r.result for r in records}
                 diagrams += 1
     assert (moves, diagrams) == (6247, 708)
+
+
+def test_move_records_match_the_all_pairs_reference_on_every_word():
+    # moves_diagonal decodes one record per result of word_options; the
+    # reference tries every bead-hole pair and reads hooks off the diagrams.
+    # Every m-bead word, mirror-free or not, of the boards with m + n <= 12.
+    words = 0
+    for m in range(1, 7):
+        for n in range(m, 13 - m):
+            board, size = BoardParams(m, n), m + n
+            for beads in combinations(range(size), m):
+                pos = MhrgPosition(board, diagram_of_word(sum(1 << b for b in beads), size))
+                assert moves_diagonal(pos) == moves_reference(pos), (m, n, str(pos))
+                words += 1
+    assert words == 4720
 
 
 def test_rule_book_guards_fire_on_forged_labels(monkeypatch):
