@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import closedforms, isomorphisms, mhrg
 from .diagrams import (
@@ -32,19 +32,22 @@ ISO_VERIFIERS = {
 ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> None:
+    """Write a command's output to ``--out`` or stdout: ``payload()`` as JSON
+    under ``--format json``, else ``text()``.  Only the printed one is built."""
+    if args.format == "json":
+        output = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        output = text()
+    if args.out is None:
+        sys.stdout.write(output)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(output)
 
 
-def _board(m: int, n: int) -> BoardParams:
-    """The board of ``m x n`` input, transposed when more rows than columns
-    are given.  Sides out of range are reported as given."""
-    check_sides(m, n)
-    return BoardParams(min(m, n), max(m, n))
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _board_and_diagram(
@@ -59,7 +62,8 @@ def _board_and_diagram(
     m, n = args.m, args.n
     literal = getattr(args, "diagram", None)
     diagram = YoungDiagram.parse(literal) if literal is not None else None
-    board = _board(m, n)
+    check_sides(m, n)
+    board = BoardParams(min(m, n), max(m, n))
     if diagram is not None and (diagram.height > m or diagram.width > n):
         raise DomainError(
             f"diagram {diagram.literal()} does not fit a {m}x{n} board"
@@ -102,38 +106,35 @@ def cmd_grundy(args) -> int:
             "warning: position is not reachable from the full rectangle",
             file=sys.stderr,
         )
-    if args.format == "json":
-        payload = {
+    _emit(
+        args,
+        lambda: {
             "board": [board.m, board.n],
             "diagram": diagram.literal(),
             "grundy": value,
             "explored": len(memo),
             "reachable": in_game,
             "engine": args.engine,
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _write(
-            f"G({diagram.literal()} in {board.m}x{board.n}) = {value}"
-            f"  [{len(memo)} positions explored]\n",
-            args.out,
-        )
+        },
+        lambda: f"G({diagram.literal()} in {board.m}x{board.n}) = {value}"
+        f"  [{len(memo)} positions explored]\n",
+    )
     return 0
 
 
 def cmd_table(args) -> int:
     grid = closedforms.grundy_table(args.max_m, args.max_n, engine=args.engine)
-    if args.format == "csv":
-        _write(closedforms.table_csv(grid), args.out)
-    elif args.format == "json":
-        payload = {"max_m": args.max_m, "max_n": args.max_n, "values": grid}
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
+
+    def text() -> str:
+        if args.format == "csv":
+            return closedforms.table_csv(grid)
         width = max(len(str(v)) for row in grid for v in row)
         lines = ["m\\n " + " ".join(f"{n:>{width}}" for n in range(1, args.max_n + 1))]
         for m, row in enumerate(grid, start=1):
             lines.append(f"{m:>3} " + " ".join(f"{v:>{width}}" for v in row))
-        _write("\n".join(lines) + "\n", args.out)
+        return _lines(lines)
+
+    _emit(args, lambda: {"max_m": args.max_m, "max_n": args.max_n, "values": grid}, text)
     return 0
 
 
@@ -143,20 +144,15 @@ def cmd_reachable(args) -> int:
     words = mhrg.reachable_words(board, engine=args.engine)
     words = sorted(words, key=lambda word: mhrg.profile_order(word, size))
     literals = [mhrg.diagram_of_word(word, size).literal() for word in words]
-    if args.format == "json":
-        payload = {
-            "board": [board.m, board.n],
-            "count": len(literals),
-            "positions": literals,
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _write("\n".join(literals) + f"\n# {len(literals)} positions\n", args.out)
+    _emit(
+        args,
+        lambda: {"board": [board.m, board.n], "count": len(literals), "positions": literals},
+        lambda: _lines([*literals, f"# {len(literals)} positions"]),
+    )
     return 0
 
 
-def _move_lines(records) -> list[str]:
-    lines = []
+def _move_lines(records) -> Iterator[str]:
     for record in records:
         first = record.first
         text = (
@@ -168,9 +164,7 @@ def _move_lines(records) -> list[str]:
                 f" then forced box {record.second.corner} "
                 f"hook [{record.second.lo},{record.second.hi}]"
             )
-        text += f" -> {record.result.diagram.literal()}"
-        lines.append(text)
-    return lines
+        yield text + f" -> {record.result.diagram.literal()}"
 
 
 def cmd_options(args) -> int:
@@ -187,8 +181,9 @@ def cmd_options(args) -> int:
         records = mhrg.moves_diagonal(pos)
     if args.engine == "cross-check" and records != mhrg.moves_semantic(pos):
         raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
-    if args.format == "json":
-        payload = {
+    _emit(
+        args,
+        lambda: {
             "board": [board.m, board.n],
             "diagram": diagram.literal(),
             "moves": [
@@ -208,10 +203,9 @@ def cmd_options(args) -> int:
                 }
                 for r in records
             ],
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _write("\n".join(_move_lines(records)) + f"\n# {len(records)} moves\n", args.out)
+        },
+        lambda: _lines([*_move_lines(records), f"# {len(records)} moves"]),
+    )
     return 0
 
 
@@ -226,13 +220,12 @@ def cmd_verify(args) -> int:
         reports = verify_range(params[key]) if key in params else verify_range()
     else:
         reports = [closedforms.verify(args.theorem, **params)]
-    passed = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = [r.to_json() for r in reports]
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _write("".join(r.summary() + "\n" for r in reports), args.out)
-    return 0 if passed else 1
+    _emit(
+        args,
+        lambda: [r.to_json() for r in reports],
+        lambda: _lines(r.summary() for r in reports),
+    )
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _render_position(board: BoardParams, diagram: YoungDiagram) -> str:
@@ -259,9 +252,8 @@ def _engine_move(pos: mhrg.MhrgPosition, memo: GrundyMemo):
 
 def cmd_play(args, stdin: IO[str] | None = None) -> int:
     stream = stdin if stdin is not None else sys.stdin
-    board = _board(args.m, args.n)
-    check_budget(f"playing against the engine on {args.m}x{args.n}", [mhrg.search_cost(board)])
-    pos = mhrg.start_position(board)
+    board, diagram = _board_and_diagram(args, "playing against the engine", mhrg.search_cost)
+    pos = mhrg.MhrgPosition(board, diagram)
     _, memo = mhrg.solve(board)
     print(f"Hook removal on the {board.m}x{board.n} board. You move first.")
     print("Enter a box as 'i j' (row column), or 'q' to quit.")
@@ -374,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("play", help="play against the engine in the terminal")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    add_board(p)
     p.set_defaults(func=cmd_play)
 
     return parser

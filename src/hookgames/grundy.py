@@ -12,8 +12,11 @@ a whole known position set listed so that every option comes before its
 position, with no search at all; a game whose positions are proved to be
 such a set (the boxed game's whole board, ``mhrg.solve``) uses it.
 
-Searches are unbounded; entry points that take sizes from a caller refuse
-work past :data:`SEARCH_BUDGET` first (:func:`check_budget`).
+Searches are unbounded, and so are the library's solves and closures
+(``solve``, ``solve_hrg``, ``reachable_words``, ``all_shifted``).  The
+budget is checked up front (:func:`check_budget`) by the CLI commands,
+``grundy_table``, ``closedforms.verify`` and the isomorphism verifiers,
+which refuse work past :data:`SEARCH_BUDGET` before any search starts.
 """
 
 from __future__ import annotations

@@ -172,6 +172,22 @@ def test_reachable_listing(capsys):
     assert set(body) == {"2,2", "2,1", "1", "-"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--max-m", "3", "--max-n", "4"), ("reachable", "-m", "3", "-n", "5")],
+    ids=["table", "reachable"],
+)
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_every_engine_prints_the_same_bytes(capsys, argv, fmt):
+    printed = {
+        engine: run(capsys, *argv, "--format", fmt, "--engine", engine)
+        for engine in ENGINES
+    }
+    assert printed["diagonal"][0] == 0 and printed["diagonal"][2] == ""
+    assert printed["semantic"] == printed["diagonal"]
+    assert printed["cross-check"] == printed["diagonal"]
+
+
 def test_options_listing_shows_forced_removal(capsys):
     code, out, _ = run(capsys, "options", "-m", "2", "-n", "2")
     assert code == 0
@@ -185,6 +201,11 @@ def test_options_listing_shows_forced_removal(capsys):
     payload = json.loads(out)
     results = {m["result"] for m in payload["moves"]}
     assert results == {"2,1", "1", "-"}
+
+
+def test_empty_move_list_is_one_count_line(capsys):
+    code, out, err = run(capsys, "options", "-m", "2", "-n", "2", "--diagram", "-")
+    assert (code, out, err) == (0, "# 0 moves\n", "")
 
 
 def test_options_cross_check_compares_the_printed_records(capsys, monkeypatch):
@@ -349,6 +370,39 @@ def test_play_rejects_illegal_box(capsys, monkeypatch):
     assert code == 0
     assert "illegal move" in out
     assert "bye" in out
+
+
+def test_play_asks_for_two_integers(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\nq\n"))
+    code = main(["play", "-m", "2", "-n", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "your move> illegal move (enter two integers: row column); try again\n" in out
+
+
+def test_play_engine_without_a_winning_reply_takes_the_first_move(capsys, monkeypatch):
+    # (1,3) is a winning move on 2x4: it leaves 3,2, of value 0, so no
+    # option of the engine has value 0 and it takes the first in order.
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 3\nq\n"))
+    code = main(["play", "-m", "2", "-n", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "position now 3,2\nengine removes the hook at (1, 1) -> 1\n" in out
+
+
+def test_play_transposes_with_a_note(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("q\n"))
+    code = main(["play", "-m", "3", "-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "note: transposed input to the 2x3 board\n"
+    assert captured.out == (
+        "Hook removal on the 2x3 board. You move first.\n"
+        "Enter a box as 'i j' (row column), or 'q' to quit.\n"
+        "  2 2 1\n"
+        "  1 2 2\n"
+        "your move> bye\n"
+    )
 
 
 def test_play_refuses_boards_past_the_solve_bound(capsys, monkeypatch):

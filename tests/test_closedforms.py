@@ -210,3 +210,33 @@ def test_verify_small_ranges_pass():
         assert report.checked > 0
         payload = report.to_json()
         assert payload["mismatches"] == []
+
+
+def test_row1_reports_reachability_and_value_mismatches(monkeypatch):
+    # On 1x2, length 1 is unreachable and length 2 has value 1.
+    forged = {(2, 1): (True, 0), (2, 2): (True, 5)}
+    real = closedforms.predict_1n
+    monkeypatch.setattr(
+        closedforms, "predict_1n", lambda n, length: forged.get((n, length)) or real(n, length)
+    )
+    report = verify("row1", max_n=2)
+    assert report.checked == 5
+    assert report.findings == [
+        {"position": "1x2 (1)", "predicted": "reachable=True", "computed": "reachable=False"},
+        {"position": "1x2 (2)", "predicted": "5", "computed": "1"},
+    ]
+
+
+def test_row2_reports_a_reachability_mismatch(monkeypatch):
+    real = closedforms.predict_2n_class
+
+    def start_unreachable(half, lam1, lam2):
+        if (half, lam1, lam2) == (1, 2, 2):
+            return TwoRowClass.UNREACHABLE
+        return real(half, lam1, lam2)
+
+    monkeypatch.setattr(closedforms, "predict_2n_class", start_unreachable)
+    report = verify("row2", max_n=2)
+    assert report.findings == [
+        {"position": "2x2 2,2", "predicted": "reachable=False", "computed": "reachable=True"},
+    ]

@@ -230,6 +230,24 @@ def test_verify_isomorphism_catches_non_injective_and_uncovered():
     assert "target-not-covered" not in kinds  # both targets are hit
 
 
+def test_verify_isomorphism_catches_a_value_mismatch():
+    # The target chain drops the middle position's option: the middle
+    # position's options then differ, and the top's agree but its value
+    # does not (0 in the source, 1 in the target).
+    gmap = GameMap("identity", "chain-3", "chain-3 less 1 -> 0", lambda p: p)
+    report = verify_isomorphism(
+        gmap,
+        [0, 1, 2],
+        [0, 1, 2],
+        lambda p: [p - 1] if p else [],
+        lambda p: [p - 1] if p == 2 else [],
+    )
+    assert report.findings == [
+        {"kind": "options-mismatch", "source": "1", "missing": ["0"], "extra": []},
+        {"kind": "value-mismatch", "source": "2", "source_value": 0, "target_value": 1},
+    ]
+
+
 def test_grundy_transport_along_working_maps():
     report = verify_widening(3, 5)
     assert report.passed  # includes per-position value transport
