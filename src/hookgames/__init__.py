@@ -34,9 +34,8 @@ from .errors import (
     HookGamesError,
     RangeTooLargeError,
 )
-from .grundy import GrundyMemo, grundy, mex
+from .grundy import grundy, mex
 from .isomorphisms import (
-    GameMap,
     Report,
     from_shifted,
     is_symmetric,
@@ -61,9 +60,6 @@ from .mhrg import (
 from .shifted import (
     ShiftedDiagram,
     all_shifted,
-    hrg_options,
-    shifted_hook,
-    shifted_remove_hook,
     solve_hrg,
     staircase,
 )

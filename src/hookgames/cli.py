@@ -22,7 +22,7 @@ from .diagrams import (
     unimodal_number,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import GrundyMemo, check_budget
+from .grundy import check_budget
 
 # Isomorphism verifications: the range function and the one flag it takes.
 ISO_VERIFIERS = {
@@ -239,7 +239,7 @@ def _render_position(board: BoardParams, diagram: YoungDiagram) -> str:
     return "\n".join(lines) if lines else "  (empty)"
 
 
-def _engine_move(pos: mhrg.MhrgPosition, memo: GrundyMemo):
+def _engine_move(pos: mhrg.MhrgPosition, memo: dict[int, int]):
     """A value-optimal move: to a 0-valued option when one exists, else the
     first move in canonical order.  ``memo`` holds every position reachable
     from the full rectangle, which includes every option of ``pos``."""

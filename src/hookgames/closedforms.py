@@ -19,7 +19,7 @@ from .errors import DomainError
 from .grundy import capped_comb, capped_pow2, check_budget
 from .isomorphisms import Report, is_symmetric
 from .mhrg import reachable_words, search_cost, solve, word_of_diagram
-from .shifted import all_shifted, solve_hrg
+from .shifted import ShiftedDiagram, all_shifted, solve_hrg
 
 
 def nim_sum(values: Iterable[int]) -> int:
@@ -283,9 +283,10 @@ def _verify_square(max_n: int) -> Iterator[_Finding]:
 
 
 def _verify_nim(n: int) -> Iterator[_Finding]:
-    memo = None
+    # Every mask lies below the full one, so one solve values them all.
+    _, memo = solve_hrg(n, ShiftedDiagram.from_mask((1 << n) - 1))
     for diagram in all_shifted(n):
-        value, memo = solve_hrg(n, diagram, memo)
+        value = memo[diagram.mask()]
         expected = predict_shifted(diagram.parts)
         yield None if value == expected else (diagram.literal(), expected, value)
 

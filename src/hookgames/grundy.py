@@ -2,9 +2,7 @@
 values.
 
 The solver is agnostic about the position type: positions are their own
-hashable memo keys, and callers supply an options function.  Values are
-deterministic functions of the position, so the memo behaves as an
-insert-or-get table: re-insertion with a different value is an engine bug.
+hashable memo keys, and callers supply an options function.
 
 There are two entry points.  :func:`grundy` values one position by a
 depth-first search below it, for any game.  :func:`grundy_in_order` values
@@ -68,45 +66,6 @@ def mex(values: Iterable[int]) -> int:
     return value
 
 
-class GrundyMemo(dict):
-    """Write-once table from positions to game values.
-
-    A memo is scoped to a single game instance (one board or staircase);
-    encodings from different games must never share a table.
-    """
-
-    def __init__(self, game: str):
-        super().__init__()
-        self.game = game
-
-    def record(self, key: Hashable, value: int) -> None:
-        old = self.get(key)
-        if old is not None and old != value:
-            raise EngineInvariantError(
-                f"memo for {self.game} re-inserted {key!r} with {value}, had {old}"
-            )
-        self[key] = value
-
-
-def memo_for(game: str, memo: GrundyMemo | None) -> GrundyMemo:
-    """``memo``, or a fresh memo when it is ``None``, for ``game``.
-
-    Encodings of different games can collide (a bead word of the 3x5 board
-    with its top bit clear is also a word of 3x6), so a memo labelled with
-    another game is refused, and so is a table that is not a
-    :class:`GrundyMemo`, which carries no game label to check.
-    """
-    if memo is None:
-        return GrundyMemo(game)
-    if not isinstance(memo, GrundyMemo):
-        raise DomainError(
-            f"memo for {game!r} must be a GrundyMemo, not {type(memo).__name__}"
-        )
-    if memo.game != game:
-        raise DomainError(f"memo belongs to {memo.game!r}, not to {game!r}")
-    return memo
-
-
 def grundy(
     pos: Hashable,
     options: Callable[[Hashable], Collection[Hashable]],
@@ -117,8 +76,7 @@ def grundy(
     Iterative depth-first search with an explicit stack, so deeply nested
     games cannot hit the interpreter recursion limit; ``options`` must
     return a collection, which is iterated twice.  Every position below
-    ``pos`` that ``memo`` (a :class:`GrundyMemo` or a plain ``dict``) lacks
-    is added to it, each exactly once, so the memo stays write-once.  The
+    ``pos`` that ``memo`` lacks is added to it, each exactly once.  The
     game graph must be acyclic; a repeated position on the active path
     raises :class:`EngineInvariantError`.
     """
@@ -151,20 +109,17 @@ def grundy_in_order(
     options: Callable[[Hashable], Collection[Hashable]],
     memo: dict,
 ) -> None:
-    """Value every position of ``order`` that ``memo`` lacks, in that order.
+    """Value every position of ``order`` into ``memo``, in that order.
 
     Each value is the mex over the values of the position's options, read
-    from ``memo``, so ``order`` must list every option before its position
-    (options already in ``memo`` excepted); ``options`` must return a
-    collection, so that only those reads can raise :class:`KeyError`.  New
-    positions are added to ``memo`` in ``order``, each exactly once.  An
-    option that is not valued yet, because it lies outside ``order`` or
-    comes after its position, raises :class:`EngineInvariantError`.
+    from ``memo``, so ``order`` must list every option before its position;
+    ``options`` must return a collection, so that only those reads can
+    raise :class:`KeyError`.  An option that is not valued yet, because it
+    lies outside ``order`` or comes after its position, raises
+    :class:`EngineInvariantError`.
     """
     value_of = memo.__getitem__
     for pos in order:
-        if pos in memo:
-            continue
         opts = options(pos)
         try:
             memo[pos] = mex(map(value_of, opts))

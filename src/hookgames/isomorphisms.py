@@ -75,16 +75,6 @@ def from_shifted(diagram: ShiftedDiagram, n: int) -> MhrgPosition:
     return MhrgPosition(board, diagram_of_word(word, 2 * n + 1))
 
 
-@dataclass(frozen=True)
-class GameMap:
-    """A named forward map between two games' position sets."""
-
-    name: str
-    source: str
-    target: str
-    forward: Callable
-
-
 @dataclass
 class Report:
     """Machine-checked evidence for one claim: a closed form or a map.
@@ -123,7 +113,10 @@ class Report:
 
 
 def verify_isomorphism(
-    gmap: GameMap,
+    name: str,
+    source: str,
+    target: str,
+    forward: Callable[[S], T],
     source_positions: Collection[S],
     target_positions: Collection[T],
     source_options: Callable[[S], Collection[S]],
@@ -131,7 +124,8 @@ def verify_isomorphism(
     render_source: Callable[[S], str] = str,
     render_target: Callable[[T], str] = str,
 ) -> Report:
-    """Check that ``gmap.forward`` is a game isomorphism on the given sets.
+    """Check that ``forward``, the map ``name`` from the game ``source`` to
+    the game ``target``, is a game isomorphism on the given sets.
 
     Establishes, with a witness for every failure: (i) the map is a
     bijection between the position sets, (ii) it commutes with option
@@ -140,8 +134,8 @@ def verify_isomorphism(
     ``render_target``.
     """
     report = Report(
-        {"map": gmap.name, "source": gmap.source, "target": gmap.target},
-        f"{gmap.name}: {gmap.source} -> {gmap.target},",
+        {"map": name, "source": source, "target": target},
+        f"{name}: {source} -> {target},",
         "positions",
         "violations",
         len(source_positions),
@@ -151,7 +145,7 @@ def verify_isomorphism(
     images: dict[Hashable, S] = {}
     targets = set(target_positions)
     for pos in source_positions:
-        image = gmap.forward(pos)
+        image = forward(pos)
         if image in images:
             violations.append(
                 {
@@ -178,8 +172,8 @@ def verify_isomorphism(
     memo_s: dict[S, int] = {}
     memo_t: dict[T, int] = {}
     for pos in source_positions:
-        image = gmap.forward(pos)
-        expected = {gmap.forward(child) for child in source_options(pos)}
+        image = forward(pos)
+        expected = {forward(child) for child in source_options(pos)}
         actual = set(target_options(image))
         if expected != actual:
             violations.append(
@@ -238,14 +232,11 @@ def verify_widening(m: int, n: int) -> Report:
     if (m + n) % 2:
         raise DomainError(f"widening needs m + n even, got ({m}, {n})")
     check_budget(f"widening verification of {m}x{n}", [_widening_cost(m, n)])
-    gmap = GameMap(
+    return verify_isomorphism(
         f"widen {m}x{n}->{m}x{n + 1}",
         f"mhrg {m}x{n}",
         f"mhrg {m}x{n + 1}",
         lambda word: widen_word(word, m, n),
-    )
-    return verify_isomorphism(
-        gmap,
         sorted(reachable_words(source)),
         sorted(reachable_words(target)),
         lambda word: word_options(word, m + n),
@@ -277,14 +268,11 @@ def verify_staircase_iso(n: int) -> Report:
     staircase."""
     board = BoardParams(n, n + 1)
     check_budget(f"staircase isomorphism verification of {n}x{n + 1}", [_halving_cost(n)])
-    gmap = GameMap(
+    return verify_isomorphism(
         f"halve {n}x{n + 1}->staircase-{n}",
         f"mhrg {n}x{n + 1}",
         f"hrg staircase-{n}",
         lambda word: halve_word(word, n),
-    )
-    return verify_isomorphism(
-        gmap,
         sorted(reachable_words(board)),
         range(1 << n),
         lambda word: word_options(word, 2 * n + 1),

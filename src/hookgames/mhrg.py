@@ -52,7 +52,7 @@ tests check the game itself rather than the predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Hashable, Iterable
 
 from .diagrams import (
@@ -66,12 +66,10 @@ from .diagrams import (
 from .errors import DomainError, EngineInvariantError
 from .grundy import (
     SEARCH_BUDGET,
-    GrundyMemo,
     capped_comb,
     capped_pow2,
     grundy,
     grundy_in_order,
-    memo_for,
 )
 
 ENGINES = ("diagonal", "semantic", "cross-check")
@@ -528,14 +526,12 @@ def solve(
     board: BoardParams,
     diagram: YoungDiagram | None = None,
     engine: str = "diagonal",
-    memo: GrundyMemo | None = None,
-) -> tuple[int, GrundyMemo]:
+) -> tuple[int, dict[int, int]]:
     """Game value of ``diagram`` (default: the full rectangle) on ``board``.
 
-    Returns the value together with the memo, whose size is the number of
-    positions explored.  The memo is keyed by bead words
-    (:meth:`MhrgPosition.encode`) and must belong to this board (label
-    ``mhrg {m}x{n}``); entries already in it are reused.
+    Returns the value together with a fresh memo, keyed by bead words
+    (:meth:`MhrgPosition.encode`), that holds every position explored, so
+    its size is the number explored.
 
     The full rectangle, whether given or by default, is solved by valuing
     :func:`mirror_free_words` in increasing order (:func:`grundy_in_order`).
@@ -548,20 +544,11 @@ def solve(
     own subgame and also serves diagrams outside the game.
     """
     m, n = board.m, board.n
-    memo = memo_for(f"mhrg {m}x{n}", memo)
     options = _word_options_fn(board, engine)
     pos = start_position(board) if diagram is None else MhrgPosition(board, diagram)
     word = pos.encode()
-    # A plain dict: lookups in a dict subclass cost more on the hot path.
-    table = dict(memo)
-    known = len(table)
-    # The start (every bead on the top m bits), unless a warm memo has it.
-    if word == ((1 << m) - 1) << n and word not in table:
-        grundy_in_order(mirror_free_words(m, n), options, table)
-        value = table[word]
-    else:
-        value = grundy(word, options, table)
-    # Insertion order puts the newly explored positions after the known
-    # ones, and none of them is in the memo yet.
-    memo.update(islice(table.items(), known, None))
-    return value, memo
+    memo: dict[int, int] = {}
+    if word == ((1 << m) - 1) << n:  # the start: every bead on the top m bits
+        grundy_in_order(mirror_free_words(m, n), options, memo)
+        return memo[word], memo
+    return grundy(word, options, memo), memo

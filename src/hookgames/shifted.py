@@ -11,8 +11,7 @@ part (:meth:`ShiftedDiagram.mask`).  Removing a hook removes a bead, moves
 it to a lower hole (the move of Welter's game), or removes it together
 with a lower bead; :func:`hrg_word_options` is that rule and
 :func:`solve_hrg` searches over masks.  The game value of any position is
-the nim-sum of its parts.  :func:`hrg_options` applies the hook rule to
-diagrams and stays as the oracle.
+the nim-sum of its parts.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, EngineInvariantError
-from .grundy import GrundyMemo, grundy, memo_for
+from .errors import DomainError
+from .grundy import grundy
 
 Box = tuple[int, int]
 Parts = tuple[int, ...]
@@ -96,52 +95,6 @@ def all_shifted(n: int) -> Iterator[ShiftedDiagram]:
         yield ShiftedDiagram.from_mask(mask)
 
 
-def shifted_hook(diagram: ShiftedDiagram, i: int, j: int) -> frozenset[Box]:
-    """Hook at ``(i, j)``: the box, its arm, its leg, and the tail row
-    ``j + 1``."""
-    if (i, j) not in diagram:
-        raise DomainError(f"box ({i}, {j}) not in shifted diagram {diagram.literal()}")
-    boxes = {(i, j)}
-    boxes.update((i, jj) for jj in range(j + 1, i + diagram.parts[i - 1]))
-    boxes.update(b for b in diagram.boxes() if b[1] == j and b[0] > i)
-    boxes.update(b for b in diagram.boxes() if b[0] == j + 1 and b[1] > j)
-    return frozenset(boxes)
-
-
-def shifted_remove_hook(diagram: ShiftedDiagram, i: int, j: int) -> ShiftedDiagram:
-    """Remove the hook at ``(i, j)`` and close the gap: rows strictly
-    between ``i`` and ``j + 1`` shift up-left one step, rows below
-    ``j + 1`` shift two."""
-    hook = shifted_hook(diagram, i, j)
-    remaining: dict[int, set[int]] = {}
-    for a, b in diagram.boxes():
-        if (a, b) in hook:
-            continue
-        if a > j + 1:
-            a, b = a - 2, b - 2
-        elif i < a < j + 1 and b > j:
-            a, b = a - 1, b - 1
-        remaining.setdefault(a, set()).add(b)
-    parts = [0] * len(diagram.parts)
-    for a, cols in remaining.items():
-        if cols != set(range(a, a + len(cols))):
-            raise EngineInvariantError(
-                f"shifted removal left a ragged row {a} in {diagram.literal()}"
-            )
-        parts[a - 1] = len(cols)
-    return ShiftedDiagram(tuple(p for p in parts if p))
-
-
-def hrg_options(diagram: ShiftedDiagram, n: int) -> set[ShiftedDiagram]:
-    """Positions reachable in one move of the hook-removal game inside the
-    size-``n`` staircase."""
-    if not diagram.fits(n):
-        raise DomainError(
-            f"{diagram.literal()} does not fit the size-{n} staircase"
-        )
-    return {shifted_remove_hook(diagram, i, j) for i, j in diagram.boxes()}
-
-
 def hrg_word_options(mask: int, n: int) -> set[int]:
     """Masks reachable in one move from ``mask`` in the size-``n`` staircase,
     one per box.
@@ -159,21 +112,17 @@ def hrg_word_options(mask: int, n: int) -> set[int]:
     return out
 
 
-def solve_hrg(
-    n: int,
-    diagram: ShiftedDiagram | None = None,
-    memo: GrundyMemo | None = None,
-) -> tuple[int, GrundyMemo]:
+def solve_hrg(n: int, diagram: ShiftedDiagram | None = None) -> tuple[int, dict[int, int]]:
     """Game value of ``diagram`` (default: the full staircase) in the
-    hook-removal game on the size-``n`` staircase.  The memo is keyed by
-    ``n``-bit masks and must belong to this staircase (label
-    ``hrg staircase-{n}``)."""
-    memo = memo_for(f"hrg staircase-{n}", memo)
+    hook-removal game on the size-``n`` staircase, with a fresh memo of
+    every position explored, keyed by ``n``-bit masks."""
     if diagram is None:
         diagram = staircase(n)
+    if n < 0:
+        raise DomainError(f"staircase size must be at least 0, got {n}")
     if not diagram.fits(n):
         raise DomainError(
             f"{diagram.literal()} does not fit the size-{n} staircase"
         )
-    value = grundy(diagram.mask(), lambda mask: hrg_word_options(mask, n), memo)
-    return value, memo
+    memo: dict[int, int] = {}
+    return grundy(diagram.mask(), lambda mask: hrg_word_options(mask, n), memo), memo

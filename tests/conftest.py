@@ -407,3 +407,50 @@ def rule_book_moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
         if kept is None or record.first.corner < kept.first.corner:
             best[key] = record
     return tuple(best[key] for key in sorted(best))
+
+
+def shifted_hook(diagram: ShiftedDiagram, i: int, j: int) -> frozenset[tuple[int, int]]:
+    """Hook at ``(i, j)``: the box, its arm, its leg, and the tail row
+    ``j + 1``."""
+    if (i, j) not in diagram:
+        raise DomainError(f"box ({i}, {j}) not in shifted diagram {diagram.literal()}")
+    boxes = {(i, j)}
+    boxes.update((i, jj) for jj in range(j + 1, i + diagram.parts[i - 1]))
+    boxes.update(b for b in diagram.boxes() if b[1] == j and b[0] > i)
+    boxes.update(b for b in diagram.boxes() if b[0] == j + 1 and b[1] > j)
+    return frozenset(boxes)
+
+
+def shifted_remove_hook(diagram: ShiftedDiagram, i: int, j: int) -> ShiftedDiagram:
+    """Remove the hook at ``(i, j)`` and close the gap: rows strictly
+    between ``i`` and ``j + 1`` shift up-left one step, rows below
+    ``j + 1`` shift two."""
+    hook = shifted_hook(diagram, i, j)
+    remaining: dict[int, set[int]] = {}
+    for a, b in diagram.boxes():
+        if (a, b) in hook:
+            continue
+        if a > j + 1:
+            a, b = a - 2, b - 2
+        elif i < a < j + 1 and b > j:
+            a, b = a - 1, b - 1
+        remaining.setdefault(a, set()).add(b)
+    parts = [0] * len(diagram.parts)
+    for a, cols in remaining.items():
+        if cols != set(range(a, a + len(cols))):
+            raise EngineInvariantError(
+                f"shifted removal left a ragged row {a} in {diagram.literal()}"
+            )
+        parts[a - 1] = len(cols)
+    return ShiftedDiagram(tuple(p for p in parts if p))
+
+
+def hrg_options(diagram: ShiftedDiagram, n: int) -> set[ShiftedDiagram]:
+    """Positions reachable in one move of the hook-removal game inside the
+    size-``n`` staircase, by the hook rule on diagrams: the reference that
+    ``hrg_word_options`` is tested against."""
+    if not diagram.fits(n):
+        raise DomainError(
+            f"{diagram.literal()} does not fit the size-{n} staircase"
+        )
+    return {shifted_remove_hook(diagram, i, j) for i, j in diagram.boxes()}

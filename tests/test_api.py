@@ -11,8 +11,6 @@ PUBLIC_NAMES = {
     "BoardParams",
     "DomainError",
     "EngineInvariantError",
-    "GameMap",
-    "GrundyMemo",
     "HookGamesError",
     "HookRecord",
     "MhrgPosition",
@@ -28,7 +26,6 @@ PUBLIC_NAMES = {
     "grundy",
     "grundy_table",
     "hook_at",
-    "hrg_options",
     "is_symmetric",
     "max_label",
     "mex",
@@ -46,8 +43,6 @@ PUBLIC_NAMES = {
     "predict_start_square",
     "reachable",
     "remove_hook",
-    "shifted_hook",
-    "shifted_remove_hook",
     "solve",
     "solve_hrg",
     "staircase",

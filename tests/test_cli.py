@@ -263,6 +263,12 @@ def test_verify_pass_and_json_schema(capsys):
             assert report["checked"] > 0
 
 
+def test_verify_nim_on_the_empty_staircase(capsys):
+    # The size-0 staircase holds one diagram, the empty one, of value 0.
+    code, out, err = run(capsys, "verify", "nim", "--n", "0")
+    assert (code, out, err) == (0, "PASS shifted-nim {'n': 0}: 1 checks, 0 mismatches\n", "")
+
+
 def test_verify_fail_reports_match_the_schema(capsys, monkeypatch):
     # A forged closed form gives mismatches; options dropped on odd-size
     # words give widening and halving violations.

@@ -227,6 +227,18 @@ def test_row1_reports_reachability_and_value_mismatches(monkeypatch):
     ]
 
 
+def test_nim_reports_a_forged_value(monkeypatch):
+    # 3,1 has value 3 ^ 1 = 2; every other diagram of the size-3 staircase
+    # keeps its nim-sum.
+    real = closedforms.predict_shifted
+    monkeypatch.setattr(
+        closedforms, "predict_shifted", lambda parts: 5 if tuple(parts) == (3, 1) else real(parts)
+    )
+    report = verify("nim", n=3)
+    assert report.summary() == "FAIL shifted-nim {'n': 3}: 8 checks, 1 mismatches"
+    assert report.findings == [{"position": "3,1", "predicted": "5", "computed": "2"}]
+
+
 def test_row2_reports_a_reachability_mismatch(monkeypatch):
     real = closedforms.predict_2n_class
 

@@ -4,10 +4,9 @@ import pytest
 
 from hookgames import (
     BoardParams,
-    DomainError,
     EngineInvariantError,
-    GrundyMemo,
     ShiftedDiagram,
+    YoungDiagram,
     grundy,
     mex,
     solve,
@@ -31,7 +30,7 @@ def test_mex_examples():
 
 
 def test_grundy_terminal_and_table_spots():
-    memo = GrundyMemo("toy")
+    memo = {}
     assert grundy(0, lambda p: [], memo) == 0
 
     value, _ = solve(BoardParams(3, 5))
@@ -47,15 +46,6 @@ def test_grundy_bounded_by_option_count():
     for word in reachable_words(board):
         value = grundy(word, options, memo)
         assert value <= len(options(word))
-
-
-def test_memo_write_once():
-    memo = GrundyMemo("toy")
-    memo.record(b"k", 3)
-    memo.record(b"k", 3)
-    with pytest.raises(EngineInvariantError):
-        memo.record(b"k", 4)
-    assert len(memo) == 1 and b"k" in memo
 
 
 def test_memo_determinism_under_exploration_order():
@@ -80,12 +70,12 @@ def test_memo_determinism_under_exploration_order():
 def test_cycle_guard():
     graph = {0: [1], 1: [0]}
     with pytest.raises(EngineInvariantError, match="cycle"):
-        grundy(0, lambda p: graph[p], GrundyMemo("loop"))
+        grundy(0, lambda p: graph[p], {})
 
 
 def test_deep_game_does_not_recurse():
     # a 4000-deep chain would blow the interpreter stack under recursion
-    memo = GrundyMemo("chain")
+    memo = {}
     assert grundy(4000, lambda p: [p - 1] if p else [], memo) == 0
     assert memo.get(0) == 0 and memo.get(1) == 1 and memo.get(3999) == 1
     assert len(memo) == 4001
@@ -94,7 +84,7 @@ def test_deep_game_does_not_recurse():
 def test_in_order_refuses_an_option_that_comes_later():
     graph = {0: [1], 1: []}
     with pytest.raises(EngineInvariantError, match="option 1 of 0 is not valued before it"):
-        grundy_in_order([0, 1], graph.__getitem__, GrundyMemo("toy"))
+        grundy_in_order([0, 1], graph.__getitem__, {})
 
 
 def test_in_order_passes_on_a_key_error_from_the_options():
@@ -104,8 +94,20 @@ def test_in_order_passes_on_a_key_error_from_the_options():
         grundy_in_order([0], lambda p: {}["boom"], {})
 
 
-def test_plain_dict_memo_is_refused():
-    with pytest.raises(DomainError, match="'mhrg 2x3'.*GrundyMemo, not dict"):
-        solve(BoardParams(2, 3), memo={})
-    with pytest.raises(DomainError, match="'hrg staircase-4'.*GrundyMemo, not dict"):
-        solve_hrg(4, memo={})
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve(BoardParams(3, 5)),
+        lambda: solve(BoardParams(3, 5), YoungDiagram((5, 4, 3))),
+        lambda: solve_hrg(4),
+    ],
+    ids=["sweep", "search", "staircase"],
+)
+def test_each_solve_returns_a_fresh_memo(call):
+    first_value, first = call()
+    second_value, second = call()
+    assert first is not second and type(second) is dict
+    expected = dict(second)
+    first.clear()
+    assert second == expected and first_value == second_value
+    assert call() == (second_value, expected)

@@ -14,7 +14,6 @@ from conftest import (
 from hookgames import (
     BoardParams,
     DomainError,
-    GameMap,
     MhrgPosition,
     ShiftedDiagram,
     YoungDiagram,
@@ -199,9 +198,11 @@ def test_verify_isomorphism_catches_corruption():
             word = a
         return widen_word(word, 2, 2)
 
-    gmap = GameMap("corrupted", "mhrg 2x2", "mhrg 2x3", corrupted)
     report = verify_isomorphism(
-        gmap,
+        "corrupted",
+        "mhrg 2x2",
+        "mhrg 2x3",
+        corrupted,
         src,
         tgt,
         lambda w: word_options(w, 4),
@@ -217,9 +218,11 @@ def test_verify_isomorphism_catches_corruption():
 
 
 def test_verify_isomorphism_catches_non_injective_and_uncovered():
-    gmap = GameMap("collapse", "chain-2", "chain-1", lambda p: min(p, 1))
     report = verify_isomorphism(
-        gmap,
+        "collapse",
+        "chain-2",
+        "chain-1",
+        lambda p: min(p, 1),
         [0, 1, 2],
         [0, 1],
         lambda p: [p - 1] if p else [],
@@ -234,9 +237,11 @@ def test_verify_isomorphism_catches_a_value_mismatch():
     # The target chain drops the middle position's option: the middle
     # position's options then differ, and the top's agree but its value
     # does not (0 in the source, 1 in the target).
-    gmap = GameMap("identity", "chain-3", "chain-3 less 1 -> 0", lambda p: p)
     report = verify_isomorphism(
-        gmap,
+        "identity",
+        "chain-3",
+        "chain-3 less 1 -> 0",
+        lambda p: p,
         [0, 1, 2],
         [0, 1, 2],
         lambda p: [p - 1] if p else [],

@@ -1,14 +1,18 @@
 import pytest
-from conftest import ShiftedDiagonalSeq, shifted_diagonal_of, shifted_diagram_of
+from conftest import (
+    ShiftedDiagonalSeq,
+    hrg_options,
+    shifted_diagonal_of,
+    shifted_diagram_of,
+    shifted_hook,
+    shifted_remove_hook,
+)
 
 from hookgames import (
     DomainError,
     ShiftedDiagram,
     all_shifted,
-    hrg_options,
     predict_shifted,
-    shifted_hook,
-    shifted_remove_hook,
     solve_hrg,
     staircase,
 )
@@ -147,9 +151,8 @@ def test_transition_hook_duality_exhaustive():
 
 def test_nim_sum_formula_exhaustive():
     n = 7
-    memo = None
     for s in all_shifted(n):
-        value, memo = solve_hrg(n, s, memo)
+        value, _ = solve_hrg(n, s)
         assert value == predict_shifted(s.parts), s.parts
 
 
@@ -160,3 +163,11 @@ def test_solve_hrg_start():
     assert sorted(memo) == list(range(128))
     with pytest.raises(DomainError, match="size-3 staircase"):
         solve_hrg(3, ShiftedDiagram((4, 1)))
+
+
+def test_solve_hrg_refuses_a_negative_staircase():
+    with pytest.raises(DomainError, match=r"^staircase size must be at least 0, got -1$"):
+        solve_hrg(-1, ShiftedDiagram(()))
+    with pytest.raises(DomainError, match=r"^staircase size must be at least 0, got -1$"):
+        list(all_shifted(-1))
+    assert solve_hrg(0, ShiftedDiagram(())) == (0, {0: 0})
