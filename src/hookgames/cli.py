@@ -32,18 +32,19 @@ ISO_VERIFIERS = {
 ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 
 
-def _emit(args, payload: Callable[[], object], text: Callable[[], str]) -> None:
-    """Write a command's output to ``--out`` or stdout: ``payload()`` as JSON
-    under ``--format json``, else ``text()``.  Only the printed one is built."""
-    if args.format == "json":
-        output = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
-    else:
-        output = text()
+def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
+    """Write a command's output to ``--out`` or stdout: ``json_text()`` under
+    ``--format json``, else ``text()``.  Only the printed one is built."""
+    output = json_text() if args.format == "json" else text()
     if args.out is None:
         sys.stdout.write(output)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(output)
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _lines(lines: Iterable[str]) -> str:
@@ -108,14 +109,14 @@ def cmd_grundy(args) -> int:
         )
     _emit(
         args,
-        lambda: {
+        lambda: _json({
             "board": [board.m, board.n],
             "diagram": diagram.literal(),
             "grundy": value,
             "explored": len(memo),
             "reachable": in_game,
             "engine": args.engine,
-        },
+        }),
         lambda: f"G({diagram.literal()} in {board.m}x{board.n}) = {value}"
         f"  [{len(memo)} positions explored]\n",
     )
@@ -134,7 +135,7 @@ def cmd_table(args) -> int:
             lines.append(f"{m:>3} " + " ".join(f"{v:>{width}}" for v in row))
         return _lines(lines)
 
-    _emit(args, lambda: {"max_m": args.max_m, "max_n": args.max_n, "values": grid}, text)
+    _emit(args, lambda: _json({"max_m": args.max_m, "max_n": args.max_n, "values": grid}), text)
     return 0
 
 
@@ -146,7 +147,9 @@ def cmd_reachable(args) -> int:
     literals = [mhrg.diagram_of_word(word, size).literal() for word in words]
     _emit(
         args,
-        lambda: {"board": [board.m, board.n], "count": len(literals), "positions": literals},
+        lambda: _json(
+            {"board": [board.m, board.n], "count": len(literals), "positions": literals}
+        ),
         lambda: _lines([*literals, f"# {len(literals)} positions"]),
     )
     return 0
@@ -157,7 +160,7 @@ def _move_lines(records) -> Iterator[str]:
         first = record.first
         text = (
             f"box {first.corner} hook [{first.lo},{first.hi}] "
-            f"labels {{{','.join(str(x) for x in first.label_list())}}}"
+            f"labels {{{','.join(map(str, first.labels))}}}"
         )
         if record.second is not None:
             text += (
@@ -165,6 +168,64 @@ def _move_lines(records) -> Iterator[str]:
                 f"hook [{record.second.lo},{record.second.hi}]"
             )
         yield text + f" -> {record.result.diagram.literal()}"
+
+
+# The ``options`` payload as ``json.dumps(payload, indent=2, sort_keys=True)``
+# lays it out: keys sorted, one value per line.
+_LISTING = """{
+  "board": %s,
+  "diagram": "%s",
+  "moves": %s
+}
+"""
+_MOVE = """{
+      "corner": %s,
+      "forced": %s,
+      "interval": %s,
+      "labels": %s,
+      "result": "%s"
+    }"""
+_FORCED = """{
+        "corner": %s,
+        "interval": %s
+      }"""
+
+
+def _ints(values: Iterable[int], pad: str) -> str:
+    """A non-empty JSON array of ints whose brackets are indented by ``pad``:
+    corners, intervals and labels (a hook has at least one box)."""
+    inner = f",\n{pad}  ".join(map(str, values))
+    return f"[\n{pad}  {inner}\n{pad}]"
+
+
+def _options_json(
+    board: BoardParams, diagram: YoungDiagram, records: Sequence[mhrg.MoveRecord]
+) -> str:
+    """The ``options`` payload exactly as ``json.dumps(payload, indent=2,
+    sort_keys=True) + "\n"`` writes it, without the pure-Python encoder that
+    ``indent`` forces.  Diagram literals hold only digits, commas and ``-``,
+    so they need no escaping."""
+    pad, inner = " " * 6, " " * 8
+    moves = []
+    for r in records:
+        first, second = r.first, r.second
+        forced = (
+            "null"
+            if second is None
+            else _FORCED % (_ints(second.corner, inner), _ints((second.lo, second.hi), inner))
+        )
+        moves.append(
+            _MOVE
+            % (
+                _ints(first.corner, pad),
+                forced,
+                _ints((first.lo, first.hi), pad),
+                _ints(first.labels, pad),
+                r.result.diagram.literal(),
+            )
+        )
+    listing = "[\n    " + ",\n    ".join(moves) + "\n  ]" if moves else "[]"
+    return _LISTING % (_ints((board.m, board.n), "  "), diagram.literal(), listing)
 
 
 def cmd_options(args) -> int:
@@ -183,27 +244,7 @@ def cmd_options(args) -> int:
         raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
     _emit(
         args,
-        lambda: {
-            "board": [board.m, board.n],
-            "diagram": diagram.literal(),
-            "moves": [
-                {
-                    "corner": list(r.first.corner),
-                    "interval": [r.first.lo, r.first.hi],
-                    "labels": list(r.first.label_list()),
-                    "forced": (
-                        None
-                        if r.second is None
-                        else {
-                            "corner": list(r.second.corner),
-                            "interval": [r.second.lo, r.second.hi],
-                        }
-                    ),
-                    "result": r.result.diagram.literal(),
-                }
-                for r in records
-            ],
-        },
+        lambda: _options_json(board, diagram, records),
         lambda: _lines([*_move_lines(records), f"# {len(records)} moves"]),
     )
     return 0
@@ -222,7 +263,7 @@ def cmd_verify(args) -> int:
         reports = [closedforms.verify(args.theorem, **params)]
     _emit(
         args,
-        lambda: [r.to_json() for r in reports],
+        lambda: _json([r.to_json() for r in reports]),
         lambda: _lines(r.summary() for r in reports),
     )
     return 0 if all(r.passed for r in reports) else 1
@@ -276,7 +317,7 @@ def cmd_play(args, stdin: IO[str] | None = None) -> int:
         first = record.first
         print(
             f"you removed the hook at {first.corner}, labels "
-            f"{{{','.join(str(x) for x in first.label_list())}}}"
+            f"{{{','.join(map(str, first.labels))}}}"
         )
         if record.second is not None:
             print(

@@ -5,9 +5,10 @@ A game position is a Young diagram that fits inside an ``m x n`` box with
 ``min(j - i + m, i - j + n)``, which is constant along diagonals
 ``j - i = k`` and rises to a single peak.  A hook covers one box on each
 diagonal of an interval ``lo .. hi``, so its labels depend on that
-interval alone (:func:`interval_label_counts`).  The move engines work on
-bead words (``mhrg``), which also key memos; diagrams are what the rule
-book and the command line speak.
+interval alone (:func:`interval_labels`): the diagonals up to the peak
+carry one run of consecutive labels and those past it another.  The move
+engines work on bead words (``mhrg``), which also key memos; diagrams are
+what the rule book and the command line speak.
 
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between workers.
@@ -15,8 +16,9 @@ pure function, so values can be shared freely between workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import DomainError, EngineInvariantError
 
@@ -140,11 +142,11 @@ class YoungDiagram:
 
 @dataclass(frozen=True)
 class HookRecord:
-    """A hook: its corner box, its diagonal interval and its label counts.
+    """A hook: its corner box, its diagonal interval and its labels.
 
-    ``labels`` is a count vector indexed by label ``1 .. max_label(board)``,
-    so multiset equality is plain tuple equality.  A hook covers one box per
-    diagonal in ``lo..hi``, hence ``sum(labels) == hi - lo + 1``.
+    ``labels`` is the label multiset as a sorted tuple, so multiset
+    equality is plain tuple equality.  A hook covers one box per diagonal
+    in ``lo..hi``, hence ``len(labels) == hi - lo + 1``.
     """
 
     corner: Box
@@ -157,32 +159,37 @@ class HookRecord:
         return self.hi - self.lo + 1
 
     def label_list(self) -> tuple[int, ...]:
-        """Labels with multiplicity, sorted ascending."""
-        out: list[int] = []
-        for label, count in enumerate(self.labels, start=1):
-            out.extend([label] * count)
-        return tuple(out)
+        """Labels with multiplicity, sorted ascending: ``labels`` itself."""
+        return self.labels
 
 
-def label_counts(board: BoardParams, labels: Iterable[int]) -> tuple[int, ...]:
-    """Count vector over labels ``1 .. max_label(board)``."""
-    counts = [0] * max_label(board)
-    for label in labels:
-        counts[label - 1] += 1
-    return tuple(counts)
+@functools.lru_cache(maxsize=8)
+def _label_values(top: int) -> tuple[int, ...]:
+    """``(0, 1, .., top)``.  Hooks slice their labels from it, so labels past
+    256, which Python does not intern, are shared between the hooks of a
+    board rather than allocated per hook."""
+    return tuple(range(top + 1))
 
 
-def interval_label_counts(board: BoardParams, lo: int, hi: int) -> tuple[int, ...]:
-    """Label counts of any hook with diagonal interval ``lo..hi``: diagonal
-    ``k`` contributes one label ``min(k + m, n - k)``."""
+def interval_labels(board: BoardParams, lo: int, hi: int) -> tuple[int, ...]:
+    """Sorted labels of any hook with diagonal interval ``lo..hi``: diagonal
+    ``k`` contributes one label ``min(k + m, n - k)``.
+
+    Diagonals up to ``turn = (n - m) // 2`` carry the ascending run
+    ``k + m``, the later ones the run ``n - k``, ascending as ``k`` falls.
+    Sorting their concatenation merges two runs, in time linear in the
+    hook's length."""
     m, n = board.m, board.n
-    if lo <= hi and not (-m < lo and hi < n):
+    if lo > hi:
+        return ()
+    if not (-m < lo and hi < n):
         bad = lo if not -m < lo < n else n
         raise DomainError(f"diagonal {bad} outside (-{m}, {n})")
-    counts = [0] * max_label(board)
-    for k in range(lo, hi + 1):
-        counts[min(k + m, n - k) - 1] += 1
-    return tuple(counts)
+    values = _label_values(max_label(board))
+    turn = (n - m) // 2
+    up = values[lo + m : min(hi, turn) + m + 1]
+    down = values[n - hi : n - max(lo, turn + 1) + 1]
+    return tuple(sorted(up + down))
 
 
 def _require_box(diagram: YoungDiagram, i: int, j: int) -> None:
@@ -209,10 +216,8 @@ def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRe
         bottom += 1
     rightmost = rows[i - 1]
     lo, hi = j - bottom, rightmost - i
-    labels = label_counts(
-        board, [unimodal_number(board, a, b) for a, b in _hook_boxes(diagram, i, j)]
-    )
-    return HookRecord((i, j), lo, hi, labels)
+    labels = sorted(unimodal_number(board, a, b) for a, b in _hook_boxes(diagram, i, j))
+    return HookRecord((i, j), lo, hi, tuple(labels))
 
 
 def remove_hook(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:

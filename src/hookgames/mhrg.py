@@ -60,7 +60,7 @@ from .diagrams import (
     HookRecord,
     YoungDiagram,
     hook_at,
-    interval_label_counts,
+    interval_labels,
     remove_hook,
 )
 from .errors import DomainError, EngineInvariantError
@@ -108,7 +108,7 @@ class MoveRecord:
     """One legal move: the chosen hook, the forced follow-up if any, and
     the resulting position.
 
-    When ``second`` is present its label counts equal ``first``'s and its
+    When ``second`` is present its labels equal ``first``'s and its
     interval is the mirror ``(n - m - hi, n - m - lo)`` of ``first``'s; a
     third removal never exists.
     """
@@ -315,7 +315,7 @@ def _hook(board: BoardParams, word: int, a: int, b: int) -> HookRecord:
     m = board.m
     lo, hi = a + 1 - m, b - m
     corner = ((word >> b).bit_count(), a + 1 - (word & ((1 << a) - 1)).bit_count())
-    return HookRecord(corner, lo, hi, interval_label_counts(board, lo, hi))
+    return HookRecord(corner, lo, hi, interval_labels(board, lo, hi))
 
 
 def _forced_move(pos: MhrgPosition, word: int, a: int, b: int) -> tuple[HookRecord, HookRecord]:

@@ -30,7 +30,7 @@ from hookgames import (
     start_position,
     unimodal_number,
 )
-from hookgames.diagrams import hook_at, label_counts, remove_hook
+from hookgames.diagrams import hook_at, max_label, remove_hook
 from hookgames.mhrg import MoveRecord, diagram_of_word, word_of_diagram
 
 # Property tests draw the same examples on every run, so the suite stays
@@ -176,6 +176,14 @@ def diagonal_label(board: BoardParams, k: int) -> int:
     if not (-board.m < k < board.n):
         raise DomainError(f"diagonal {k} outside (-{board.m}, {board.n})")
     return min(k + board.m, board.n - k)
+
+
+def label_counts(board: BoardParams, labels: list[int]) -> tuple[int, ...]:
+    """Count vector over labels ``1 .. max_label(board)``."""
+    counts = [0] * max_label(board)
+    for label in labels:
+        counts[label - 1] += 1
+    return tuple(counts)
 
 
 def label_multiset(board: BoardParams, diagram: YoungDiagram) -> tuple[int, ...]:
@@ -407,6 +415,30 @@ def rule_book_moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
         if kept is None or record.first.corner < kept.first.corner:
             best[key] = record
     return tuple(best[key] for key in sorted(best))
+
+
+def options_payload(pos: MhrgPosition, records: tuple[MoveRecord, ...]) -> dict:
+    """The ``options --format json`` payload as a dict, the reference that
+    ``json.dumps(..., indent=2, sort_keys=True)`` encodes for the CLI's
+    writer to match."""
+    return {
+        "board": [pos.board.m, pos.board.n],
+        "diagram": pos.diagram.literal(),
+        "moves": [
+            {
+                "corner": list(r.first.corner),
+                "interval": [r.first.lo, r.first.hi],
+                "labels": list(r.first.labels),
+                "forced": (
+                    None
+                    if r.second is None
+                    else {"corner": list(r.second.corner), "interval": [r.second.lo, r.second.hi]}
+                ),
+                "result": r.result.diagram.literal(),
+            }
+            for r in records
+        ],
+    }
 
 
 def shifted_hook(diagram: ShiftedDiagram, i: int, j: int) -> frozenset[tuple[int, int]]:

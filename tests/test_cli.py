@@ -4,10 +4,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import options_payload
+from hypothesis import given
+from hypothesis import strategies as st
 from jsonschema import validate
+from test_cli_golden import CASES
 
-from hookgames import isomorphisms, mhrg
-from hookgames.cli import ALL_VERIFY_IDS, main
+from hookgames import BoardParams, MhrgPosition, YoungDiagram, isomorphisms, mhrg
+from hookgames.cli import ALL_VERIFY_IDS, _options_json, build_parser, main
 from hookgames.errors import EngineInvariantError
 from hookgames.isomorphisms import Report
 from hookgames.mhrg import ENGINES
@@ -206,6 +210,51 @@ def test_options_listing_shows_forced_removal(capsys):
 def test_empty_move_list_is_one_count_line(capsys):
     code, out, err = run(capsys, "options", "-m", "2", "-n", "2", "--diagram", "-")
     assert (code, out, err) == (0, "# 0 moves\n", "")
+
+
+def _writer_matches_json_dumps(pos: MhrgPosition, engine: str = "diagonal"):
+    records = mhrg.moves_semantic(pos) if engine == "semantic" else mhrg.moves_diagonal(pos)
+    expected = json.dumps(options_payload(pos, records), indent=2, sort_keys=True) + "\n"
+    assert _options_json(pos.board, pos.diagram, records) == expected, (str(pos), engine)
+    return records
+
+
+def test_options_writer_matches_json_dumps_on_every_golden_position():
+    positions = 0
+    for argv in CASES.values():
+        if argv[0] == "options":
+            args = build_parser().parse_args(argv)
+            diagram = YoungDiagram.parse(args.diagram or ",".join([str(args.n)] * args.m))
+            _writer_matches_json_dumps(MhrgPosition(BoardParams(args.m, args.n), diagram), args.engine)
+            positions += 1
+    assert positions == 28
+
+
+# Drawn from these boards: one row, the benchmark's 2x40, and 2x520, whose
+# labels run to 261, past the small ints Python interns.
+WRITER_BOARDS = ((1, 1), (1, 9), (2, 2), (2, 40), (3, 5), (4, 6), (2, 520))
+
+
+@given(st.data())
+def test_options_writer_matches_json_dumps_on_drawn_positions(data):
+    m, n = data.draw(st.sampled_from(WRITER_BOARDS))
+    rows = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    board = BoardParams(m, n)
+    _writer_matches_json_dumps(MhrgPosition(board, YoungDiagram(tuple(sorted(rows, reverse=True)))))
+
+
+def test_options_writer_covers_every_shape_of_listing():
+    # The empty board (no moves), the 2x2 start (a forced move and a
+    # forced: null one), a full row (one-label hooks) and long labels.
+    listings = [
+        _writer_matches_json_dumps(MhrgPosition(BoardParams(m, n), YoungDiagram(rows)))
+        for m, n, rows in ((2, 2, ()), (2, 2, (2, 2)), (1, 9, (9,)), (2, 520, (520, 300)))
+    ]
+    empty, start, row, long = listings
+    assert empty == ()
+    assert {r.second is None for r in start} == {True, False}
+    assert any(len(r.first.labels) == 1 for r in row)
+    assert max(label for r in long for label in r.first.labels) == 261
 
 
 def test_options_cross_check_compares_the_printed_records(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from hookgames import (
     remove_hook,
     unimodal_number,
 )
-from hookgames.diagrams import interval_label_counts, label_counts
+from hookgames.diagrams import interval_labels
 
 
 def test_board_validation():
@@ -124,8 +124,9 @@ def test_hook_labels_match_diagonal_interval():
     for diagram in all_diagrams(board):
         for i, j in diagram.boxes():
             h = hook_at(board, diagram, i, j)
-            assert h.labels == interval_label_counts(board, h.lo, h.hi)
-            assert sum(h.labels) == h.size
+            assert h.labels == interval_labels(board, h.lo, h.hi)
+            assert h.labels == tuple(sorted(diagonal_label(board, k) for k in range(h.lo, h.hi + 1)))
+            assert len(h.labels) == h.size
 
 
 def test_remove_hook_examples():
@@ -151,18 +152,30 @@ def test_remove_hook_matches_the_box_by_box_reference():
     assert removals == 36_347
 
 
-def test_interval_label_counts_match_diagonal_labels():
+def test_interval_labels_match_diagonal_labels():
     for m in range(1, 7):
         for n in range(m, 9):
             board = BoardParams(m, n)
             for lo in range(1 - m, n):
                 for hi in range(lo - 1, n):
-                    labels = [diagonal_label(board, k) for k in range(lo, hi + 1)]
-                    assert interval_label_counts(board, lo, hi) == label_counts(board, labels)
+                    labels = sorted(diagonal_label(board, k) for k in range(lo, hi + 1))
+                    assert interval_labels(board, lo, hi) == tuple(labels)
     board = BoardParams(3, 5)
     for lo, hi, bad in ((-3, 0, -3), (1, 5, 5), (5, 6, 5), (-4, 7, -4)):
         with pytest.raises(DomainError, match=rf"^diagonal {bad} outside \(-3, 5\)$"):
-            interval_label_counts(board, lo, hi)
+            interval_labels(board, lo, hi)
+
+
+def test_labels_past_256_are_shared_between_hooks():
+    # Python interns only small ints; each hook slices its labels from one
+    # tuple per board, so a long listing holds each label value once.
+    board = BoardParams(2, 600)
+    for lo, hi in ((-1, 599), (0, 598), (250, 350)):
+        labels = interval_labels(board, lo, hi)
+        assert labels == tuple(sorted(diagonal_label(board, k) for k in range(lo, hi + 1)))
+    a, b = interval_labels(board, -1, 599), interval_labels(board, 250, 350)
+    assert a[-1] == b[-1] == 301
+    assert a[-1] is b[-1]
 
 
 def test_hook_size_matches_interval():
@@ -171,7 +184,7 @@ def test_hook_size_matches_interval():
         for i, j in diagram.boxes():
             h = hook_at(board, diagram, i, j)
             removed = diagram.n_boxes - remove_hook(board, diagram, i, j).n_boxes
-            assert removed == h.size == sum(h.labels)
+            assert removed == h.size == len(h.labels)
 
 
 def test_diagonal_of_examples():

@@ -199,13 +199,13 @@ def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
     assert [(r.first.corner, r.second) for r in moves_diagonal(pos)] == [((1, 1), None)]
     import hookgames.mhrg as mh
 
-    original = mh.interval_label_counts
+    original = mh.interval_labels
 
     def corrupt(board, lo, hi):
-        counts = original(board, lo, hi)
-        return counts[::-1] + (0,) if (lo, hi) == (0, 0) else counts
+        labels = original(board, lo, hi)
+        return (1,) if (lo, hi) == (0, 0) else labels
 
-    monkeypatch.setattr(mh, "interval_label_counts", corrupt)
+    monkeypatch.setattr(mh, "interval_labels", corrupt)
     with pytest.raises(EngineInvariantError, match="mirror hook labels diverge"):
         moves_diagonal(pos)
 
@@ -219,13 +219,13 @@ def test_mirror_label_check_runs_on_kept_forced_records(monkeypatch):
     assert (record.second.lo, record.second.hi) == (-1, 0)
     import hookgames.mhrg as mh
 
-    original = mh.interval_label_counts
+    original = mh.interval_labels
 
     def corrupt(board, lo, hi):
-        counts = original(board, lo, hi)
-        return counts + (0,) if (lo, hi) == (-1, 0) else counts
+        labels = original(board, lo, hi)
+        return labels + (2,) if (lo, hi) == (-1, 0) else labels
 
-    monkeypatch.setattr(mh, "interval_label_counts", corrupt)
+    monkeypatch.setattr(mh, "interval_labels", corrupt)
     with pytest.raises(EngineInvariantError, match="mirror hook labels diverge at 2,2"):
         moves_diagonal(pos)
 
