@@ -144,7 +144,7 @@ def cmd_reachable(args) -> int:
     size = board.m + board.n
     words = mhrg.reachable_words(board, engine=args.engine)
     words = sorted(words, key=lambda word: mhrg.profile_order(word, size))
-    literals = [mhrg.diagram_of_word(word, size).literal() for word in words]
+    literals = [mhrg.diagram_of_word(word).literal() for word in words]
     _emit(
         args,
         lambda: _json(

@@ -2,6 +2,13 @@
 golden grid of starting values, and harnesses that check every predictor
 against the brute-force engine.
 
+Starting values (:func:`grundy_table` and the ``table1``, ``start2`` and
+``square`` checks) come from ``mhrg.start_values``, which values each game
+class ``(m, floor((m + n) / 2))`` once: ``m x n`` and ``m x (n + 1)`` with
+``m + n`` even share one, and each class reads its inert-coin words from
+the class below it on its chain.  The budget charges those class tables
+(``mhrg.class_costs``), not each board's whole-board solve.
+
 Scope of the two-row tables: they classify exactly the positions whose
 value is 0, 1 or 2; everything else is reported as OTHER and checked in
 both directions (listed implies that value; value in {0,1,2} implies
@@ -18,7 +25,14 @@ from .diagrams import BoardParams, YoungDiagram, all_diagrams
 from .errors import DomainError
 from .grundy import capped_comb, capped_pow2, check_budget
 from .isomorphisms import Report, is_symmetric
-from .mhrg import reachable_words, search_cost, solve, word_of_diagram
+from .mhrg import (
+    class_costs,
+    reachable_words,
+    search_cost,
+    solve,
+    start_values,
+    word_of_diagram,
+)
 from .shifted import ShiftedDiagram, all_shifted, solve_hrg
 
 
@@ -185,12 +199,12 @@ def _table_boards(max_m: int, max_n: int) -> Iterator[BoardParams]:
 
 def grundy_table(max_m: int, max_n: int, engine: str = "diagonal") -> list[list[int]]:
     """Starting values for every board up to ``max_m x max_n``, computed
-    by exhaustive search (transposed boards share a value)."""
+    exhaustively, each game class once (transposed boards share a value)."""
     check_budget(
         f"table regeneration up to {max_m}x{max_n}",
-        map(search_cost, _table_boards(max_m, max_n)),
+        class_costs(_table_boards(max_m, max_n)),
     )
-    values = {board: solve(board, engine=engine)[0] for board in _table_boards(max_m, max_n)}
+    values = start_values(_table_boards(max_m, max_n), engine)
     return [
         [values[BoardParams(min(m, n), max(m, n))] for n in range(1, max_n + 1)]
         for m in range(1, max_m + 1)
@@ -266,20 +280,25 @@ def _verify_row2(max_n: int) -> Iterator[_Finding]:
             yield None if holds else (position, predicted, value)
 
 
+def _start2_boards(max_n: int) -> Iterator[BoardParams]:
+    return (BoardParams(2, n) for n in range(2, max_n + 1))
+
+
+def _square_boards(max_n: int) -> Iterator[BoardParams]:
+    return (BoardParams(n, n + w) for n in range(1, max_n + 1) for w in (0, 1))
+
+
 def _verify_start2(max_n: int) -> Iterator[_Finding]:
-    for n in range(2, max_n + 1):
-        value, _ = solve(BoardParams(2, n))
-        expected = predict_start_2n(n)
-        yield None if value == expected else (f"start 2x{n}", expected, value)
+    for board, value in start_values(_start2_boards(max_n)).items():
+        expected = predict_start_2n(board.n)
+        yield None if value == expected else (f"start 2x{board.n}", expected, value)
 
 
 def _verify_square(max_n: int) -> Iterator[_Finding]:
-    for n in range(1, max_n + 1):
-        expected = predict_start_square(n)
-        for board in (BoardParams(n, n), BoardParams(n, n + 1)):
-            value, _ = solve(board)
-            position = f"start {board.m}x{board.n}"
-            yield None if value == expected else (position, expected, value)
+    for board, value in start_values(_square_boards(max_n)).items():
+        expected = predict_start_square(board.m)
+        position = f"start {board.m}x{board.n}"
+        yield None if value == expected else (position, expected, value)
 
 
 def _verify_nim(n: int) -> Iterator[_Finding]:
@@ -308,7 +327,7 @@ def _verify_symmetry(max_n: int) -> Iterator[_Finding]:
 
 def _table1_costs(max_m: int, max_n: int) -> Iterator[int]:
     """The grid's costs, then a refusal past the 9x9 golden grid."""
-    yield from map(search_cost, _table_boards(max_m, max_n))
+    yield from class_costs(_table_boards(max_m, max_n))
     if min(max_m, max_n) >= 1 and max(max_m, max_n) > 9:
         raise DomainError(f"table1 compares with the 9x9 golden grid, got {max_m}x{max_n}")
 
@@ -320,7 +339,8 @@ def _start(m: int, n: int) -> int:
 # Each verification id: its report name, its check, each parameter's
 # default, and the costs of the searches its check runs (``check_budget``):
 # a whole-board solve or move closure costs the board's mirror-free words, a
-# scan of every diagram ``C(m + n, m)``, and the size-``n`` staircase ``2**n``.
+# scan of every diagram ``C(m + n, m)``, the size-``n`` staircase ``2**n``,
+# and starting values the class tables of their chains (``class_costs``).
 _VERIFIERS = {
     "table1": ("golden-table", _verify_table1, {"max_m": 9, "max_n": 9}, _table1_costs),
     "row1": ("one-row", _verify_row1, {"max_n": 20},
@@ -329,9 +349,9 @@ _VERIFIERS = {
              lambda max_n: (2 * _start(2, n) + capped_comb(n + 2, 2)
                             for n in range(2, max_n + 1, 2))),
     "start2": ("two-row-start", _verify_start2, {"max_n": 40},
-               lambda max_n: (_start(2, n) for n in range(2, max_n + 1))),
+               lambda max_n: class_costs(_start2_boards(max_n))),
     "square": ("square-start", _verify_square, {"max_n": 7},
-               lambda max_n: (_start(n, n) + _start(n, n + 1) for n in range(1, max_n + 1))),
+               lambda max_n: class_costs(_square_boards(max_n))),
     "nim": ("shifted-nim", _verify_nim, {"n": 7},
             lambda n: [capped_pow2(n)] if n >= 0 else []),
     "symmetry": ("symmetric-reachable", _verify_symmetry, {"max_n": 6},

@@ -72,7 +72,7 @@ def from_shifted(diagram: ShiftedDiagram, n: int) -> MhrgPosition:
     board = BoardParams(n, n + 1)
     mask = diagram.mask()
     word = (mask << (n + 1)) | (_reversed(mask, n) ^ ((1 << n) - 1))
-    return MhrgPosition(board, diagram_of_word(word, 2 * n + 1))
+    return MhrgPosition(board, diagram_of_word(word))
 
 
 @dataclass
@@ -241,8 +241,8 @@ def verify_widening(m: int, n: int) -> Report:
         sorted(reachable_words(target)),
         lambda word: word_options(word, m + n),
         lambda word: word_options(word, m + n + 1),
-        lambda word: diagram_of_word(word, m + n).literal(),
-        lambda word: diagram_of_word(word, m + n + 1).literal(),
+        lambda word: diagram_of_word(word).literal(),
+        lambda word: diagram_of_word(word).literal(),
     )
 
 
@@ -277,7 +277,7 @@ def verify_staircase_iso(n: int) -> Report:
         range(1 << n),
         lambda word: word_options(word, 2 * n + 1),
         lambda mask: hrg_word_options(mask, n),
-        lambda word: diagram_of_word(word, 2 * n + 1).literal(),
+        lambda word: diagram_of_word(word).literal(),
         lambda mask: ShiftedDiagram.from_mask(mask).literal(),
     )
 

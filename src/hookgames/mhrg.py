@@ -32,7 +32,20 @@ coins sit on distinct pairs.  A move is a *slide*, one coin ``x`` to a
 value ``y < x`` on a free pair, or a *flip*, two coins ``x`` and ``z``
 with ``x + z > 0`` (``z = x`` is one coin) both changing sign.  The sum
 of the coins falls at every move, and a position is only its coins, so
-``m x n`` and ``m x (n + 1)`` with ``m + n`` even are the same game.
+``m x n`` and ``m x (n + 1)`` with ``m + n`` even are the same game: the
+class ``(m, k)``, whose words are those of ``m x (2k - m)``.
+
+Classes are linked by an inert coin.  On ``m x (2k - m)`` a bead on bit 0
+is the coin ``-k``, and it never moves: no value lies below ``-k`` to
+slide to; every other coin has ``|z| < k``, so a flip with it has the sum
+``z - k < 0``, and the single flip ``-2k < 0``; and no other move takes a
+coin to pair 0, which is not free.  The other ``m - 1`` coins thus play
+alone on pairs ``1 .. k - 1``, of absolute values ``k - 1 .. 1``, and
+``w -> w >> 1`` keeps each of them on its side of a pair of the same value
+in class ``(m - 1, k - 1)``.  It maps the moves below ``w`` one to one onto
+those below ``w >> 1``, so the two words have the same value.
+:func:`start_values` values each class once along the chains
+``(m - j, k - j)`` and reads its bit-0 words from the class below.
 
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
@@ -53,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .diagrams import (
     BoardParams,
@@ -140,17 +153,19 @@ def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
     return sum(1 << (length + m - 1 - i) for i, length in enumerate(rows))
 
 
-def diagram_of_word(word: int, size: int) -> YoungDiagram:
-    """Inverse of :func:`word_of_diagram`: each bead of the ``size``-bit
-    ``word`` is a row as long as the number of holes below it."""
-    bits = format(word, f"0{size}b")  # highest bit, so the first row, first
-    holes = bits.count("0")
+def diagram_of_word(word: int) -> YoungDiagram:
+    """Inverse of :func:`word_of_diagram`: each bead of ``word`` is a row as
+    long as the number of holes below it.  The beads are walked from the
+    highest, the first row, down: a bead on bit ``b`` with ``below`` beads
+    under it has ``b - below`` holes under it, so the cost is O(m), not
+    O(m + n); holes above the highest bead add no row."""
     rows = []
-    for bit in bits:
-        if bit == "1":
-            rows.append(holes)
-        else:
-            holes -= 1
+    below = word.bit_count()
+    while word:
+        b = word.bit_length() - 1
+        word ^= 1 << b
+        below -= 1
+        rows.append(b - below)
     return YoungDiagram(tuple(rows))
 
 
@@ -370,7 +385,7 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
             if size & 1 and a == top - b:
                 _forced_move(pos, word, *((a, mid) if word >> mid & 1 else (mid, b)))
             first, second = _hook(board, word, a, b), None
-        result = MhrgPosition(board, diagram_of_word(final, size))
+        result = MhrgPosition(board, diagram_of_word(final))
         records.append(MoveRecord(first, second, result))
     return tuple(records)
 
@@ -380,7 +395,7 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
     board = pos.board
     size = board.m + board.n
     return {
-        MhrgPosition(board, diagram_of_word(word, size))
+        MhrgPosition(board, diagram_of_word(word))
         for word in word_options(word_of_diagram(board, pos.diagram), size)
     }
 
@@ -463,9 +478,8 @@ def options_semantic(pos: MhrgPosition) -> set[MhrgPosition]:
 def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
     """Run both engines and fail loudly on any divergence."""
     board = pos.board
-    size = board.m + board.n
     cross_check = _word_options_fn(board, "cross-check")
-    return {MhrgPosition(board, diagram_of_word(w, size)) for w in cross_check(pos.encode())}
+    return {MhrgPosition(board, diagram_of_word(w)) for w in cross_check(pos.encode())}
 
 
 def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int]]:
@@ -477,16 +491,16 @@ def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int
         return word_options(word, size)
 
     def semantic(word: int) -> set[int]:
-        pos = MhrgPosition(board, diagram_of_word(word, size))
+        pos = MhrgPosition(board, diagram_of_word(word))
         return {word_of_diagram(board, p.diagram) for p in options_semantic(pos)}
 
     def cross_check(word: int) -> set[int]:
         fast, slow = word_options(word, size), semantic(word)
         if fast != slow:
-            only_d = sorted(diagram_of_word(w, size).literal() for w in fast - slow)
-            only_s = sorted(diagram_of_word(w, size).literal() for w in slow - fast)
+            only_d = sorted(diagram_of_word(w).literal() for w in fast - slow)
+            only_s = sorted(diagram_of_word(w).literal() for w in slow - fast)
             raise EngineInvariantError(
-                f"engines diverge at {diagram_of_word(word, size).literal()} on "
+                f"engines diverge at {diagram_of_word(word).literal()} on "
                 f"{board.m}x{board.n}: diagonal-only {only_d}, semantic-only {only_s}"
             )
         return fast
@@ -515,9 +529,8 @@ def reachable_words(board: BoardParams, engine: str = "diagonal") -> set[int]:
 
 def reachable(board: BoardParams, engine: str = "diagonal") -> set[MhrgPosition]:
     """Positions reachable from the full rectangle (the game's position set)."""
-    size = board.m + board.n
     return {
-        MhrgPosition(board, diagram_of_word(word, size))
+        MhrgPosition(board, diagram_of_word(word))
         for word in reachable_words(board, engine)
     }
 
@@ -552,3 +565,69 @@ def solve(
         grundy_in_order(mirror_free_words(m, n), options, memo)
         return memo[word], memo
     return grundy(word, options, memo), memo
+
+
+def _class_of(board: BoardParams) -> tuple[int, int]:
+    """Class of ``board`` as ``(m, d)``: the class ``(m, k)`` of the module
+    docstring with ``d = k - m``, whose words are those of ``m x (m + 2d)``."""
+    return board.m, (board.n - board.m) // 2
+
+
+def _class_chain(d: int, top_m: int, engine: str = "diagonal") -> Iterator[dict[int, int]]:
+    """Value tables of the classes ``(m, d)`` (:func:`_class_of`) for ``m =
+    1 .. top_m``, in turn.  Each values every position of ``m x (m + 2d)``,
+    keyed by bead word, and the chain drops it once the next is built.
+
+    A word with bit 0 set holds the inert coin ``-k`` (module docstring),
+    so its value is that of ``w >> 1`` in the previous class's table; the
+    class ``(0, d)`` has the one empty word, of value 0.  The other words
+    are valued in increasing order (:func:`grundy_in_order`) with the
+    options of ``engine``; an option that is neither an inert-coin word nor
+    smaller raises :class:`EngineInvariantError`."""
+    table = {0: 0}
+    for m in range(1, top_m + 1):
+        n = m + 2 * d
+        words = mirror_free_words(m, n)
+        table = {w: table[w >> 1] for w in words if w & 1}
+        grundy_in_order(
+            [w for w in words if not w & 1], _word_options_fn(BoardParams(m, n), engine), table
+        )
+        yield table
+
+
+def class_costs(boards: Iterable[BoardParams]) -> Iterator[int]:
+    """Entries of the class tables :func:`start_values` builds for
+    ``boards``, board by board, each table capped like :func:`search_cost`:
+    the classes of a board's chain that no earlier board's chain holds.
+    Lazy, so a range of a billion boards is sized by its first few."""
+    swept: dict[int, int] = {}  # diagonal d -> classes 1..swept[d] counted
+    for board in boards:
+        m, d = _class_of(board)
+        for j in range(swept.get(d, 0) + 1, m + 1):
+            yield search_cost(BoardParams(j, j + 2 * d))
+        swept[d] = max(swept.get(d, 0), m)
+
+
+def start_values(boards: Iterable[BoardParams], engine: str = "diagonal") -> dict[BoardParams, int]:
+    """Starting value of each of ``boards``, valuing each class once.
+
+    The boards' classes ``(m, d)`` (:func:`_class_of`) are valued along
+    each diagonal ``d`` by :func:`_class_chain`, up to the largest ``m``
+    asked for on it; only the table the next class reads is kept.  A
+    class's start word, all ``m`` beads on the top bits of ``m x (m + 2d)``,
+    is the start of each board in it.
+
+    For one board a chain values as many words as :func:`solve` does (the
+    classes' bit-0-clear words add up to the top class's words, less the
+    empty one), with the same options, so :func:`solve` keeps its own
+    sweep; the chain saves work when boards share classes or chains."""
+    boards = list(boards)
+    top: dict[int, int] = {}
+    for board in boards:
+        m, d = _class_of(board)
+        top[d] = max(top.get(d, 0), m)
+    starts = {}
+    for d, top_m in top.items():
+        for m, table in enumerate(_class_chain(d, top_m, engine), start=1):
+            starts[m, d] = table[((1 << m) - 1) << (m + 2 * d)]
+    return {board: starts[_class_of(board)] for board in boards}

@@ -281,6 +281,20 @@ def remove_hook_reference(diagram: YoungDiagram, i: int, j: int) -> YoungDiagram
     return YoungDiagram(tuple(out))
 
 
+def diagram_of_word_reference(word: int, size: int) -> YoungDiagram:
+    """Diagram of the ``size``-bit bead word ``word`` bit by bit, from the
+    highest: each bead is a row as long as the holes below it."""
+    bits = format(word, f"0{size}b")
+    holes = bits.count("0")
+    rows = []
+    for bit in bits:
+        if bit == "1":
+            rows.append(holes)
+        else:
+            holes -= 1
+    return YoungDiagram(tuple(rows))
+
+
 def word_options_reference(word: int, size: int) -> set[int]:
     """Options of the ``size``-bit bead word ``word`` by every bead-hole
     pair: each bead ``b`` moves to each hole ``a < b``, and the mirrored
@@ -320,7 +334,7 @@ def moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
         return (w >> b).bit_count(), a + 1 - (w & ((1 << a) - 1)).bit_count()
 
     def hook(w: int, a: int, b: int):
-        diagram = pos.diagram if w == word else diagram_of_word(w, m + n)
+        diagram = pos.diagram if w == word else diagram_of_word(w)
         return hook_at(board, diagram, *corner(w, a, b))
 
     # result word -> (corner, a, b, word after the first move, forced?)
@@ -348,7 +362,7 @@ def moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     for final in sorted(best, key=lambda w: profile_of_word(w, m, n)):
         _, a, b, first, forced = best[final]
         second = hook(first, top - b, top - a) if forced else None
-        result = MhrgPosition(board, diagram_of_word(final, m + n))
+        result = MhrgPosition(board, diagram_of_word(final))
         records.append(MoveRecord(hook(word, a, b), second, result))
     return tuple(records)
 

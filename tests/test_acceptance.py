@@ -95,7 +95,7 @@ def test_acceptance_5_staircase_suite():
         for s in all_shifted(n):
             assert to_shifted(from_shifted(s, n)) == s
         for word in reachable_words(board):
-            pos = MhrgPosition(board, diagram_of_word(word, 2 * n + 1))
+            pos = MhrgPosition(board, diagram_of_word(word))
             assert from_shifted(to_shifted(pos), n) == pos
     rep = verify("square", max_n=7)
     assert rep.passed, rep.summary()
@@ -117,7 +117,7 @@ def test_acceptance_6_engine_equivalence():
         for n in range(m, 7):
             board = BoardParams(m, n)
             for word in sorted(reachable_words(board)):
-                pos = MhrgPosition(board, diagram_of_word(word, m + n))
+                pos = MhrgPosition(board, diagram_of_word(word))
                 assert options_semantic(pos) == options_diagonal(pos)
                 for rec in moves_semantic(pos):
                     removed = 1 if rec.second is None else 2
@@ -140,7 +140,7 @@ def test_acceptance_7_round_trips():
     board = BoardParams(6, 6)
     diagrams = 0
     for diagram in all_diagrams(board):
-        assert diagram_of_word(word_of_diagram(board, diagram), 12) == diagram
+        assert diagram_of_word(word_of_diagram(board, diagram)) == diagram
         assert diagram_of(diagonal_of(board, diagram)) == diagram
         diagrams += 1
     assert diagrams == 924

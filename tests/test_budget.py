@@ -1,7 +1,7 @@
 """The search budget: every entry point that takes sizes from a caller adds
-up the positions its searches may explore and refuses, before any search
-starts, work past ``SEARCH_BUDGET`` or work that checks nothing, in one
-format."""
+up the positions its searches may explore (for starting values, the class
+tables of ``mhrg.start_values``) and refuses, before any search starts,
+work past ``SEARCH_BUDGET`` or work that checks nothing, in one format."""
 
 import itertools
 import json
@@ -34,7 +34,7 @@ from hookgames.isomorphisms import (
     verify_staircase_range,
     verify_widening_range,
 )
-from hookgames.mhrg import search_cost
+from hookgames.mhrg import class_costs, search_cost
 
 PAST = f"needs more than {SEARCH_BUDGET} positions"
 
@@ -85,7 +85,7 @@ def searches(monkeypatch):
     for module, names in (
         (mhrg, ("solve", "reachable_words", "moves_diagonal", "moves_semantic",
                 "options_cross_check")),
-        (closedforms, ("solve", "reachable_words", "solve_hrg")),
+        (closedforms, ("solve", "start_values", "reachable_words", "solve_hrg")),
         (isomorphisms, ("reachable_words", "verify_isomorphism", "verify_widening",
                         "verify_staircase_iso")),
     ):
@@ -117,8 +117,8 @@ CLI_PAST = [
      "move listing on 16x17", (16 * 16) ** 2),
     (("options", "-m", "17", "-n", "16", "--engine", "cross-check"),
      "move listing on 17x16", (16 * 16) ** 2),
-    (("table", "--max-m", "12", "--max-n", "12"), "table regeneration up to 12x12",
-     sum(map(search_cost, closedforms._table_boards(11, 11)))),
+    (("table", "--max-m", "13", "--max-n", "13"), "table regeneration up to 13x13",
+     sum(class_costs(closedforms._table_boards(12, 12)))),
 ]
 
 # verify id: (its flag, the smallest value past the budget, a value that
@@ -126,8 +126,8 @@ CLI_PAST = [
 VERIFY_RANGES = {
     "row1": ("max_n", 256, 0),
     "row2": ("max_n", 62, 1),
-    "start2": ("max_n", 73, 1),
-    "square": ("max_n", 15, 0),
+    "start2": ("max_n", 90, 1),
+    "square": ("max_n", 16, 0),
     "nim": ("n", 17, -1),
     "symmetry": ("max_n", 9, 0),
 }
@@ -157,12 +157,18 @@ def test_verify_ranges_past_the_budget_or_empty_are_refused_unchecked(searches, 
 
 
 def test_tables_past_the_budget_or_empty_are_refused_unsearched(searches):
-    with pytest.raises(RangeTooLargeError, match=rf"^table1 with max_m=12, max_n=12 {PAST}$"):
+    # 12x12 fits the budget (57,114 class entries), so the golden grid
+    # refuses it; 13x13 (137,896) is past the budget.
+    assert sum(class_costs(closedforms._table_boards(12, 12))) == 57_114
+    assert sum(class_costs(closedforms._table_boards(13, 13))) == 137_896
+    with pytest.raises(RangeTooLargeError, match=rf"^table1 with max_m=13, max_n=13 {PAST}$"):
+        verify("table1", max_m=13, max_n=13)
+    with pytest.raises(DomainError, match=r"^table1 compares with the 9x9 golden grid, got 12x12$"):
         verify("table1", max_m=12, max_n=12)
     with pytest.raises(DomainError, match=r"^table1 with max_m=0, max_n=9 checks nothing$"):
         verify("table1", max_m=0)
-    with pytest.raises(RangeTooLargeError, match=rf"^table regeneration up to 12x12 {PAST}$"):
-        grundy_table(12, 12)
+    with pytest.raises(RangeTooLargeError, match=rf"^table regeneration up to 13x13 {PAST}$"):
+        grundy_table(13, 13)
     for max_m, max_n in [(0, 9), (9, 0), (-1, -1)]:
         with pytest.raises(DomainError, match=rf"up to {max_m}x{max_n} checks nothing$"):
             grundy_table(max_m, max_n)

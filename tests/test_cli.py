@@ -163,9 +163,9 @@ def test_table_csv_golden(tmp_path, capsys):
 
 
 def test_table_limit(capsys):
-    code, _, err = run(capsys, "table", "--max-m", "12", "--max-n", "12")
+    code, _, err = run(capsys, "table", "--max-m", "13", "--max-n", "13")
     assert code == 2
-    assert err == "error: table regeneration up to 12x12 needs more than 65536 positions\n"
+    assert err == "error: table regeneration up to 13x13 needs more than 65536 positions\n"
 
 
 def test_reachable_listing(capsys):

@@ -77,6 +77,10 @@ CASES["reachable-4x6"] = ["reachable", "-m", "4", "-n", "6"]
 CASES["reachable-6x8-json"] = ["reachable", "-m", "6", "-n", "8", "--format", "json"]
 CASES["table-csv"] = ["table", "--format", "csv"]
 CASES["table-json"] = ["table", "--format", "json"]
+# The 12x12 grid, recorded from board-by-board solves; the table now values
+# each game class once.
+CASES["table-12x12"] = ["table", "--max-m", "12", "--max-n", "12"]
+CASES["table-12x12-csv"] = ["table", "--max-m", "12", "--max-n", "12", "--format", "csv"]
 CASES["verify-widen"] = ["verify", "widen", "--max-side", "4", "--format", "json"]
 CASES["verify-shifted"] = ["verify", "shifted", "--n", "4", "--format", "json"]
 CASES["verify-row2"] = ["verify", "row2", "--max-n", "8", "--format", "json"]

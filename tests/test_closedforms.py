@@ -109,8 +109,8 @@ def test_table1_golden_symmetry_and_column_pairing():
 def test_grundy_table_small():
     grid = grundy_table(2, 3)
     assert grid == [[1, 1, 3], [1, 3, 3]]
-    with pytest.raises(RangeTooLargeError, match="^table regeneration up to 12x12 needs"):
-        grundy_table(12, 12)
+    with pytest.raises(RangeTooLargeError, match="^table regeneration up to 13x13 needs"):
+        grundy_table(13, 13)
 
 
 def test_table_csv_is_lf_and_matches_golden():

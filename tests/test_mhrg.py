@@ -29,14 +29,18 @@ from hookgames import (
     solve,
     start_position,
 )
+from hookgames import closedforms
 from hookgames.grundy import grundy
+from hookgames.isomorphisms import widen_word
 from hookgames.mhrg import (
+    _class_chain,
     diagram_of_word,
     in_game,
     mirror_free,
     mirror_free_words,
     reachable_words,
     search_cost,
+    start_values,
     word_of_diagram,
     word_options,
 )
@@ -148,14 +152,14 @@ def test_engine_equivalence_small_boards():
         for n in range(m, 5):
             board = BoardParams(m, n)
             for word in sorted(reachable_words(board)):
-                pos = MhrgPosition(board, diagram_of_word(word, m + n))
+                pos = MhrgPosition(board, diagram_of_word(word))
                 assert moves_semantic(pos) == moves_diagonal(pos)
 
 
 def test_moves_shrink_and_mirror():
     board = BoardParams(3, 4)
     for word in sorted(reachable_words(board)):
-        pos = MhrgPosition(board, diagram_of_word(word, 7))
+        pos = MhrgPosition(board, diagram_of_word(word))
         for rec in moves_semantic(pos):
             assert rec.result.diagram.n_boxes < pos.diagram.n_boxes
             if rec.second is not None:
@@ -261,7 +265,7 @@ def test_move_records_match_the_all_pairs_reference_on_every_word():
         for n in range(m, 13 - m):
             board, size = BoardParams(m, n), m + n
             for beads in combinations(range(size), m):
-                pos = MhrgPosition(board, diagram_of_word(sum(1 << b for b in beads), size))
+                pos = MhrgPosition(board, diagram_of_word(sum(1 << b for b in beads)))
                 assert moves_diagonal(pos) == moves_reference(pos), (m, n, str(pos))
                 words += 1
     assert words == 4720
@@ -349,7 +353,7 @@ def test_whole_board_sweep_matches_the_search_on_every_solvable_board():
             continue
         size = board.m + board.n
         children = sorted(word_options(start_position(board).encode(), size))
-        sub = diagram_of_word(children[len(children) // 2], size)
+        sub = diagram_of_word(children[len(children) // 2])
         _, sub_memo = solve(board, sub)
         assert sub_memo.items() <= memo.items(), (board.m, board.n)
 
@@ -364,6 +368,46 @@ def test_sweep_refuses_an_option_outside_its_order(monkeypatch):
     monkeypatch.setattr(mh, "word_options", lambda word, size: original(word, size) | {24})
     with pytest.raises(EngineInvariantError, match="option 24 of 3 is not valued before it"):
         solve(BoardParams(2, 3))
+
+
+def test_class_tables_match_the_per_board_solve_on_every_position():
+    # Each class (m, d) values m x (m + 2d), reading its inert-coin words
+    # from the class below; its table equals the whole-board solve of
+    # m x (m + 2d) and, through widen_word, of m x (m + 2d + 1).
+    checked = 0
+    for d in range(5):
+        for m, table in enumerate(_class_chain(d, min(8, 10 - 2 * d)), start=1):
+            n = m + 2 * d
+            assert table == solve(BoardParams(m, n))[1], (m, n)
+            checked += len(table)
+            if n + 1 <= 10:
+                widened = {widen_word(w, m, n): value for w, value in table.items()}
+                assert widened == solve(BoardParams(m, n + 1))[1], (m, n + 1)
+                checked += len(table)
+    assert checked == 11_800
+
+
+@pytest.mark.parametrize(
+    "vid, boards_of",
+    [("start2", closedforms._start2_boards), ("square", closedforms._square_boards)],
+    ids=["start2", "square"],
+)
+def test_start_values_match_the_per_board_solve_on_the_default_ranges(vid, boards_of):
+    boards = list(boards_of(closedforms._VERIFIERS[vid][2]["max_n"]))
+    assert start_values(boards) == {board: solve(board)[0] for board in boards}
+
+
+def test_class_chain_refuses_an_option_outside_its_order(monkeypatch):
+    # An engine that gives 2x2's word 10 (coins +1, -2) the option 12, the
+    # start, breaks the increasing order in the chain's second class.
+    import hookgames.mhrg as mh
+
+    original = mh.word_options
+    monkeypatch.setattr(
+        mh, "word_options", lambda word, size: original(word, size) | ({12} if size == 4 else set())
+    )
+    with pytest.raises(EngineInvariantError, match="option 12 of 10 is not valued before it"):
+        start_values([BoardParams(2, 3)])
 
 
 def test_solver_matches_independent_brute_force():

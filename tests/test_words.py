@@ -10,6 +10,7 @@ from conftest import (
     decrement_interval,
     diagonal_of,
     diagram_of,
+    diagram_of_word_reference,
     enumerate_profiles,
     position_from_profile,
     profile_of_word,
@@ -131,7 +132,7 @@ def test_word_round_trip(case):
 
 def assert_word_maps_match_the_profile_route(board: BoardParams, word: int) -> None:
     m, n = board.m, board.n
-    diagram = diagram_of_word(word, m + n)
+    diagram = diagram_of_word(word)
     assert diagram == diagram_of(DiagonalSeq(board, tuple(profile_of_word(word, m, n))))
     assert word_of_diagram(board, diagram) == word
     assert word == word_of_profile(diagonal_of(board, diagram).encode(), m)
@@ -144,7 +145,7 @@ def test_word_maps_match_the_profile_route_on_every_diagram():
             board = BoardParams(m, n)
             for diagram in all_diagrams(board):
                 word = word_of_diagram(board, diagram)
-                assert diagram_of_word(word, m + n) == diagram
+                assert diagram_of_word(word) == diagram_of_word_reference(word, m + n) == diagram
                 assert_word_maps_match_the_profile_route(board, word)
                 diagrams += 1
     assert diagrams == 10_352
