@@ -7,8 +7,10 @@ hashable memo keys, and callers supply an options function.
 There are two entry points.  :func:`grundy` values one position by a
 depth-first search below it, for any game.  :func:`grundy_in_order` values
 a whole known position set listed so that every option comes before its
-position, with no search at all; a game whose positions are proved to be
-such a set (the boxed game's whole board, ``mhrg.solve``) uses it.
+position, with no search at all.  The boxed game's whole-board sweeps
+(``mhrg.solve`` and ``mhrg.start_values``) use it on the ``semantic`` and
+``cross-check`` engines; the default ``diagonal`` engine values the same
+list by lines, with no option sets (``mhrg._value_in_order``).
 
 Searches are unbounded, and so are the library's solves and closures
 (``solve``, ``solve_hrg``, ``reachable_words``, ``all_shifted``).  The

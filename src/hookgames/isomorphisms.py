@@ -132,6 +132,11 @@ def verify_isomorphism(
     taking, and (iii) game values transport along it.  Witnesses show
     source positions through ``render_source`` and target positions through
     ``render_target``.
+
+    Each position's option set is made once and serves both the comparison
+    and its value.  When the positions come with every option before its
+    position, as the verifiers below list them, the values are read from
+    the memos with no further option sets made.
     """
     report = Report(
         {"map": name, "source": source, "target": target},
@@ -173,8 +178,9 @@ def verify_isomorphism(
     memo_t: dict[T, int] = {}
     for pos in source_positions:
         image = forward(pos)
-        expected = {forward(child) for child in source_options(pos)}
-        actual = set(target_options(image))
+        options_s, options_t = source_options(pos), target_options(image)
+        expected = {forward(child) for child in options_s}
+        actual = set(options_t)
         if expected != actual:
             violations.append(
                 {
@@ -187,8 +193,8 @@ def verify_isomorphism(
                 }
             )
             continue
-        value_s = grundy(pos, source_options, memo_s)
-        value_t = grundy(image, target_options, memo_t)
+        value_s = grundy(pos, _made(pos, options_s, source_options), memo_s)
+        value_t = grundy(image, _made(image, options_t, target_options), memo_t)
         if value_s != value_t:
             violations.append(
                 {
@@ -199,6 +205,11 @@ def verify_isomorphism(
                 }
             )
     return report
+
+
+def _made(pos: Hashable, made: Collection, options: Callable) -> Callable:
+    """``options``, answering ``pos`` with its set ``made`` already."""
+    return lambda p: made if p == pos else options(p)
 
 
 def widen_word(word: int, m: int, n: int) -> int:

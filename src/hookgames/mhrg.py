@@ -47,6 +47,26 @@ those below ``w >> 1``, so the two words have the same value.
 :func:`start_values` values each class once along the chains
 ``(m - j, k - j)`` and reads its bit-0 words from the class below.
 
+A coin's slides and its single flip lie on one line.  Take a mirror-free
+word ``w`` with the coin ``x`` on bit ``b``, and call ``L = w ^ 1 << b``,
+the other ``m - 1`` coins, the line of ``x``.  The bits order the coins by
+value: the low bits hold the negative coins, the most negative lowest, the
+high bits the positive ones, the smallest lowest.  A word ``L | 1 << y``
+is mirror-free exactly when ``y`` lies on a pair free in ``L``: a free
+pair of ``w``, or ``x``'s own pair.  For ``y < b`` it holds the coin of
+bit ``y`` in ``x``'s place, of a value below ``x``: a slide to a free
+pair, or, for ``x > 0`` and ``y`` its own low bit, the single flip.  Those
+are all the slides and the single flip of ``x``.  So they are exactly the
+mirror-free words of ``L`` below ``w``, while its words above ``w`` are
+larger.  An increasing sweep that keeps, for each line, the OR of
+``1 << value`` over its words valued so far thus reads the values of all
+of ``x``'s slides and its single flip at once: ``m`` reads per word,
+where those options number ``m (k - m) + m / 2`` on average.  A line's
+last word has its coin on the line's highest free bit: a positive coin
+with no free pair above it, as a negative coin's own high bit is free.
+The double flips, ``x > 0`` with a coin ``|z| < x``, are read one by one
+(:func:`_value_in_order`).
+
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
 ``engine="semantic"`` solves with it, and ``engine="cross-check"`` compares
@@ -56,16 +76,18 @@ it with the bead-word rule at every position.
 the game exactly when no mirror pair of bits holds two beads (its docstring
 proves both directions).  The count of mirror-free words sizes a search
 before it starts (:func:`search_cost`), and a whole-board :func:`solve`
-values the list of them (:func:`mirror_free_words`) in increasing order,
-with no search: every option is a smaller word.  :func:`reachable_words`
-stays the move closure, so the verifiers, the ``reachable`` listing and the
-tests check the game itself rather than the predicate.
+values the list of them (:func:`mirror_free_words`) in increasing order
+by lines, with no search: every option is a smaller word.
+:func:`reachable_words` stays the move closure, so the verifiers, the
+``reachable`` listing and the tests check the game itself rather than the
+predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .diagrams import (
@@ -303,6 +325,78 @@ def mirror_free_words(m: int, n: int) -> list[int]:
         words += batch
     words.sort()
     return words
+
+
+def _value_in_order(words: list[int], size: int, memo: dict[int, int]) -> None:
+    """Value ``words``, every mirror-free ``size``-bit word with one bead
+    count listed increasing (:func:`mirror_free_words`), into ``memo`` by
+    lines (module docstring).  Words ``memo`` holds already keep their
+    values but still add them to their lines.
+
+    Each word's coins are walked by pairs from the middle out, so a
+    positive coin ``x`` has met the coins ``|z| < x`` of its double flips,
+    which are read from ``memo``.  ``seen`` holds the mask of each open
+    line and drops it at the line's last word, so it holds only lines with
+    words on both sides of the sweep.  A list with too few or too many
+    words, or out of order, and a double flip not yet valued raise
+    :class:`EngineInvariantError`; so does a line still open at the end,
+    which a complete list leaves none of.
+    """
+    m = words[0].bit_count() if words else 0
+    if len(words) != comb(size // 2, m) << m:
+        raise EngineInvariantError(
+            f"{len(words)} words listed for the {comb(size // 2, m) << m} "
+            f"mirror-free {size}-bit words with {m} beads"
+        )
+    top = size - 1
+    half = 1 << (top >> 1)
+    high = -(half << 1)  # the high bit of every pair
+    outside = ~((1 << size) - 1) | (half if size & 1 else 0)  # past the word, or the middle
+    pair = {1 << i: 1 << i | 1 << top - i for i in range(size - size // 2, size)}
+    seen: dict[int, int] = {}
+    prev = -1
+    for w in words:
+        if w <= prev:
+            raise EngineInvariantError(f"word {w} is listed after {prev}")
+        prev = w
+        taken = w | _reversed(w, size)  # both bits of every pair with a coin
+        free = ~(taken | outside)
+        value = memo.get(w)
+        fresh = value is None
+        mask = 0
+        lines = []
+        inner = []  # pair masks of the coins nearer the middle
+        coins = taken & high
+        while coins:
+            hb = coins & -coins
+            coins ^= hb
+            both = pair[hb]
+            if w & hb:  # a positive coin
+                if fresh:
+                    flipped = w ^ both
+                    try:
+                        for other in inner:
+                            mask |= 1 << memo[flipped ^ other]
+                    except KeyError:
+                        raise EngineInvariantError(
+                            f"option {flipped ^ other!r} of {w!r} is not valued before it"
+                        ) from None
+                if hb > free:  # its line's last word
+                    mask |= seen.pop(w ^ hb, 0)
+                else:
+                    lines.append(w ^ hb)
+            else:
+                lines.append(w ^ both ^ hb)
+            inner.append(both)
+        masks = [seen.get(line, 0) for line in lines]
+        if fresh:
+            for line_mask in masks:
+                mask |= line_mask
+            value = memo[w] = (~mask & (mask + 1)).bit_length() - 1
+        bit = 1 << value
+        seen.update(zip(lines, [line_mask | bit for line_mask in masks]))
+    if seen:
+        raise EngineInvariantError(f"{len(seen)} lines still open, first {next(iter(seen))}")
 
 
 def _reversed(word: int, size: int) -> int:
@@ -547,7 +641,7 @@ def solve(
     its size is the number explored.
 
     The full rectangle, whether given or by default, is solved by valuing
-    :func:`mirror_free_words` in increasing order (:func:`grundy_in_order`).
+    :func:`mirror_free_words` in increasing order (:func:`_value_board`).
     That is exact: those words are the positions reachable from the start
     (:func:`in_game` proves it), and every option is a smaller word, so
     each is valued before the positions that move to it.  An engine whose
@@ -562,9 +656,30 @@ def solve(
     word = pos.encode()
     memo: dict[int, int] = {}
     if word == ((1 << m) - 1) << n:  # the start: every bead on the top m bits
-        grundy_in_order(mirror_free_words(m, n), options, memo)
+        _value_board(board, mirror_free_words(m, n), memo, engine)
         return memo[word], memo
     return grundy(word, options, memo), memo
+
+
+def _value_board(board: BoardParams, words: list[int], memo: dict[int, int], engine: str) -> None:
+    """Value ``words``, the mirror-free words of ``board`` increasing, into
+    ``memo``, keeping the values it holds.  The ``diagonal`` engine values
+    them by lines (:func:`_value_in_order`), the others by each word's
+    options (:func:`grundy_in_order`); ``cross-check`` does both and raises
+    :class:`EngineInvariantError` at the first word they value apart."""
+    if engine == "diagonal":
+        _value_in_order(words, board.m + board.n, memo)
+        return
+    by_lines = dict(memo) if engine == "cross-check" else None
+    grundy_in_order([w for w in words if w not in memo], _word_options_fn(board, engine), memo)
+    if by_lines is not None:
+        _value_in_order(words, board.m + board.n, by_lines)
+        for w in words:
+            if by_lines[w] != memo[w]:
+                raise EngineInvariantError(
+                    f"values diverge at {diagram_of_word(w).literal()} on "
+                    f"{board.m}x{board.n}: {by_lines[w]} by lines, {memo[w]} by options"
+                )
 
 
 def _class_of(board: BoardParams) -> tuple[int, int]:
@@ -581,17 +696,15 @@ def _class_chain(d: int, top_m: int, engine: str = "diagonal") -> Iterator[dict[
     A word with bit 0 set holds the inert coin ``-k`` (module docstring),
     so its value is that of ``w >> 1`` in the previous class's table; the
     class ``(0, d)`` has the one empty word, of value 0.  The other words
-    are valued in increasing order (:func:`grundy_in_order`) with the
-    options of ``engine``; an option that is neither an inert-coin word nor
-    smaller raises :class:`EngineInvariantError`."""
+    are valued in increasing order by ``engine`` (:func:`_value_board`); an
+    option that is neither an inert-coin word nor smaller raises
+    :class:`EngineInvariantError`."""
     table = {0: 0}
     for m in range(1, top_m + 1):
         n = m + 2 * d
         words = mirror_free_words(m, n)
         table = {w: table[w >> 1] for w in words if w & 1}
-        grundy_in_order(
-            [w for w in words if not w & 1], _word_options_fn(BoardParams(m, n), engine), table
-        )
+        _value_board(BoardParams(m, n), words, table, engine)
         yield table
 
 
@@ -619,8 +732,9 @@ def start_values(boards: Iterable[BoardParams], engine: str = "diagonal") -> dic
 
     For one board a chain values as many words as :func:`solve` does (the
     classes' bit-0-clear words add up to the top class's words, less the
-    empty one), with the same options, so :func:`solve` keeps its own
-    sweep; the chain saves work when boards share classes or chains."""
+    empty one), and walks the lines of its inert-coin words besides, so
+    :func:`solve` keeps its own sweep; the chain saves work when boards
+    share classes or chains."""
     boards = list(boards)
     top: dict[int, int] = {}
     for board in boards:

@@ -187,6 +187,28 @@ def test_verify_staircase_reports_pass():
     assert all(r.passed for r in verify_staircase_range(5))
 
 
+def test_verifiers_make_each_option_set_once(monkeypatch):
+    # The comparison's option sets also value the positions: 2x4 and 2x5
+    # have 12 words each, the 3x4 board and the size-3 staircase 8 each.
+    calls = {"word": 0, "mask": 0}
+
+    def counted(options, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return options(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(isomorphisms, "word_options", counted(word_options, "word"))
+    monkeypatch.setattr(
+        isomorphisms, "hrg_word_options", counted(isomorphisms.hrg_word_options, "mask")
+    )
+    assert verify_widening(2, 4).passed
+    assert calls == {"word": 24, "mask": 0}
+    assert verify_staircase_iso(3).passed
+    assert calls == {"word": 32, "mask": 8}
+
+
 def test_verify_isomorphism_catches_corruption():
     src = sorted(reachable_words(BoardParams(2, 2)))
     tgt = sorted(reachable_words(BoardParams(2, 3)))

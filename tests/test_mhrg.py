@@ -34,6 +34,7 @@ from hookgames.grundy import grundy
 from hookgames.isomorphisms import widen_word
 from hookgames.mhrg import (
     _class_chain,
+    _value_in_order,
     diagram_of_word,
     in_game,
     mirror_free,
@@ -340,6 +341,16 @@ def dfs_values(board) -> dict[int, int]:
     return table
 
 
+@pytest.mark.parametrize(
+    "m, n", [(1, 300), (2, 80), (2, 81), (3, 40), (4, 24), (4, 25), (5, 16)]
+)
+def test_line_sweep_matches_the_search_past_81_cells(m, n):
+    # On thin boards a coin's line carries almost all of its options; the
+    # boards with m + n odd have a middle bit that no line may use.
+    board = BoardParams(m, n)
+    assert solve(board)[1] == dfs_values(board)
+
+
 def test_whole_board_sweep_matches_the_search_on_every_solvable_board():
     # The sweep's memo equals a depth-first search's and holds as many
     # positions as search_cost counts.  On boards of at most 48 cells, a
@@ -361,13 +372,64 @@ def test_whole_board_sweep_matches_the_search_on_every_solvable_board():
 def test_sweep_refuses_an_option_outside_its_order(monkeypatch):
     # An engine that emits a larger word breaks the increasing order: here
     # every position, the first and smallest (3) included, gets the start
-    # (24), which is valued last.
+    # (24), which is valued last.  The diagonal engine values by lines and
+    # reads no option sets, so the forged engine is the rule book.
     import hookgames.mhrg as mh
 
-    original = mh.word_options
-    monkeypatch.setattr(mh, "word_options", lambda word, size: original(word, size) | {24})
+    original = mh.options_semantic
+    monkeypatch.setattr(
+        mh, "options_semantic", lambda pos: original(pos) | {start_position(pos.board)}
+    )
     with pytest.raises(EngineInvariantError, match="option 24 of 3 is not valued before it"):
-        solve(BoardParams(2, 3))
+        solve(BoardParams(2, 3), engine="semantic")
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda words: words[::-1], "option 134 of 224 is not valued before it"),
+        (lambda words: words[:4] + words[3:4] + words[5:], "word 14 is listed after 14"),
+        (lambda words: words[:3] + [words[4], words[3]] + words[5:], "word 14 is listed after 19"),
+        (lambda words: words[:5] + words[6:], "31 words listed for the 32 mirror-free 8-bit"),
+        (lambda words: words[:-1], "31 words listed for the 32 mirror-free 8-bit"),
+    ],
+    ids=["reversed", "repeated", "swapped", "missing", "missing-last"],
+)
+def test_line_sweep_refuses_a_word_list_out_of_order_or_incomplete(forge, message):
+    # The line sweep trusts the list to hold every mirror-free word once,
+    # increasing: a word valued early misses its lines' lower words, and a
+    # missing word's value is missing from its lines.  3x5 has 32 words.
+    words = mirror_free_words(3, 5)
+    assert _value_in_order(words, 8, {}) is None
+    with pytest.raises(EngineInvariantError, match=message):
+        _value_in_order(forge(words), 8, {})
+
+
+def test_line_sweep_refuses_a_line_left_open():
+    # 2x3's words are 3, 9, 18 and 24.  18 closes the line of the coin -1
+    # (bit 1), whose words are 3 and 18.  10, which holds both bits of the
+    # pair (1, 3), in 18's place leaves that line open.
+    with pytest.raises(EngineInvariantError, match="1 lines still open"):
+        _value_in_order([3, 9, 10, 24], 5, {})
+
+
+def test_cross_check_catches_a_line_value_that_differs(monkeypatch):
+    # cross-check values every sweep both by lines and by options, on a
+    # whole-board solve and on each class of a chain.
+    import hookgames.mhrg as mh
+
+    original = mh._value_in_order
+
+    def forged(words, size, memo):
+        original(words, size, memo)
+        memo[words[-1]] += 1
+
+    monkeypatch.setattr(mh, "_value_in_order", forged)
+    with pytest.raises(EngineInvariantError, match="at 3,3 on 2x3: 4 by lines, 3 by options"):
+        solve(BoardParams(2, 3), engine="cross-check")
+    with pytest.raises(EngineInvariantError, match="at 1 on 1x1: 2 by lines, 1 by options"):
+        start_values([BoardParams(2, 3)], engine="cross-check")
+    assert solve(BoardParams(2, 3))[0] == 4  # the forged value, unchecked
 
 
 def test_class_tables_match_the_per_board_solve_on_every_position():
@@ -402,12 +464,14 @@ def test_class_chain_refuses_an_option_outside_its_order(monkeypatch):
     # start, breaks the increasing order in the chain's second class.
     import hookgames.mhrg as mh
 
-    original = mh.word_options
+    original = mh.options_semantic
     monkeypatch.setattr(
-        mh, "word_options", lambda word, size: original(word, size) | ({12} if size == 4 else set())
+        mh,
+        "options_semantic",
+        lambda pos: original(pos) | ({start_position(pos.board)} if pos.board.n == 2 else set()),
     )
     with pytest.raises(EngineInvariantError, match="option 12 of 10 is not valued before it"):
-        start_values([BoardParams(2, 3)])
+        start_values([BoardParams(2, 3)], engine="semantic")
 
 
 def test_solver_matches_independent_brute_force():
