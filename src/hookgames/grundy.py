@@ -2,15 +2,16 @@
 values.
 
 The solver is agnostic about the position type: positions are their own
-hashable memo keys, and callers supply an options function.
-
-There are two entry points.  :func:`grundy` values one position by a
-depth-first search below it, for any game.  :func:`grundy_in_order` values
-a whole known position set listed so that every option comes before its
-position, with no search at all.  The boxed game's whole-board sweeps
-(``mhrg.solve`` and ``mhrg.start_values``) use it on the ``semantic`` and
-``cross-check`` engines; the default ``diagonal`` engine values the same
-list by lines, with no option sets (``mhrg._value_in_order``).
+hashable memo keys, and callers supply an options function.  Every option
+must be smaller than its position (``child < node``), as in every game the
+package plays: a move removes boxes, which lowers the bead word (``mhrg``)
+or the staircase mask (``shifted``).  That order rules out cycles, and
+:func:`grundy` refuses an option that breaks it.  The boxed game's
+whole-board sweeps (``mhrg.solve`` and ``mhrg.start_values``) call it on
+their word list in increasing order on the ``semantic`` and
+``cross-check`` engines, so each call finds the smaller options valued
+already; the default ``diagonal`` engine values the same list by lines,
+with no option sets (``mhrg._value_in_order``).
 
 Searches are unbounded, and so are the library's solves and closures
 (``solve``, ``solve_hrg``, ``reachable_words``, ``all_shifted``).  The
@@ -78,54 +79,27 @@ def grundy(
     Iterative depth-first search with an explicit stack, so deeply nested
     games cannot hit the interpreter recursion limit; ``options`` must
     return a collection, which is iterated twice.  Every position below
-    ``pos`` that ``memo`` lacks is added to it, each exactly once.  The
-    game graph must be acyclic; a repeated position on the active path
-    raises :class:`EngineInvariantError`.
+    ``pos`` that ``memo`` lacks is added to it, each exactly once.  Every
+    option that ``memo`` lacks must be smaller than its position, so the
+    positions on the stack fall and none repeats; one that is not raises
+    :class:`EngineInvariantError`.
     """
     if pos in memo:
         return memo[pos]
-    path = {pos}
     opts = options(pos)
     stack = [(pos, opts, iter(opts))]
     while stack:
         node, opts, pending = stack[-1]
         for child in pending:
             if child not in memo:
-                if child in path:
+                if not child < node:
                     raise EngineInvariantError(
-                        f"cycle through {child!r}; game positions must not repeat"
+                        f"option {child!r} of {node!r} is not valued before it"
                     )
-                path.add(child)
                 grand = options(child)
                 stack.append((child, grand, iter(grand)))
                 break
         else:
             stack.pop()
-            path.discard(node)
             memo[node] = mex(map(memo.__getitem__, opts))
     return memo[pos]
-
-
-def grundy_in_order(
-    order: Iterable[Hashable],
-    options: Callable[[Hashable], Collection[Hashable]],
-    memo: dict,
-) -> None:
-    """Value every position of ``order`` into ``memo``, in that order.
-
-    Each value is the mex over the values of the position's options, read
-    from ``memo``, so ``order`` must list every option before its position;
-    ``options`` must return a collection, so that only those reads can
-    raise :class:`KeyError`.  An option that is not valued yet, because it
-    lies outside ``order`` or comes after its position, raises
-    :class:`EngineInvariantError`.
-    """
-    value_of = memo.__getitem__
-    for pos in order:
-        opts = options(pos)
-        try:
-            memo[pos] = mex(map(value_of, opts))
-        except KeyError as missing:
-            raise EngineInvariantError(
-                f"option {missing.args[0]!r} of {pos!r} is not valued before it"
-            ) from None

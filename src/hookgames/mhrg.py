@@ -99,13 +99,7 @@ from .diagrams import (
     remove_hook,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import (
-    SEARCH_BUDGET,
-    capped_comb,
-    capped_pow2,
-    grundy,
-    grundy_in_order,
-)
+from .grundy import SEARCH_BUDGET, capped_comb, capped_pow2, grundy
 
 ENGINES = ("diagonal", "semantic", "cross-check")
 
@@ -498,51 +492,47 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
 # Semantic engine: the oracle.
 
 
-def _boxes_of_hook_length(diagram: YoungDiagram, length: int) -> list[tuple[int, int]]:
-    """Boxes of ``diagram`` whose hook has ``length`` boxes, row-major.
+def _equal_label_hooks(board: BoardParams, diagram: YoungDiagram, hook: HookRecord) -> list[HookRecord]:
+    """Hooks of ``diagram`` with the labels of ``hook``, row-major.
 
-    The hook at ``(i, j)`` has ``arm + leg + 1`` boxes, read off the row
-    lengths and the conjugate's column lengths."""
+    Equal label multisets have equal sizes, so labels are compared only
+    with hooks as long as ``hook``.  The hook at ``(i, j)`` has ``arm +
+    leg + 1`` boxes, read off the row lengths and the conjugate's column
+    lengths."""
     cols = diagram.conjugate().rows
     return [
-        (i, j)
+        record
         for i, row in enumerate(diagram.rows, start=1)
         for j in range(1, row + 1)
-        if row - j + cols[j - 1] - i + 1 == length
+        if row - j + cols[j - 1] - i + 1 == hook.size
+        and (record := hook_at(board, diagram, i, j)).labels == hook.labels
     ]
 
 
 def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
     """The move that removes the hook at ``(i, j)``, rule book applied
     literally: remove the hook, then scan for a hook with the identical
-    label multiset and remove it too if one exists.
-
-    Equal label multisets have equal sizes, so both scans compare labels
-    only with hooks as long as the first one."""
+    label multiset and remove it too if one exists (both scans are
+    :func:`_equal_label_hooks`)."""
     board, diagram = pos.board, pos.diagram
     first = hook_at(board, diagram, i, j)
     after_first = remove_hook(board, diagram, i, j)
-    matches = [
-        box
-        for box in _boxes_of_hook_length(after_first, first.size)
-        if hook_at(board, after_first, *box).labels == first.labels
-    ]
+    matches = _equal_label_hooks(board, after_first, first)
     if not matches:
         return MoveRecord(first, None, MhrgPosition(board, after_first))
-    results = {remove_hook(board, after_first, a, b) for a, b in matches}
+    results = {remove_hook(board, after_first, *hook.corner) for hook in matches}
     if len(results) != 1:
         raise EngineInvariantError(
-            f"equal-label hooks at {matches} in {after_first.literal()} "
-            f"disagree on the result"
+            f"equal-label hooks at {[hook.corner for hook in matches]} in "
+            f"{after_first.literal()} disagree on the result"
         )
     final = results.pop()
-    for box in _boxes_of_hook_length(final, first.size):
-        if hook_at(board, final, *box).labels == first.labels:
-            raise EngineInvariantError(
-                f"third equal-label hook at {box} in {final.literal()}"
-            )
-    second = hook_at(board, after_first, *matches[0])
-    return MoveRecord(first, second, MhrgPosition(board, final))
+    third = _equal_label_hooks(board, final, first)
+    if third:
+        raise EngineInvariantError(
+            f"third equal-label hook at {third[0].corner} in {final.literal()}"
+        )
+    return MoveRecord(first, matches[0], MhrgPosition(board, final))
 
 
 def _semantic_records(pos: MhrgPosition) -> dict[YoungDiagram, MoveRecord]:
@@ -665,13 +655,23 @@ def _value_board(board: BoardParams, words: list[int], memo: dict[int, int], eng
     """Value ``words``, the mirror-free words of ``board`` increasing, into
     ``memo``, keeping the values it holds.  The ``diagonal`` engine values
     them by lines (:func:`_value_in_order`), the others by each word's
-    options (:func:`grundy_in_order`); ``cross-check`` does both and raises
-    :class:`EngineInvariantError` at the first word they value apart."""
+    options (:func:`grundy`, word by word, so every smaller option is
+    valued already); ``cross-check`` does both and raises
+    :class:`EngineInvariantError` at the first word they value apart.  An
+    option outside ``words`` raises it too: a larger one in :func:`grundy`,
+    a smaller one here, as it adds a position to ``memo``."""
     if engine == "diagonal":
         _value_in_order(words, board.m + board.n, memo)
         return
     by_lines = dict(memo) if engine == "cross-check" else None
-    grundy_in_order([w for w in words if w not in memo], _word_options_fn(board, engine), memo)
+    options = _word_options_fn(board, engine)
+    for w in words:
+        grundy(w, options, memo)
+    if len(memo) != len(words):
+        raise EngineInvariantError(
+            f"{len(memo)} positions valued for the {len(words)} "
+            f"mirror-free words of {board.m}x{board.n}"
+        )
     if by_lines is not None:
         _value_in_order(words, board.m + board.n, by_lines)
         for w in words:

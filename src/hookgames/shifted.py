@@ -116,10 +116,10 @@ def solve_hrg(n: int, diagram: ShiftedDiagram | None = None) -> tuple[int, dict[
     """Game value of ``diagram`` (default: the full staircase) in the
     hook-removal game on the size-``n`` staircase, with a fresh memo of
     every position explored, keyed by ``n``-bit masks."""
-    if diagram is None:
-        diagram = staircase(n)
     if n < 0:
         raise DomainError(f"staircase size must be at least 0, got {n}")
+    if diagram is None:
+        diagram = ShiftedDiagram.from_mask((1 << n) - 1)  # the staircase, empty for n = 0
     if not diagram.fits(n):
         raise DomainError(
             f"{diagram.literal()} does not fit the size-{n} staircase"

@@ -474,6 +474,26 @@ def test_class_chain_refuses_an_option_outside_its_order(monkeypatch):
         start_values([BoardParams(2, 3)], engine="semantic")
 
 
+def test_sweeps_refuse_a_smaller_option_outside_the_game(monkeypatch):
+    # An engine that gives 2x2's start (12) the option 6, the diagram 1,1,
+    # whose beads share the pair (1, 2), leaves the mirror-free words: the
+    # search values 6 below the start, one position more than the list.
+    import hookgames.mhrg as mh
+
+    original = mh.options_semantic
+    stray = MhrgPosition(BoardParams(2, 2), YoungDiagram((1, 1)))
+    monkeypatch.setattr(
+        mh,
+        "options_semantic",
+        lambda pos: original(pos) | ({stray} if pos == start_position(BoardParams(2, 2)) else set()),
+    )
+    message = "5 positions valued for the 4 mirror-free words of 2x2"
+    with pytest.raises(EngineInvariantError, match=message):
+        solve(BoardParams(2, 2), engine="semantic")
+    with pytest.raises(EngineInvariantError, match=message):
+        start_values([BoardParams(2, 3)], engine="semantic")
+
+
 def test_solver_matches_independent_brute_force():
     for m, n in [(1, 4), (2, 3), (2, 4), (3, 3), (3, 4)]:
         board = BoardParams(m, n)

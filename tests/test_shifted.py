@@ -141,12 +141,14 @@ def test_transitions_worked_examples():
 
 
 def test_transition_hook_duality_exhaustive():
-    # the bead rule is the hook rule, with one option per box
+    # the bead rule is the hook rule, with one option per box; every option
+    # is a smaller mask, as grundy requires
     for n in range(9):
         for s in all_shifted(n):
             options = hrg_word_options(s.mask(), n)
             assert options == {o.mask() for o in hrg_options(s, n)}
             assert len(options) == s.n_boxes
+            assert all(child < s.mask() for child in options)
 
 
 def test_nim_sum_formula_exhaustive():
@@ -166,8 +168,10 @@ def test_solve_hrg_start():
 
 
 def test_solve_hrg_refuses_a_negative_staircase():
-    with pytest.raises(DomainError, match=r"^staircase size must be at least 0, got -1$"):
-        solve_hrg(-1, ShiftedDiagram(()))
+    for call in (lambda: solve_hrg(-1, ShiftedDiagram(())), lambda: solve_hrg(-1)):
+        with pytest.raises(DomainError, match=r"^staircase size must be at least 0, got -1$"):
+            call()
     with pytest.raises(DomainError, match=r"^staircase size must be at least 0, got -1$"):
         list(all_shifted(-1))
-    assert solve_hrg(0, ShiftedDiagram(())) == (0, {0: 0})
+    # The size-0 staircase is empty, given or by default.
+    assert solve_hrg(0, ShiftedDiagram(())) == solve_hrg(0) == (0, {0: 0})
