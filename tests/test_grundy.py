@@ -68,10 +68,17 @@ def test_memo_determinism_under_exploration_order():
 
 def test_cycle_guard():
     # An option not valued yet must be smaller than its position: that
-    # refuses a cycle, and also a move up that closes none.
-    for graph in ({0: [1], 1: [0]}, {0: [1], 1: []}):
-        with pytest.raises(EngineInvariantError, match="option 1 of 0 is not valued before it"):
-            grundy(0, graph.__getitem__, {})
+    # refuses a cycle.
+    graph = {0: [1], 1: [0]}
+    with pytest.raises(EngineInvariantError, match="option 1 of 0 is not valued before it"):
+        grundy(0, graph.__getitem__, {})
+
+
+def test_in_order_refuses_an_option_that_comes_later():
+    # A move up is refused even when it closes no cycle.
+    graph = {0: [1], 1: []}
+    with pytest.raises(EngineInvariantError, match="option 1 of 0 is not valued before it"):
+        grundy(0, graph.__getitem__, {})
 
 
 def test_deep_game_does_not_recurse():
