@@ -33,7 +33,7 @@ from .mhrg import (
     start_values,
     word_of_diagram,
 )
-from .shifted import ShiftedDiagram, all_shifted, solve_hrg
+from .shifted import all_shifted, solve_hrg
 
 
 def nim_sum(values: Iterable[int]) -> int:
@@ -303,7 +303,7 @@ def _verify_square(max_n: int) -> Iterator[_Finding]:
 
 def _verify_nim(n: int) -> Iterator[_Finding]:
     # Every mask lies below the full one, so one solve values them all.
-    _, memo = solve_hrg(n, ShiftedDiagram.from_mask((1 << n) - 1))
+    _, memo = solve_hrg(n)
     for diagram in all_shifted(n):
         value = memo[diagram.mask()]
         expected = predict_shifted(diagram.parts)

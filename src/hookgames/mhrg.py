@@ -70,7 +70,15 @@ The double flips, ``x > 0`` with a coin ``|z| < x``, are read one by one
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
 ``engine="semantic"`` solves with it, and ``engine="cross-check"`` compares
-it with the bead-word rule at every position.
+it with the bead-word rule at every position.  It reads boxes only, never
+words or intervals.  Each board's labels are built once, as a grid of rows
+and columns (:func:`_label_grid`), and a hook's labels are its arm's slice
+of its row and its leg's slice of its column, sorted.  A diagram's row and
+column lengths are read once per position for all its first hooks, and
+once per scan.  A scan compares labels only with hooks of the first one's
+length, and each row holds at most one: along a row the arm shrinks by one
+and the leg never grows, so hook lengths strictly fall, and the scan leaves
+a row at its first hook no longer than the first one.
 
 :func:`in_game` answers reachability from the word alone: a position is in
 the game exactly when no mirror pair of bits holds two beads (its docstring
@@ -85,6 +93,7 @@ predicate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -93,6 +102,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 from .diagrams import (
     BoardParams,
     HookRecord,
+    Rows,
     YoungDiagram,
     hook_at,
     interval_labels,
@@ -492,21 +502,56 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
 # Semantic engine: the oracle.
 
 
+# A board's labels, as its rows and as its columns.
+_Grid = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+@functools.lru_cache(maxsize=8)
+def _label_grid(board: BoardParams) -> _Grid:
+    """The board's unimodal labels ``min(j - i + m, i - j + n)``, as its
+    rows and as its columns, each 0-based."""
+    m, n = board.m, board.n
+    rows = tuple(
+        tuple(min(j - i + m, i - j + n) for j in range(1, n + 1)) for i in range(1, m + 1)
+    )
+    return rows, tuple(zip(*rows))
+
+
+def _box_hook(grid: _Grid, rows: Rows, cols: Rows, i: int, j: int) -> HookRecord:
+    """Hook at box ``(i, j)`` of the diagram with row lengths ``rows`` and
+    column lengths ``cols``: its arm is row ``i`` from column ``j`` to
+    ``rows[i - 1]``, its leg column ``j`` below row ``i`` down to
+    ``cols[j - 1]``, and its labels are those cells of ``grid``
+    (:func:`_label_grid`), sorted."""
+    by_row, by_col = grid
+    row, col = rows[i - 1], cols[j - 1]
+    labels = sorted(by_row[i - 1][j - 1 : row] + by_col[j - 1][i:col])
+    return HookRecord((i, j), j - col, row - i, tuple(labels))
+
+
 def _equal_label_hooks(board: BoardParams, diagram: YoungDiagram, hook: HookRecord) -> list[HookRecord]:
     """Hooks of ``diagram`` with the labels of ``hook``, row-major.
 
     Equal label multisets have equal sizes, so labels are compared only
-    with hooks as long as ``hook``.  The hook at ``(i, j)`` has ``arm +
-    leg + 1`` boxes, read off the row lengths and the conjugate's column
-    lengths."""
-    cols = diagram.conjugate().rows
-    return [
-        record
-        for i, row in enumerate(diagram.rows, start=1)
-        for j in range(1, row + 1)
-        if row - j + cols[j - 1] - i + 1 == hook.size
-        and (record := hook_at(board, diagram, i, j)).labels == hook.labels
-    ]
+    with hooks as long as ``hook``.  Hook lengths strictly fall along a
+    row, as the arm shrinks by one and the leg never grows, so each row
+    holds at most one hook of that length: the scan walks a row until its
+    hooks are no longer than ``hook``."""
+    grid = _label_grid(board)
+    rows, cols = diagram.rows, diagram.conjugate().rows
+    size = hook.size
+    found = []
+    for i, row in enumerate(rows, start=1):
+        for j in range(1, row + 1):
+            length = row - j + cols[j - 1] - i + 1
+            if length > size:
+                continue
+            if length == size:
+                record = _box_hook(grid, rows, cols, i, j)
+                if record.labels == hook.labels:
+                    found.append(record)
+            break
+    return found
 
 
 def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
@@ -514,9 +559,13 @@ def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
     literally: remove the hook, then scan for a hook with the identical
     label multiset and remove it too if one exists (both scans are
     :func:`_equal_label_hooks`)."""
+    return _rule_book_move(pos, hook_at(pos.board, pos.diagram, i, j))
+
+
+def _rule_book_move(pos: MhrgPosition, first: HookRecord) -> MoveRecord:
+    """:func:`move_for_box` for the hook ``first`` of ``pos``."""
     board, diagram = pos.board, pos.diagram
-    first = hook_at(board, diagram, i, j)
-    after_first = remove_hook(board, diagram, i, j)
+    after_first = remove_hook(board, diagram, *first.corner)
     matches = _equal_label_hooks(board, after_first, first)
     if not matches:
         return MoveRecord(first, None, MhrgPosition(board, after_first))
@@ -537,10 +586,13 @@ def move_for_box(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
 
 def _semantic_records(pos: MhrgPosition) -> dict[YoungDiagram, MoveRecord]:
     """Rule-book moves by result diagram, unsorted: per result the record
-    with the smallest corner, which row-major order meets first."""
+    with the smallest corner, which row-major order meets first.  The first
+    hooks all come from one read of the rows and the column lengths."""
+    grid = _label_grid(pos.board)
+    rows, cols = pos.diagram.rows, pos.diagram.conjugate().rows
     best: dict[YoungDiagram, MoveRecord] = {}
     for i, j in pos.diagram.boxes():
-        record = move_for_box(pos, i, j)
+        record = _rule_book_move(pos, _box_hook(grid, rows, cols, i, j))
         best.setdefault(record.result.diagram, record)
     return best
 

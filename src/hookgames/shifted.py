@@ -80,9 +80,9 @@ class ShiftedDiagram:
 
 
 def staircase(n: int) -> ShiftedDiagram:
-    """The staircase ``(n, n-1, ..., 1)``."""
-    if n < 1:
-        raise DomainError(f"staircase size must be at least 1, got {n}")
+    """The staircase ``(n, n-1, ..., 1)``; size 0 is the empty diagram."""
+    if n < 0:
+        raise DomainError(f"staircase size must be at least 0, got {n}")
     return ShiftedDiagram(tuple(range(n, 0, -1)))
 
 
@@ -119,7 +119,7 @@ def solve_hrg(n: int, diagram: ShiftedDiagram | None = None) -> tuple[int, dict[
     if n < 0:
         raise DomainError(f"staircase size must be at least 0, got {n}")
     if diagram is None:
-        diagram = ShiftedDiagram.from_mask((1 << n) - 1)  # the staircase, empty for n = 0
+        diagram = staircase(n)
     if not diagram.fits(n):
         raise DomainError(
             f"{diagram.literal()} does not fit the size-{n} staircase"

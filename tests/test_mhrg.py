@@ -18,6 +18,7 @@ from hookgames import (
     MhrgPosition,
     YoungDiagram,
     all_diagrams,
+    hook_at,
     is_symmetric,
     move_for_box,
     moves_diagonal,
@@ -273,11 +274,11 @@ def test_move_records_match_the_all_pairs_reference_on_every_word():
 
 
 def test_rule_book_guards_fire_on_forged_labels(monkeypatch):
-    # Every hook as long as the chosen first one reports its labels, so the
-    # scans find more equal-label hooks than the rule allows.
+    # Every hook that the scans read as long as the chosen first one reports
+    # its labels, so they find more equal-label hooks than the rule allows.
     import hookgames.mhrg as mh
 
-    real = mh.hook_at
+    real = mh._box_hook
     cases = [
         # After the hook at (3,3), the boxes (2,3) and (3,2) both have
         # one-box hooks, and removing them leaves different diagrams.
@@ -288,15 +289,58 @@ def test_rule_book_guards_fire_on_forged_labels(monkeypatch):
     ]
     for board, rows, box, message in cases:
         pos = MhrgPosition(board, YoungDiagram(rows))
-        first = real(board, pos.diagram, *box)
+        first = hook_at(board, pos.diagram, *box)
 
-        def forged(board, diagram, i, j, first=first):
-            hook = real(board, diagram, i, j)
+        def forged(grid, rows, cols, i, j, first=first):
+            hook = real(grid, rows, cols, i, j)
             return replace(hook, labels=first.labels) if hook.size == first.size else hook
 
-        monkeypatch.setattr(mh, "hook_at", forged)
+        monkeypatch.setattr(mh, "_box_hook", forged)
         with pytest.raises(EngineInvariantError, match=message):
             move_for_box(pos, *box)
+
+
+def test_rule_book_calls_no_bead_word_code(monkeypatch):
+    # The oracle reads diagrams only: with the bead-word rule, the hooks
+    # decoded from words and the interval labels all forged to raise, its
+    # answers stay the same on every diagram of the boards up to 3x5.
+    import hookgames.diagrams as dg
+    import hookgames.mhrg as mh
+
+    positions = [
+        MhrgPosition(BoardParams(m, n), diagram)
+        for m in range(1, 4)
+        for n in range(m, 6)
+        for diagram in all_diagrams(BoardParams(m, n))
+    ]
+
+    def answers():
+        return [
+            (
+                [move_for_box(pos, i, j) for i, j in pos.diagram.boxes()],
+                options_semantic(pos),
+                moves_semantic(pos),
+            )
+            for pos in positions
+        ]
+
+    expected = answers()
+
+    def forged(*args, **kwargs):
+        raise AssertionError("the rule book called bead-word code")
+
+    for module, name in [
+        (mh, "word_options"),
+        (mh, "_hook"),
+        (mh, "_forced_move"),
+        (mh, "interval_labels"),
+        (dg, "interval_labels"),
+    ]:
+        monkeypatch.setattr(module, name, forged)
+    with pytest.raises(AssertionError, match="bead-word code"):
+        moves_diagonal(positions[-1])
+    assert answers() == expected
+    assert len(positions) == 183
 
 
 def test_in_game_matches_the_move_closure_on_every_diagram():

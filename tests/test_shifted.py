@@ -38,8 +38,9 @@ def test_shifted_literal_and_boxes():
 
 def test_staircase():
     assert staircase(4).parts == (4, 3, 2, 1)
-    with pytest.raises(DomainError):
-        staircase(0)
+    assert staircase(0).parts == ()
+    with pytest.raises(DomainError, match="at least 0, got -1"):
+        staircase(-1)
 
 
 def test_all_shifted_counts():

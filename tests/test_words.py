@@ -1,6 +1,7 @@
 """Differential tests of the bead-word core against the profile rule and the
 rule-book engine, on boards past the exhaustive 6x6 checks."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -23,9 +24,11 @@ from hypothesis import strategies as st
 from hookgames import (
     BoardParams,
     DomainError,
+    MhrgPosition,
     YoungDiagram,
     all_diagrams,
     grundy,
+    moves_diagonal,
     moves_semantic,
     options_semantic,
     solve,
@@ -194,6 +197,27 @@ def test_word_options_match_both_engines(case):
         if boxes(word, m, n) <= SEMANTIC_MAX_BOXES:
             pos = position_from_profile(board, vals)
             assert children == {p.encode() for p in options_semantic(pos)}
+
+
+@pytest.mark.parametrize("m, n", [(9, 10), (7, 13), (5, 20), (3, 30)])
+def test_rule_book_moves_match_the_bead_words_past_81_cells(m, n):
+    # Past the exhaustive range and SEMANTIC_MAX_BOXES, on a seeded sample:
+    # five in-game words, one bead on each of m distinct mirror pairs, and
+    # five out of the game, with two beads on one pair.
+    board, size = BoardParams(m, n), m + n
+    rng = random.Random(f"{m}x{n}")
+    words = []
+    for _ in range(5):
+        pairs = rng.sample(range(size // 2), m)
+        words.append(sum(1 << rng.choice((p, size - 1 - p)) for p in pairs))
+    for _ in range(5):
+        p = rng.randrange(size // 2)
+        rest = rng.sample([b for b in range(size) if b not in (p, size - 1 - p)], m - 2)
+        words.append(sum(1 << b for b in (p, size - 1 - p, *rest)))
+    assert [mirror_free(word, size) for word in words] == [True] * 5 + [False] * 5
+    for word in words:
+        pos = MhrgPosition(board, diagram_of_word(word))
+        assert moves_semantic(pos) == moves_diagonal(pos), (m, n, pos.diagram.rows)
 
 
 def test_word_options_match_the_all_pairs_reference_on_every_word():
