@@ -15,12 +15,7 @@ import sys
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import closedforms, isomorphisms, mhrg
-from .diagrams import (
-    BoardParams,
-    YoungDiagram,
-    check_sides,
-    unimodal_number,
-)
+from .diagrams import BoardParams, YoungDiagram, _label_grid, check_sides
 from .errors import DomainError, EngineInvariantError
 from .grundy import check_budget
 
@@ -270,13 +265,9 @@ def cmd_verify(args) -> int:
 
 
 def _render_position(board: BoardParams, diagram: YoungDiagram) -> str:
-    lines = []
-    for i in range(1, diagram.height + 1):
-        labels = [
-            str(unimodal_number(board, i, j))
-            for j in range(1, diagram.rows[i - 1] + 1)
-        ]
-        lines.append("  " + " ".join(labels))
+    """The diagram's boxes, each shown as its label, row by row."""
+    by_row, _ = _label_grid(board)
+    lines = ["  " + " ".join(map(str, by_row[i][:row])) for i, row in enumerate(diagram.rows)]
     return "\n".join(lines) if lines else "  (empty)"
 
 

@@ -10,6 +10,12 @@ carry one run of consecutive labels and those past it another.  The move
 engines work on bead words (``mhrg``), which also key memos; diagrams are
 what the rule book and the command line speak.
 
+On diagrams, a board's labels are built once, as a grid of rows and
+columns (:func:`_label_grid`).  One builder reads a hook off it
+(:func:`_box_hook`): its arm's slice of its row and its leg's slice of its
+column, sorted.  :func:`hook_at`, the rule book's scans in ``mhrg`` and
+the board that ``play`` prints all read that grid.
+
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between workers.
 """
@@ -197,27 +203,48 @@ def _require_box(diagram: YoungDiagram, i: int, j: int) -> None:
         raise DomainError(f"box ({i}, {j}) not in diagram {diagram.literal()}")
 
 
-def _hook_boxes(diagram: YoungDiagram, i: int, j: int) -> list[Box]:
-    arm = [(i, jj) for jj in range(j, diagram.rows[i - 1] + 1)]
-    leg = [(ii, j) for ii in range(i + 1, diagram.height + 1) if diagram.rows[ii - 1] >= j]
-    return arm + leg
+def _require_fit(board: BoardParams, diagram: YoungDiagram) -> None:
+    if not diagram.fits(board):
+        raise DomainError(
+            f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
+        )
+
+
+# A board's labels, as its rows and as its columns.
+_Grid = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+@functools.lru_cache(maxsize=8)
+def _label_grid(board: BoardParams) -> _Grid:
+    """The board's unimodal labels ``min(j - i + m, i - j + n)``, as its
+    rows and as its columns, each 0-based."""
+    m, n = board.m, board.n
+    rows = tuple(
+        tuple(min(j - i + m, i - j + n) for j in range(1, n + 1)) for i in range(1, m + 1)
+    )
+    return rows, tuple(zip(*rows))
+
+
+def _box_hook(grid: _Grid, rows: Rows, cols: Rows, i: int, j: int) -> HookRecord:
+    """Hook at box ``(i, j)`` of the diagram with row lengths ``rows`` and
+    column lengths ``cols``: its arm is row ``i`` from column ``j`` to
+    ``rows[i - 1]``, its leg column ``j`` below row ``i`` down to
+    ``cols[j - 1]``, and its labels are those cells of ``grid``
+    (:func:`_label_grid`), sorted.  The hook covers diagonals
+    ``j - cols[j - 1] .. rows[i - 1] - i``, from its leg's bottom box to
+    its arm's rightmost one."""
+    by_row, by_col = grid
+    row, col = rows[i - 1], cols[j - 1]
+    labels = sorted(by_row[i - 1][j - 1 : row] + by_col[j - 1][i:col])
+    return HookRecord((i, j), j - col, row - i, tuple(labels))
 
 
 def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRecord:
-    """Hook record at box ``(i, j)``: corner, diagonal interval and labels.
-
-    The interval runs from ``j - i'`` (``i'`` the bottom box of column ``j``)
-    up to ``j' - i`` (``j'`` the rightmost box of row ``i``).
-    """
+    """Hook record at box ``(i, j)`` of a diagram that fits the board:
+    corner, diagonal interval and labels (:func:`_box_hook`)."""
     _require_box(diagram, i, j)
-    rows = diagram.rows
-    bottom = i
-    while bottom < len(rows) and rows[bottom] >= j:
-        bottom += 1
-    rightmost = rows[i - 1]
-    lo, hi = j - bottom, rightmost - i
-    labels = sorted(unimodal_number(board, a, b) for a, b in _hook_boxes(diagram, i, j))
-    return HookRecord((i, j), lo, hi, tuple(labels))
+    _require_fit(board, diagram)
+    return _box_hook(_label_grid(board), diagram.rows, diagram.conjugate().rows, i, j)
 
 
 def remove_hook(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:

@@ -71,9 +71,9 @@ The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
 ``engine="semantic"`` solves with it, and ``engine="cross-check"`` compares
 it with the bead-word rule at every position.  It reads boxes only, never
-words or intervals.  Each board's labels are built once, as a grid of rows
-and columns (:func:`_label_grid`), and a hook's labels are its arm's slice
-of its row and its leg's slice of its column, sorted.  A diagram's row and
+words or intervals.  Its hooks come from the label grid and the one hook
+builder of ``diagrams`` (``diagrams._label_grid``, ``diagrams._box_hook``),
+the builder behind :func:`~hookgames.diagrams.hook_at`.  A diagram's row and
 column lengths are read once per position for all its first hooks, and
 once per scan.  A scan compares labels only with hooks of the first one's
 length, and each row holds at most one: along a row the arm shrinks by one
@@ -93,7 +93,6 @@ predicate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -102,8 +101,10 @@ from typing import Callable, Hashable, Iterable, Iterator
 from .diagrams import (
     BoardParams,
     HookRecord,
-    Rows,
     YoungDiagram,
+    _box_hook,
+    _label_grid,
+    _require_fit,
     hook_at,
     interval_labels,
     remove_hook,
@@ -122,11 +123,7 @@ class MhrgPosition:
     diagram: YoungDiagram
 
     def __post_init__(self) -> None:
-        if not self.diagram.fits(self.board):
-            raise DomainError(
-                f"diagram {self.diagram.literal()} does not fit a "
-                f"{self.board.m}x{self.board.n} board"
-            )
+        _require_fit(self.board, self.diagram)
 
     def encode(self) -> int:
         """Bead word (:func:`word_of_diagram`); the canonical memo key for
@@ -500,33 +497,6 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
 
 # ---------------------------------------------------------------------------
 # Semantic engine: the oracle.
-
-
-# A board's labels, as its rows and as its columns.
-_Grid = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
-
-
-@functools.lru_cache(maxsize=8)
-def _label_grid(board: BoardParams) -> _Grid:
-    """The board's unimodal labels ``min(j - i + m, i - j + n)``, as its
-    rows and as its columns, each 0-based."""
-    m, n = board.m, board.n
-    rows = tuple(
-        tuple(min(j - i + m, i - j + n) for j in range(1, n + 1)) for i in range(1, m + 1)
-    )
-    return rows, tuple(zip(*rows))
-
-
-def _box_hook(grid: _Grid, rows: Rows, cols: Rows, i: int, j: int) -> HookRecord:
-    """Hook at box ``(i, j)`` of the diagram with row lengths ``rows`` and
-    column lengths ``cols``: its arm is row ``i`` from column ``j`` to
-    ``rows[i - 1]``, its leg column ``j`` below row ``i`` down to
-    ``cols[j - 1]``, and its labels are those cells of ``grid``
-    (:func:`_label_grid`), sorted."""
-    by_row, by_col = grid
-    row, col = rows[i - 1], cols[j - 1]
-    labels = sorted(by_row[i - 1][j - 1 : row] + by_col[j - 1][i:col])
-    return HookRecord((i, j), j - col, row - i, tuple(labels))
 
 
 def _equal_label_hooks(board: BoardParams, diagram: YoungDiagram, hook: HookRecord) -> list[HookRecord]:

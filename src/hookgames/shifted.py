@@ -22,7 +22,6 @@ from typing import Iterator
 from .errors import DomainError
 from .grundy import grundy
 
-Box = tuple[int, int]
 Parts = tuple[int, ...]
 
 
@@ -49,21 +48,8 @@ class ShiftedDiagram:
         return self.literal()
 
     @property
-    def height(self) -> int:
-        return len(self.parts)
-
-    @property
     def n_boxes(self) -> int:
         return sum(self.parts)
-
-    def boxes(self) -> Iterator[Box]:
-        for i, length in enumerate(self.parts, start=1):
-            for j in range(i, i + length):
-                yield (i, j)
-
-    def __contains__(self, box: Box) -> bool:
-        i, j = box
-        return 1 <= i <= len(self.parts) and i <= j < i + self.parts[i - 1]
 
     def fits(self, n: int) -> bool:
         return not self.parts or self.parts[0] <= n

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from hypothesis import settings
 
@@ -23,6 +24,7 @@ from hookgames import (
     BoardParams,
     DomainError,
     EngineInvariantError,
+    HookRecord,
     MhrgPosition,
     ShiftedDiagram,
     YoungDiagram,
@@ -259,6 +261,18 @@ def position_from_profile(board: BoardParams, profile: bytes) -> MhrgPosition:
     return MhrgPosition(board, diagram_of(DiagonalSeq(board, tuple(profile))))
 
 
+def hook_at_reference(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRecord:
+    """Hook at ``(i, j)`` box by box: the arm's boxes and the leg's, each
+    labelled by :func:`unimodal_number`, which refuses a box off the board.
+    The interval runs from ``j - i'`` (``i'`` the bottom box of column
+    ``j``) up to ``j' - i`` (``j'`` the rightmost box of row ``i``)."""
+    rows = diagram.rows
+    arm = [(i, b) for b in range(j, rows[i - 1] + 1)]
+    leg = [(a, j) for a in range(i + 1, len(rows) + 1) if rows[a - 1] >= j]
+    labels = sorted(unimodal_number(board, a, b) for a, b in arm + leg)
+    return HookRecord((i, j), j - i - len(leg), rows[i - 1] - i, tuple(labels))
+
+
 def remove_hook_reference(diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:
     """Remove the hook at ``(i, j)`` box by box: drop the arm and the leg,
     move every box south-east of the corner one step up-left, and read the
@@ -455,15 +469,29 @@ def options_payload(pos: MhrgPosition, records: tuple[MoveRecord, ...]) -> dict:
     }
 
 
+def shifted_boxes(diagram: ShiftedDiagram) -> Iterator[tuple[int, int]]:
+    """Boxes ``(i, j)`` of a shifted diagram in row-major order: row ``i``
+    spans columns ``i .. i + parts[i - 1] - 1``."""
+    for i, length in enumerate(diagram.parts, start=1):
+        for j in range(i, i + length):
+            yield (i, j)
+
+
+def in_shifted(diagram: ShiftedDiagram, box: tuple[int, int]) -> bool:
+    """Whether ``box`` is a box of the shifted diagram."""
+    i, j = box
+    return 1 <= i <= len(diagram.parts) and i <= j < i + diagram.parts[i - 1]
+
+
 def shifted_hook(diagram: ShiftedDiagram, i: int, j: int) -> frozenset[tuple[int, int]]:
     """Hook at ``(i, j)``: the box, its arm, its leg, and the tail row
     ``j + 1``."""
-    if (i, j) not in diagram:
+    if not in_shifted(diagram, (i, j)):
         raise DomainError(f"box ({i}, {j}) not in shifted diagram {diagram.literal()}")
     boxes = {(i, j)}
     boxes.update((i, jj) for jj in range(j + 1, i + diagram.parts[i - 1]))
-    boxes.update(b for b in diagram.boxes() if b[1] == j and b[0] > i)
-    boxes.update(b for b in diagram.boxes() if b[0] == j + 1 and b[1] > j)
+    boxes.update(b for b in shifted_boxes(diagram) if b[1] == j and b[0] > i)
+    boxes.update(b for b in shifted_boxes(diagram) if b[0] == j + 1 and b[1] > j)
     return frozenset(boxes)
 
 
@@ -473,7 +501,7 @@ def shifted_remove_hook(diagram: ShiftedDiagram, i: int, j: int) -> ShiftedDiagr
     ``j + 1`` shift two."""
     hook = shifted_hook(diagram, i, j)
     remaining: dict[int, set[int]] = {}
-    for a, b in diagram.boxes():
+    for a, b in shifted_boxes(diagram):
         if (a, b) in hook:
             continue
         if a > j + 1:
@@ -499,4 +527,4 @@ def hrg_options(diagram: ShiftedDiagram, n: int) -> set[ShiftedDiagram]:
         raise DomainError(
             f"{diagram.literal()} does not fit the size-{n} staircase"
         )
-    return {shifted_remove_hook(diagram, i, j) for i, j in diagram.boxes()}
+    return {shifted_remove_hook(diagram, i, j) for i, j in shifted_boxes(diagram)}

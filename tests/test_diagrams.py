@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from conftest import (
@@ -8,6 +9,7 @@ from conftest import (
     diagonal_of,
     diagram_of,
     enumerate_profiles,
+    hook_at_reference,
     label_multiset,
     remove_hook_reference,
 )
@@ -117,6 +119,40 @@ def test_hook_at_examples():
 
     with pytest.raises(DomainError):
         hook_at(board, YoungDiagram((5, 4, 3)), 3, 4)
+
+
+def test_hook_at_matches_the_box_by_box_reference():
+    # Every box of every diagram of the boards up to 5x7, then every box of
+    # seeded diagrams on two boards past them: corner, interval and labels.
+    hooks = 0
+    for m in range(1, 6):
+        for n in range(m, 8):
+            board = BoardParams(m, n)
+            for diagram in all_diagrams(board):
+                for i, j in diagram.boxes():
+                    expected = hook_at_reference(board, diagram, i, j)
+                    assert hook_at(board, diagram, i, j) == expected, (diagram, i, j)
+                    hooks += 1
+    assert hooks == 36_347
+    rng = random.Random(23)
+    for board in (BoardParams(6, 15), BoardParams(3, 40)):
+        for _ in range(25):
+            rows = sorted((rng.randint(0, board.n) for _ in range(board.m)), reverse=True)
+            diagram = YoungDiagram(tuple(rows))
+            for i, j in diagram.boxes():
+                assert hook_at(board, diagram, i, j) == hook_at_reference(board, diagram, i, j)
+
+
+def test_hook_at_refuses_a_diagram_off_its_board():
+    # The box is checked against the diagram first, then the diagram
+    # against the board, with the wording of MhrgPosition's refusal.
+    board = BoardParams(3, 3)
+    for rows, box in (((4,), (1, 4)), ((4,), (1, 1)), ((1, 1, 1, 1), (4, 1))):
+        literal = YoungDiagram(rows).literal()
+        with pytest.raises(DomainError, match=rf"^diagram {literal} does not fit a 3x3 board$"):
+            hook_at(board, YoungDiagram(rows), *box)
+    with pytest.raises(DomainError, match=r"^box \(1, 5\) not in diagram 4$"):
+        hook_at(board, YoungDiagram((4,)), 1, 5)
 
 
 def test_hook_labels_match_diagonal_interval():

@@ -2,6 +2,8 @@ import pytest
 from conftest import (
     ShiftedDiagonalSeq,
     hrg_options,
+    in_shifted,
+    shifted_boxes,
     shifted_diagonal_of,
     shifted_diagram_of,
     shifted_hook,
@@ -32,8 +34,8 @@ def test_shifted_literal_and_boxes():
     s = ShiftedDiagram((3, 1))
     assert s.literal() == "3,1"
     assert ShiftedDiagram(()).literal() == "-"
-    assert set(s.boxes()) == {(1, 1), (1, 2), (1, 3), (2, 2)}
-    assert (2, 2) in s and (2, 3) not in s
+    assert set(shifted_boxes(s)) == {(1, 1), (1, 2), (1, 3), (2, 2)}
+    assert in_shifted(s, (2, 2)) and not in_shifted(s, (2, 3))
 
 
 def test_staircase():
@@ -84,7 +86,7 @@ def test_hrg_options_examples():
     # brute enumeration over the six boxes of the size-3 staircase
     opts = {o.parts for o in hrg_options(staircase(3), 3)}
     expected = {
-        shifted_remove_hook(staircase(3), i, j).parts for i, j in staircase(3).boxes()
+        shifted_remove_hook(staircase(3), i, j).parts for i, j in shifted_boxes(staircase(3))
     }
     assert opts == expected
     assert len(opts) >= 3
