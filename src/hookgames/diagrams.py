@@ -10,11 +10,12 @@ carry one run of consecutive labels and those past it another.  The move
 engines work on bead words (``mhrg``), which also key memos; diagrams are
 what the rule book and the command line speak.
 
-On diagrams, a board's labels are built once, as a grid of rows and
-columns (:func:`_label_grid`).  One builder reads a hook off it
-(:func:`_box_hook`): its arm's slice of its row and its leg's slice of its
-column, sorted.  :func:`hook_at`, the rule book's scans in ``mhrg`` and
-the board that ``play`` prints all read that grid.
+On diagrams, one builder makes every hook from its arm's labels and its
+leg's (:func:`_hook_record`).  :func:`hook_at` labels the hook's boxes
+alone, in time linear in the hook on a board of any size.  The rule book's
+scans in ``mhrg`` and the board that ``play`` prints read every box, so
+they slice one grid of a board's labels (:func:`_label_grid`,
+:func:`_box_hook`).
 
 Everything here is immutable after construction and every operation is a
 pure function, so values can be shared freely between workers.
@@ -72,6 +73,11 @@ def unimodal_number(board: BoardParams, i: int, j: int) -> int:
     """Unimodal label of box ``(i, j)``: ``min(j - i + m, i - j + n)``."""
     if not (1 <= i <= board.m and 1 <= j <= board.n):
         raise DomainError(f"box ({i}, {j}) outside {board.m}x{board.n} board")
+    return _label(board, i, j)
+
+
+def _label(board: BoardParams, i: int, j: int) -> int:
+    """:func:`unimodal_number` for a box known to lie on the board."""
     return min(j - i + board.m, i - j + board.n)
 
 
@@ -216,35 +222,43 @@ _Grid = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 @functools.lru_cache(maxsize=8)
 def _label_grid(board: BoardParams) -> _Grid:
-    """The board's unimodal labels ``min(j - i + m, i - j + n)``, as its
-    rows and as its columns, each 0-based."""
-    m, n = board.m, board.n
+    """The board's labels (:func:`_label`), as its rows and as its columns,
+    each 0-based: ``m * n`` labels, built for the rule book's scans and
+    ``play``'s board, which read every box."""
     rows = tuple(
-        tuple(min(j - i + m, i - j + n) for j in range(1, n + 1)) for i in range(1, m + 1)
+        tuple(_label(board, i, j) for j in range(1, board.n + 1)) for i in range(1, board.m + 1)
     )
     return rows, tuple(zip(*rows))
 
 
+def _hook_record(i: int, j: int, row: int, col: int, arm: Rows, leg: Rows) -> HookRecord:
+    """Hook at box ``(i, j)`` from its arm's labels and its leg's, its row
+    ending at column ``row`` and its column at row ``col``: it covers the
+    diagonals ``j - col .. row - i``, from its leg's bottom box to its arm's
+    rightmost one."""
+    return HookRecord((i, j), j - col, row - i, tuple(sorted(arm + leg)))
+
+
 def _box_hook(grid: _Grid, rows: Rows, cols: Rows, i: int, j: int) -> HookRecord:
     """Hook at box ``(i, j)`` of the diagram with row lengths ``rows`` and
-    column lengths ``cols``: its arm is row ``i`` from column ``j`` to
-    ``rows[i - 1]``, its leg column ``j`` below row ``i`` down to
-    ``cols[j - 1]``, and its labels are those cells of ``grid``
-    (:func:`_label_grid`), sorted.  The hook covers diagonals
-    ``j - cols[j - 1] .. rows[i - 1] - i``, from its leg's bottom box to
-    its arm's rightmost one."""
+    column lengths ``cols``, its labels sliced from ``grid``."""
     by_row, by_col = grid
     row, col = rows[i - 1], cols[j - 1]
-    labels = sorted(by_row[i - 1][j - 1 : row] + by_col[j - 1][i:col])
-    return HookRecord((i, j), j - col, row - i, tuple(labels))
+    return _hook_record(i, j, row, col, by_row[i - 1][j - 1 : row], by_col[j - 1][i:col])
 
 
 def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRecord:
-    """Hook record at box ``(i, j)`` of a diagram that fits the board:
-    corner, diagonal interval and labels (:func:`_box_hook`)."""
+    """Hook record at box ``(i, j)`` of a diagram that fits the board, its
+    arm and leg labelled box by box: time linear in the hook, whatever the
+    board's size."""
     _require_box(diagram, i, j)
     _require_fit(board, diagram)
-    return _box_hook(_label_grid(board), diagram.rows, diagram.conjugate().rows, i, j)
+    rows, bottom = diagram.rows, i
+    while bottom < len(rows) and rows[bottom] >= j:
+        bottom += 1
+    arm = tuple(_label(board, i, b) for b in range(j, rows[i - 1] + 1))
+    leg = tuple(_label(board, a, j) for a in range(i + 1, bottom + 1))
+    return _hook_record(i, j, rows[i - 1], bottom, arm, leg)
 
 
 def remove_hook(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:

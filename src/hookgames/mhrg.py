@@ -71,9 +71,9 @@ The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
 ``engine="semantic"`` solves with it, and ``engine="cross-check"`` compares
 it with the bead-word rule at every position.  It reads boxes only, never
-words or intervals.  Its hooks come from the label grid and the one hook
-builder of ``diagrams`` (``diagrams._label_grid``, ``diagrams._box_hook``),
-the builder behind :func:`~hookgames.diagrams.hook_at`.  A diagram's row and
+words or intervals.  Its hooks are sliced from the label grid of
+``diagrams`` (``diagrams._label_grid``, ``diagrams._box_hook``) by the hook
+builder behind :func:`~hookgames.diagrams.hook_at`.  A diagram's row and
 column lengths are read once per position for all its first hooks, and
 once per scan.  A scan compares labels only with hooks of the first one's
 length, and each row holds at most one: along a row the arm shrinks by one
@@ -167,10 +167,7 @@ class MoveRecord:
 def word_of_diagram(board: BoardParams, diagram: YoungDiagram) -> int:
     """Bead word of ``diagram`` on ``board``: row ``i`` (0-based, padded
     with empty rows to ``m``) puts its bead on bit ``rows[i] + m - 1 - i``."""
-    if not diagram.fits(board):
-        raise DomainError(
-            f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
-        )
+    _require_fit(board, diagram)
     m = board.m
     rows = diagram.rows + (0,) * (m - diagram.height)
     return sum(1 << (length + m - 1 - i) for i, length in enumerate(rows))

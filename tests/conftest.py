@@ -32,7 +32,7 @@ from hookgames import (
     start_position,
     unimodal_number,
 )
-from hookgames.diagrams import hook_at, max_label, remove_hook
+from hookgames.diagrams import max_label, remove_hook
 from hookgames.mhrg import MoveRecord, diagram_of_word, word_of_diagram
 
 # Property tests draw the same examples on every run, so the suite stays
@@ -337,7 +337,7 @@ def moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     mirrored move ``top - a -> top - b`` follows when it is legal after the
     first (``top = m + n - 1``), and every such follow-up, kept or not, must
     remove a hook with the first one's labels.  Hooks are read off the
-    diagrams box by box (``hook_at``).  Per result the smallest corner is
+    diagrams box by box (:func:`hook_at_reference`).  Per result the smallest corner is
     kept, and records are ordered by the result's diagonal profile."""
     board = pos.board
     m, n = board.m, board.n
@@ -349,7 +349,7 @@ def moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
 
     def hook(w: int, a: int, b: int):
         diagram = pos.diagram if w == word else diagram_of_word(w)
-        return hook_at(board, diagram, *corner(w, a, b))
+        return hook_at_reference(board, diagram, *corner(w, a, b))
 
     # result word -> (corner, a, b, word after the first move, forced?)
     best: dict[int, tuple[tuple[int, int], int, int, int, bool]] = {}
@@ -412,12 +412,12 @@ def rule_book_move_reference(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
     hook in the diagram left by the first removal is compared with the
     first hook's labels, and so is every box's hook in the final diagram."""
     board, diagram = pos.board, pos.diagram
-    first = hook_at(board, diagram, i, j)
+    first = hook_at_reference(board, diagram, i, j)
     after_first = remove_hook(board, diagram, i, j)
     matches = sorted(
         box
         for box in after_first.boxes()
-        if hook_at(board, after_first, *box).labels == first.labels
+        if hook_at_reference(board, after_first, *box).labels == first.labels
     )
     if not matches:
         return MoveRecord(first, None, MhrgPosition(board, after_first))
@@ -426,9 +426,9 @@ def rule_book_move_reference(pos: MhrgPosition, i: int, j: int) -> MoveRecord:
         raise EngineInvariantError(f"equal-label hooks at {matches} disagree on the result")
     final = results.pop()
     for box in final.boxes():
-        if hook_at(board, final, *box).labels == first.labels:
+        if hook_at_reference(board, final, *box).labels == first.labels:
             raise EngineInvariantError(f"third equal-label hook at {box}")
-    second = hook_at(board, after_first, *matches[0])
+    second = hook_at_reference(board, after_first, *matches[0])
     return MoveRecord(first, second, MhrgPosition(board, final))
 
 

@@ -75,11 +75,6 @@ BENCHMARK_NAMES = {
     "isomorphisms": ("verify_widening_range", "verify_staircase_range"),
     "mhrg": ("options_cross_check",),
 }
-# Methods the benchmark harness calls, by public class.  ``label_list`` is an
-# alias of ``HookRecord.labels`` that stays because the harness's move
-# payload (``perfbench/workloads.py``, ``_moves_payload``) reads labels
-# through it.
-BENCHMARK_METHODS = {"HookRecord": ("label_list",)}
 
 # The diagonal-profile representation, kept only in the tests' conftest.
 PROFILE_NAMES = (
@@ -117,10 +112,9 @@ def test_benchmark_names_stay_public():
         for name in names:
             assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
     assert set(BENCHMARK_NAMES[""]) <= PUBLIC_NAMES
-    for owner, names in BENCHMARK_METHODS.items():
-        assert owner in PUBLIC_NAMES
-        for name in names:
-            assert callable(getattr(getattr(hookgames, owner), name, None)), f"{owner}.{name}"
+    # ``HookRecord.label_list`` is an alias of ``labels`` that stays because
+    # the harness's move payload (``perfbench/workloads.py``,
+    # ``_moves_payload``) reads labels through it.
     hook = hookgames.hook_at(hookgames.BoardParams(3, 5), hookgames.YoungDiagram((5, 4, 3)), 1, 4)
     assert hook.label_list() == hook.labels == (1, 2, 3)
 

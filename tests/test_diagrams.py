@@ -24,7 +24,7 @@ from hookgames import (
     remove_hook,
     unimodal_number,
 )
-from hookgames.diagrams import interval_labels
+from hookgames.diagrams import _label_grid, interval_labels
 
 
 def test_board_validation():
@@ -141,6 +141,18 @@ def test_hook_at_matches_the_box_by_box_reference():
             diagram = YoungDiagram(tuple(rows))
             for i, j in diagram.boxes():
                 assert hook_at(board, diagram, i, j) == hook_at_reference(board, diagram, i, j)
+
+
+def test_hook_at_costs_its_hook_not_its_board():
+    # Sides have no upper bound, so hook_at labels the hook's boxes alone
+    # and builds no board-sized label grid.
+    board = BoardParams(1, 10**6)
+    before = _label_grid.cache_info()
+    for rows, box, labels in (((1,), (1, 1), (1,)), ((3,), (1, 1), (1, 2, 3))):
+        diagram = YoungDiagram(rows)
+        assert hook_at(board, diagram, *box) == hook_at_reference(board, diagram, *box)
+        assert hook_at(board, diagram, *box).labels == labels
+    assert _label_grid.cache_info() == before
 
 
 def test_hook_at_refuses_a_diagram_off_its_board():
