@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagrams import BoardParams, YoungDiagram, all_diagrams
 from .errors import DomainError
@@ -48,6 +48,8 @@ def predict_1n(n: int, length: int) -> tuple[bool, int | None]:
     ``n``: the half-full row is unreachable, values below it are the
     length, above it the length less one.
     """
+    if n < 1:
+        raise DomainError(f"one-row prediction needs n >= 1, got {n}")
     if not 0 <= length <= n:
         raise DomainError(f"length {length} outside 0..{n}")
     if n % 2 == 1:
@@ -271,8 +273,7 @@ def _verify_row2(max_n: int) -> Iterator[_Finding]:
             if not in_game:
                 yield None
                 continue
-            value = memo.get(key)
-            assert value is not None
+            value = memo[key]
             if klass is TwoRowClass.OTHER:
                 holds, predicted = value not in (0, 1, 2), "value not in {0,1,2}"
             else:
@@ -288,17 +289,12 @@ def _square_boards(max_n: int) -> Iterator[BoardParams]:
     return (BoardParams(n, n + w) for n in range(1, max_n + 1) for w in (0, 1))
 
 
-def _verify_start2(max_n: int) -> Iterator[_Finding]:
-    for board, value in start_values(_start2_boards(max_n)).items():
-        expected = predict_start_2n(board.n)
-        yield None if value == expected else (f"start 2x{board.n}", expected, value)
-
-
-def _verify_square(max_n: int) -> Iterator[_Finding]:
-    for board, value in start_values(_square_boards(max_n)).items():
-        expected = predict_start_square(board.m)
-        position = f"start {board.m}x{board.n}"
-        yield None if value == expected else (position, expected, value)
+def _verify_start(
+    boards: Iterable[BoardParams], predict: Callable[[BoardParams], int]
+) -> Iterator[_Finding]:
+    for board, value in start_values(boards).items():
+        expected = predict(board)
+        yield None if value == expected else (f"start {board.m}x{board.n}", expected, value)
 
 
 def _verify_nim(n: int) -> Iterator[_Finding]:
@@ -311,18 +307,17 @@ def _verify_nim(n: int) -> Iterator[_Finding]:
 
 
 def _verify_symmetry(max_n: int) -> Iterator[_Finding]:
-    for n in range(1, max_n + 1):
-        for board in (BoardParams(n, n), BoardParams(n, n + 1)):
-            reached = reachable_words(board)
-            for diagram in all_diagrams(board):
-                word = word_of_diagram(board, diagram)
-                symmetric = is_symmetric(word, board.m, board.n)
-                in_game = word in reached
-                yield None if symmetric == in_game else (
-                    f"{board.m}x{board.n} {diagram.literal()}",
-                    f"symmetric={symmetric}",
-                    f"reachable={in_game}",
-                )
+    for board in _square_boards(max_n):
+        reached = reachable_words(board)
+        for diagram in all_diagrams(board):
+            word = word_of_diagram(board, diagram)
+            symmetric = is_symmetric(word, board.m, board.n)
+            in_game = word in reached
+            yield None if symmetric == in_game else (
+                f"{board.m}x{board.n} {diagram.literal()}",
+                f"symmetric={symmetric}",
+                f"reachable={in_game}",
+            )
 
 
 def _table1_costs(max_m: int, max_n: int) -> Iterator[int]:
@@ -330,10 +325,6 @@ def _table1_costs(max_m: int, max_n: int) -> Iterator[int]:
     yield from class_costs(_table_boards(max_m, max_n))
     if min(max_m, max_n) >= 1 and max(max_m, max_n) > 9:
         raise DomainError(f"table1 compares with the 9x9 golden grid, got {max_m}x{max_n}")
-
-
-def _start(m: int, n: int) -> int:
-    return search_cost(BoardParams(m, n))
 
 
 # Each verification id: its report name, its check, each parameter's
@@ -344,19 +335,22 @@ def _start(m: int, n: int) -> int:
 _VERIFIERS = {
     "table1": ("golden-table", _verify_table1, {"max_m": 9, "max_n": 9}, _table1_costs),
     "row1": ("one-row", _verify_row1, {"max_n": 20},
-             lambda max_n: (2 * _start(1, n) for n in range(1, max_n + 1))),
+             lambda max_n: (2 * search_cost(BoardParams(1, n)) for n in range(1, max_n + 1))),
     "row2": ("two-row", _verify_row2, {"max_n": 24},
-             lambda max_n: (2 * _start(2, n) + capped_comb(n + 2, 2)
+             lambda max_n: (2 * search_cost(BoardParams(2, n)) + capped_comb(n + 2, 2)
                             for n in range(2, max_n + 1, 2))),
-    "start2": ("two-row-start", _verify_start2, {"max_n": 40},
-               lambda max_n: class_costs(_start2_boards(max_n))),
-    "square": ("square-start", _verify_square, {"max_n": 7},
-               lambda max_n: class_costs(_square_boards(max_n))),
+    "start2": ("two-row-start",
+               lambda max_n: _verify_start(_start2_boards(max_n), lambda b: predict_start_2n(b.n)),
+               {"max_n": 40}, lambda max_n: class_costs(_start2_boards(max_n))),
+    "square": ("square-start",
+               lambda max_n: _verify_start(_square_boards(max_n),
+                                           lambda b: predict_start_square(b.m)),
+               {"max_n": 7}, lambda max_n: class_costs(_square_boards(max_n))),
     "nim": ("shifted-nim", _verify_nim, {"n": 7},
             lambda n: [capped_pow2(n)] if n >= 0 else []),
     "symmetry": ("symmetric-reachable", _verify_symmetry, {"max_n": 6},
-                 lambda max_n: (_start(n, n) + _start(n, n + 1) + capped_comb(2 * n, n)
-                                + capped_comb(2 * n + 1, n) for n in range(1, max_n + 1))),
+                 lambda max_n: (search_cost(board) + capped_comb(board.m + board.n, board.m)
+                                for board in _square_boards(max_n))),
 }
 
 VERIFY_IDS = tuple(sorted(_VERIFIERS))

@@ -482,14 +482,13 @@ def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     return tuple(records)
 
 
+def _positions(board: BoardParams, words: Iterable[int]) -> set[MhrgPosition]:
+    return {MhrgPosition(board, diagram_of_word(word)) for word in words}
+
+
 def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
     """Option set via the bead word."""
-    board = pos.board
-    size = board.m + board.n
-    return {
-        MhrgPosition(board, diagram_of_word(word))
-        for word in word_options(word_of_diagram(board, pos.diagram), size)
-    }
+    return _positions(pos.board, word_options(pos.encode(), pos.board.m + pos.board.n))
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +579,7 @@ def options_semantic(pos: MhrgPosition) -> set[MhrgPosition]:
 
 def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
     """Run both engines and fail loudly on any divergence."""
-    board = pos.board
-    cross_check = _word_options_fn(board, "cross-check")
-    return {MhrgPosition(board, diagram_of_word(w)) for w in cross_check(pos.encode())}
+    return _positions(pos.board, _word_options_fn(pos.board, "cross-check")(pos.encode()))
 
 
 def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int]]:
@@ -632,10 +629,7 @@ def reachable_words(board: BoardParams, engine: str = "diagonal") -> set[int]:
 
 def reachable(board: BoardParams, engine: str = "diagonal") -> set[MhrgPosition]:
     """Positions reachable from the full rectangle (the game's position set)."""
-    return {
-        MhrgPosition(board, diagram_of_word(word))
-        for word in reachable_words(board, engine)
-    }
+    return _positions(board, reachable_words(board, engine))
 
 
 def solve(

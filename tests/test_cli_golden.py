@@ -88,6 +88,8 @@ CASES["verify-row2"] = ["verify", "row2", "--max-n", "8", "--format", "json"]
 CASES["verify-shifted-7"] = ["verify", "shifted", "--n", "7", "--format", "json"]
 CASES["verify-widen-8"] = ["verify", "widen", "--max-side", "8", "--format", "json"]
 CASES["verify-nim-7"] = ["verify", "nim", "--n", "7", "--format", "json"]
+CASES["verify-start2"] = ["verify", "start2", "--format", "json"]
+CASES["verify-square"] = ["verify", "square", "--format", "json"]
 
 
 def transcript(argv: list[str]) -> tuple[int, bytes, bytes]:

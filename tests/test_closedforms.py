@@ -35,6 +35,8 @@ def test_predict_1n_examples():
     assert predict_1n(6, 2) == (True, 2)
     with pytest.raises(DomainError):
         predict_1n(4, 5)
+    with pytest.raises(DomainError, match=r"^one-row prediction needs n >= 1, got 0$"):
+        predict_1n(0, 0)
 
 
 def test_predict_2n_class_examples():
@@ -252,3 +254,22 @@ def test_row2_reports_a_reachability_mismatch(monkeypatch):
     assert report.findings == [
         {"position": "2x2 2,2", "predicted": "reachable=False", "computed": "reachable=True"},
     ]
+
+
+def test_row2_needs_a_value_for_every_reachable_position(monkeypatch):
+    # 4,2 on 2x4 is reachable and classed OTHER; a solve that leaves it
+    # unvalued must fail the check, not pass as "value not in {0,1,2}",
+    # also under ``python -O``.
+    board = BoardParams(2, 4)
+    dropped = closedforms.word_of_diagram(board, YoungDiagram((4, 2)))
+    real = closedforms.solve
+
+    def forged(b):
+        value, memo = real(b)
+        if b == board:
+            del memo[dropped]
+        return value, memo
+
+    monkeypatch.setattr(closedforms, "solve", forged)
+    with pytest.raises(KeyError):
+        verify("row2", max_n=4)
