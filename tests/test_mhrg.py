@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -360,11 +361,34 @@ def solvable_boards():
     ]
 
 
+@cache
 def dfs_values(board) -> dict[int, int]:
+    # Cached so that tier-1 walks each board's game graph once: the closure
+    # test and the sweep test below both read this memo.  Callers only read it.
     size = board.m + board.n
     table = {}
     grundy(start_position(board).encode(), lambda w: word_options(w, size), table)
     return table
+
+
+def test_reachable_set_is_mirror_free_on_every_solvable_board():
+    # The depth-first search from the start values its whole move closure.
+    # That closure lies inside the mirror-free words and has as many
+    # positions as there are of them (choose m of the floor((m + n) / 2)
+    # mirror pairs, then a side in each), so the two sets are equal, as
+    # in_game's docstring proves.  mirror_free_words, which whole-board
+    # solves value in order, lists exactly that set, increasing.  On boards
+    # of at most 48 cells, reachable_words gives the same closure.
+    boards = solvable_boards()
+    for board in boards:
+        m, n = board.m, board.n
+        closure = dfs_values(board).keys()
+        assert len(closure) == comb((m + n) // 2, m) * 2**m, (m, n)
+        assert all(mirror_free(word, m + n) for word in closure), (m, n)
+        assert mirror_free_words(m, n) == sorted(closure), (m, n)
+        if m * n <= 48:
+            assert reachable_words(board) == closure, (m, n)
+    assert len(boards) == 174
 
 
 @pytest.mark.parametrize(
@@ -378,33 +402,21 @@ def test_line_sweep_matches_the_search_past_81_cells(m, n):
 
 
 def test_whole_board_sweep_matches_the_search_on_every_solvable_board():
-    # The depth-first search from the start values its whole move closure.
-    # That closure lies inside the mirror-free words and has as many
-    # positions as there are of them (choose m of the floor((m + n) / 2)
-    # mirror pairs, then a side in each), so the two sets are equal, as
-    # in_game's docstring proves; mirror_free_words lists exactly that set,
-    # increasing.  The sweep's memo equals the search's and holds as many
-    # positions as search_cost counts.  On boards of at most 48 cells,
-    # reachable_words gives the same closure, and a subgame solve (the
-    # middle option of the start) values a part of it.
-    boards = solvable_boards()
-    for board in boards:
-        m, n = board.m, board.n
+    # The sweep's memo equals a depth-first search's and holds as many
+    # positions as search_cost counts.  On boards of at most 48 cells, a
+    # subgame solve (the middle option of the start) values a part of it.
+    for board in solvable_boards():
         expected = dfs_values(board)
-        assert len(expected) == comb((m + n) // 2, m) * 2**m, (m, n)
-        assert all(mirror_free(word, m + n) for word in expected), (m, n)
-        assert mirror_free_words(m, n) == sorted(expected), (m, n)
         value, memo = solve(board)
         assert memo == expected and value == expected[start_position(board).encode()]
-        assert len(memo) == search_cost(board), (m, n)
-        if m * n > 48:
+        assert len(memo) == search_cost(board), (board.m, board.n)
+        if board.m * board.n > 48:
             continue
-        assert reachable_words(board) == expected.keys(), (m, n)
-        children = sorted(word_options(start_position(board).encode(), m + n))
+        size = board.m + board.n
+        children = sorted(word_options(start_position(board).encode(), size))
         sub = diagram_of_word(children[len(children) // 2])
         _, sub_memo = solve(board, sub)
-        assert sub_memo.items() <= memo.items(), (m, n)
-    assert len(boards) == 174
+        assert sub_memo.items() <= memo.items(), (board.m, board.n)
 
 
 def test_sweep_refuses_an_option_outside_its_order(monkeypatch):
