@@ -65,7 +65,10 @@ where those options number ``m (k - m) + m / 2`` on average.  A line's
 last word has its coin on the line's highest free bit: a positive coin
 with no free pair above it, as a negative coin's own high bit is free.
 The double flips, ``x > 0`` with a coin ``|z| < x``, are read one by one
-(:func:`_value_in_order`).
+(:func:`_value_in_order`).  A coin's two bits, whether its line ends on
+its high bit and its double-flip masks depend only on the word's set of
+pairs, so the sweep reads them once per set (:func:`_coin_table`) and
+takes each coin's side from the word.
 
 The semantic engine applies the rule book literally on diagrams, scanning
 for an equal-label hook after each removal.  It is the oracle:
@@ -83,19 +86,69 @@ a row at its first hook no longer than the first one.
 :func:`in_game` answers reachability from the word alone: a position is in
 the game exactly when no mirror pair of bits holds two beads (its docstring
 proves both directions).  The count of mirror-free words sizes a search
-before it starts (:func:`search_cost`), and a whole-board :func:`solve`
-values the list of them (:func:`mirror_free_words`) in increasing order
-by lines, with no search: every option is a smaller word.
-:func:`reachable_words` stays the move closure, so the verifiers, the
-``reachable`` listing and the tests check the game itself rather than the
-predicate.
+before it starts (:func:`search_cost`).  :func:`reachable_words` stays the
+move closure, so the verifiers, the ``reachable`` listing and the tests
+check the game itself rather than the predicate.
+
+The subgame of an in-game diagram ``λ`` is the set of in-game diagrams
+``μ ⊆ λ``: the mirror-free words whose beads, sorted, lie one by one at or
+below ``λ``'s (row ``i`` ends in the bead on bit ``rows[i] + m - 1 - i``).
+It is exactly the set of positions reachable from ``λ``, so :func:`solve`
+from an in-game position values that list (:func:`_words_inside`) in
+increasing order by lines, with no search; the whole board is the case of
+``λ`` the start, where the list is every mirror-free word.
+
+* It is closed under options, so the sweep's values are exact.  A move
+  removes boxes and keeps the word mirror-free (:func:`in_game`), so each
+  option of a listed word is a smaller listed word, valued before it.  The
+  line fact holds inside: the words of a coin's line below ``w`` are
+  options of ``w``, so all of them are listed.  The lines' words above the
+  list stay unvalued, and the lines on its edge stay open.
+* Every ``μ`` of it is reachable from ``λ``, so the sweep values exactly the
+  positions a search from ``λ`` explores; for ``λ`` the start this is
+  ``in_game``'s converse.  For ``t = 1 .. k`` let ``A(t)`` count a
+  position's positive coins of value at least ``t`` and ``B(t)`` its
+  negative coins of value at most ``-t``.  Bits order coins by value, so
+  ``μ ⊆ λ`` exactly when no value has more coins of ``μ`` than of ``λ`` at
+  or above it; at ``t`` and ``-t`` that reads ``D_A(t) >= 0`` and ``D_B(t +
+  1) >= 0`` for ``D_A = A_λ - A_μ`` and ``D_B = B_μ - B_λ``, and ``D_A(1) =
+  D_B(1)``, as both have ``m`` coins.  A move of ``λ`` keeps ``μ`` inside
+  when the ``D`` it lowers is positive there: a slide ``x -> y``, ``0 < y <
+  x``, lowers ``D_A`` by one on ``(y, x]``; a slide ``-x -> -y``, ``x <
+  y``, ``D_B`` on ``(x, y]``; a slide ``x -> -y``, ``D_A`` on ``[1, x]``
+  and ``D_B`` on ``[1, y]``; the flip of ``x > 0`` with ``-r``, ``0 < r <
+  x``, both on ``(r, x]``, and the single flip of ``x`` both on ``[1, x]``
+  (``r = 0`` below).  Take ``μ != λ`` and ``T`` the largest ``t`` where
+  ``D_A`` or ``D_B`` is positive.  Above ``T`` the two agree pair by pair,
+  so at pair ``T`` either ``λ`` holds ``+T`` and ``μ`` holds ``-T`` or
+  nothing, or ``λ`` holds nothing and ``μ`` holds ``-T``.  Take the
+  longest run ``(r, T]`` where a ``D`` stays positive: at ``r > 0``
+  ``D_B`` drops to 0 only where ``λ`` holds ``-r``, and ``D_A`` only where
+  ``μ`` holds ``+r`` and ``λ`` does not.
+
+  - ``λ`` nothing at ``T``, ``μ`` ``-T``: on the run of ``D_B``, ``λ``
+    slides ``-r`` to ``-T``, or, for ``r = 0``, its smallest positive coin
+    ``x``: it has one, as ``D_A(1) = D_B(1) > 0``, and none below ``x``,
+    so ``D_A >= D_A(1)`` on ``[1, x]``.
+  - ``λ`` ``+T``, ``μ`` ``-T``: on the run where both stay positive,
+    ``λ`` slides ``T`` to ``r > 0`` if it holds nothing there, and else
+    flips ``T`` with ``-r`` (alone for ``r = 0``).
+  - ``λ`` ``+T``, ``μ`` nothing: on the run of ``D_A``, ``λ`` slides ``T``
+    to ``r > 0`` if it holds nothing there.  Else it holds ``-r``, so
+    ``D_B(r + 1) = D_B(r) + 1 > 0``, or ``r = 0`` and ``D_B(1) = D_A(1) >
+    0``.  On the run ``(r, q]`` of ``D_B`` from ``r + 1``, ``q < T`` as
+    ``D_B(T) = 0``, and ``μ`` holds ``-q``: ``λ`` flips ``q`` with ``-r``
+    (alone for ``r = 0``) if it holds ``+q``, and slides ``T`` to ``q`` if
+    it holds nothing there.
+
+  Each option is a smaller word that still holds ``μ``, so induction on
+  ``λ`` reaches ``μ``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .diagrams import (
@@ -308,92 +361,140 @@ def search_cost(board: BoardParams, diagram: YoungDiagram | None = None) -> int:
     return capped_comb(m + n, m)
 
 
-def mirror_free_words(m: int, n: int) -> list[int]:
-    """Every mirror-free ``(m + n)``-bit word with ``m`` beads, increasing:
-    the positions of the ``m x n`` game (:func:`in_game`).  Choose ``m`` of
-    the ``(m + n) // 2`` mirror pairs ``(p, m + n - 1 - p)``, then a side
-    in each."""
-    top = m + n - 1
-    words = []
-    for pairs in combinations(range((m + n) // 2), m):
-        batch = [sum(1 << p for p in pairs)]  # every bead on its low side
-        for p in pairs:
-            up = (1 << top - p) - (1 << p)
-            batch += [word + up for word in batch]
-        words += batch
-    words.sort()
-    return words
+def _words_inside(bound: int, size: int) -> list[tuple[int, int]]:
+    """Every mirror-free ``size``-bit word inside ``bound`` (module
+    docstring: its beads, sorted, at or below those of ``bound``),
+    increasing, each with its pair mask, both bits of every pair that holds
+    a coin.
 
-
-def _value_in_order(words: list[int], size: int, memo: dict[int, int]) -> None:
-    """Value ``words``, every mirror-free ``size``-bit word with one bead
-    count listed increasing (:func:`mirror_free_words`), into ``memo`` by
-    lines (module docstring).  Words ``memo`` holds already keep their
-    values but still add them to their lines.
-
-    Each word's coins are walked by pairs from the middle out, so a
-    positive coin ``x`` has met the coins ``|z| < x`` of its double flips,
-    which are read from ``memo``.  ``seen`` holds the mask of each open
-    line and drops it at the line's last word, so it holds only lines with
-    words on both sides of the sweep.  A list with too few or too many
-    words, or out of order, and a double flip not yet valued raise
-    :class:`EngineInvariantError`; so does a line still open at the end,
-    which a complete list leaves none of.
+    The words grow pair by pair from the outermost, ``p = 0 .. k - 1``
+    (``k = size // 2``, ``top = size - 1``), kept by their coins placed so
+    far, ``a`` positive and ``c`` negative.  The ``a``-th positive coin
+    placed is the word's ``a``-th highest bead and the ``c``-th negative
+    one its ``c``-th lowest, so pair ``p`` takes a coin on its high bit when
+    ``top - p`` is at most the ``a``-th highest bead of ``bound``, and on
+    its low bit when ``p`` is at most the ``c``-th lowest one.  It stays
+    empty only while enough pairs remain for the coins still to come.  Each
+    word travels as ``word << size | pairs``, so one sort orders them.
     """
-    m = words[0].bit_count() if words else 0
-    if len(words) != comb(size // 2, m) << m:
+    beads = [b for b in range(size - 1, -1, -1) if bound >> b & 1]
+    m, k, top = len(beads), size // 2, size - 1
+    grown: dict[tuple[int, int], list[int]] = {(0, 0): [0]}
+    for p in range(k):
+        both = 1 << p | 1 << top - p
+        up, down = 1 << top - p << size | both, 1 << p << size | both
+        placed, grown = grown, {}
+        for (a, c), keys in placed.items():
+            if m - a - c < k - p:
+                grown.setdefault((a, c), []).extend(keys)
+            if a + c < m:
+                if top - p <= beads[a]:
+                    grown.setdefault((a + 1, c), []).extend([key | up for key in keys])
+                if p <= beads[m - 1 - c]:
+                    grown.setdefault((a, c + 1), []).extend([key | down for key in keys])
+    low = (1 << size) - 1
+    return [(key >> size, key & low) for key in sorted(chain.from_iterable(grown.values()))]
+
+
+def _count_inside(bound: int, size: int) -> int:
+    """Number of mirror-free ``size``-bit words inside ``bound``, counted
+    pair by pair by the rule of :func:`_words_inside` with the state
+    (positive coins placed, negative coins placed), in ``O(k m^2)`` steps.
+    For the start, ``C(k, m) * 2**m``."""
+    beads = [b for b in range(size - 1, -1, -1) if bound >> b & 1]
+    m, top = len(beads), size - 1
+    ways = [[0] * (m + 1) for _ in range(m + 1)]  # ways[a][c]
+    ways[0][0] = 1
+    for p in range(size // 2):  # in place, so a and c run down
+        for a in range(m, -1, -1):
+            for c in range(m - a, -1, -1):
+                if a and top - p <= beads[a - 1]:
+                    ways[a][c] += ways[a - 1][c]
+                if c and p <= beads[m - c]:
+                    ways[a][c] += ways[a][c - 1]
+    return sum(ways[a][m - a] for a in range(m + 1))
+
+
+def _coin_table(pairs: int, size: int) -> list[tuple[int, int, bool, tuple[int, ...]]]:
+    """The coins of the pair mask ``pairs`` from the middle out, as the line
+    sweep reads them: each coin's high and low bit, whether its line ends
+    on its high bit (every pair outside it holds a coin), and the masks
+    that flip it together with each coin nearer the middle."""
+    table, inner = [], []
+    rest = pairs & -(1 << size - size // 2)  # the high bit of each pair
+    while rest:
+        hb = rest & -rest
+        rest ^= hb
+        both = hb | 1 << size - hb.bit_length()
+        last = rest == (1 << size) - (hb << 1)
+        table.append((hb, both ^ hb, last, tuple(both ^ other for other in inner)))
+        inner.append(both)
+    return table
+
+
+def _value_in_order(
+    words: list[tuple[int, int]], bound: int, size: int, memo: dict[int, int]
+) -> None:
+    """Value ``words``, the mirror-free ``size``-bit words inside ``bound``
+    listed increasing with their pair masks (:func:`_words_inside`), into
+    ``memo`` by lines (module docstring).  Words ``memo`` holds already
+    keep their values but still add them to their lines.
+
+    A word's coins come from its pair mask's table (:func:`_coin_table`),
+    so a positive coin ``x`` has met the coins ``|z| < x`` of its double
+    flips, which are read from ``memo``.  ``seen`` holds the mask of each
+    open line and drops it at the line's last word.  A list of another
+    length than :func:`_count_inside` gives, or out of order, and a double
+    flip not yet valued raise :class:`EngineInvariantError`; so does a line
+    still open at the end of a whole-board sweep, which a complete list
+    leaves none of.  A subgame leaves the lines on its edge open.
+    """
+    m = bound.bit_count()
+    count = _count_inside(bound, size)
+    if len(words) != count:
         raise EngineInvariantError(
-            f"{len(words)} words listed for the {comb(size // 2, m) << m} "
-            f"mirror-free {size}-bit words with {m} beads"
+            f"{len(words)} words listed for the {count} mirror-free "
+            f"{size}-bit words with {m} beads inside {bound}"
         )
-    top = size - 1
-    half = 1 << (top >> 1)
-    high = -(half << 1)  # the high bit of every pair
-    outside = ~((1 << size) - 1) | (half if size & 1 else 0)  # past the word, or the middle
-    pair = {1 << i: 1 << i | 1 << top - i for i in range(size - size // 2, size)}
+    tables: dict[int, list] = {}
     seen: dict[int, int] = {}
+    read = seen.get
     prev = -1
-    for w in words:
-        if w <= prev:
-            raise EngineInvariantError(f"word {w} is listed after {prev}")
-        prev = w
-        taken = w | _reversed(w, size)  # both bits of every pair with a coin
-        free = ~(taken | outside)
-        value = memo.get(w)
-        fresh = value is None
-        mask = 0
-        lines = []
-        inner = []  # pair masks of the coins nearer the middle
-        coins = taken & high
-        while coins:
-            hb = coins & -coins
-            coins ^= hb
-            both = pair[hb]
-            if w & hb:  # a positive coin
-                if fresh:
-                    flipped = w ^ both
-                    try:
-                        for other in inner:
-                            mask |= 1 << memo[flipped ^ other]
-                    except KeyError:
-                        raise EngineInvariantError(
-                            f"option {flipped ^ other!r} of {w!r} is not valued before it"
-                        ) from None
-                if hb > free:  # its line's last word
-                    mask |= seen.pop(w ^ hb, 0)
+    try:
+        for w, pairs in words:
+            if w <= prev:
+                raise EngineInvariantError(f"word {w} is listed after {prev}")
+            prev = w
+            coins = tables.get(pairs)
+            if coins is None:
+                coins = tables[pairs] = _coin_table(pairs, size)
+            value = memo.get(w)
+            fresh = value is None
+            mask = 0
+            lines = []
+            for hb, lb, last, flips in coins:
+                if w & hb:  # a positive coin
+                    if fresh:
+                        for flip in flips:
+                            mask |= 1 << memo[w ^ flip]
+                    if last:
+                        mask |= seen.pop(w ^ hb, 0)
+                    else:
+                        lines.append(w ^ hb)
                 else:
-                    lines.append(w ^ hb)
-            else:
-                lines.append(w ^ both ^ hb)
-            inner.append(both)
-        masks = [seen.get(line, 0) for line in lines]
-        if fresh:
-            for line_mask in masks:
-                mask |= line_mask
-            value = memo[w] = (~mask & (mask + 1)).bit_length() - 1
-        bit = 1 << value
-        seen.update(zip(lines, [line_mask | bit for line_mask in masks]))
-    if seen:
+                    lines.append(w ^ lb)
+            masks = [read(line, 0) for line in lines]
+            if fresh:
+                for line_mask in masks:
+                    mask |= line_mask
+                value = memo[w] = (~mask & (mask + 1)).bit_length() - 1
+            bit = 1 << value
+            seen.update(zip(lines, [line_mask | bit for line_mask in masks]))
+    except KeyError as missing:
+        raise EngineInvariantError(
+            f"option {missing.args[0]!r} of {w!r} is not valued before it"
+        ) from None
+    if seen and bound == ((1 << m) - 1) << (size - m):
         raise EngineInvariantError(f"{len(seen)} lines still open, first {next(iter(seen))}")
 
 
@@ -643,51 +744,54 @@ def solve(
     (:meth:`MhrgPosition.encode`), that holds every position explored, so
     its size is the number explored.
 
-    The full rectangle, whether given or by default, is solved by valuing
-    :func:`mirror_free_words` in increasing order (:func:`_value_board`).
-    That is exact: those words are the positions reachable from the start
-    (:func:`in_game` proves it), and every option is a smaller word, so
-    each is valued before the positions that move to it.  An engine whose
-    option leaves that set or is not a smaller word raises
-    :class:`EngineInvariantError`.  Any other diagram is solved by the
-    depth-first search below it (:func:`grundy`), which explores only its
-    own subgame and also serves diagrams outside the game.
+    An in-game diagram (:func:`in_game`), the full rectangle included, is
+    solved by valuing its subgame, the in-game words inside it, in
+    increasing order (:func:`_value_board`).  That is exact: those words
+    are the positions reachable from it (module docstring), and every
+    option is a smaller word, so each is valued before the positions that
+    move to it.  An engine whose option leaves that set or is not a smaller
+    word raises :class:`EngineInvariantError`.  A diagram outside the game
+    is solved by the depth-first search below it (:func:`grundy`), which
+    explores only the positions it reaches.
     """
     m, n = board.m, board.n
     options = _word_options_fn(board, engine)
     pos = start_position(board) if diagram is None else MhrgPosition(board, diagram)
     word = pos.encode()
     memo: dict[int, int] = {}
-    if word == ((1 << m) - 1) << n:  # the start: every bead on the top m bits
-        _value_board(board, mirror_free_words(m, n), memo, engine)
+    if mirror_free(word, m + n):
+        _value_board(board, word, memo, engine)
         return memo[word], memo
     return grundy(word, options, memo), memo
 
 
-def _value_board(board: BoardParams, words: list[int], memo: dict[int, int], engine: str) -> None:
-    """Value ``words``, the mirror-free words of ``board`` increasing, into
-    ``memo``, keeping the values it holds.  The ``diagonal`` engine values
-    them by lines (:func:`_value_in_order`), the others by each word's
-    options (:func:`grundy`, word by word, so every smaller option is
-    valued already); ``cross-check`` does both and raises
+def _value_board(board: BoardParams, bound: int, memo: dict[int, int], engine: str) -> None:
+    """Value the subgame of the in-game word ``bound`` on ``board``, its
+    words listed increasing (:func:`_words_inside`), into ``memo``, keeping
+    the values it holds; for ``bound`` the start, the whole board.  The
+    ``diagonal`` engine values them by lines (:func:`_value_in_order`), the
+    others by each word's options (:func:`grundy`, word by word, so every
+    smaller option is valued already); ``cross-check`` does both and raises
     :class:`EngineInvariantError` at the first word they value apart.  An
-    option outside ``words`` raises it too: a larger one in :func:`grundy`,
+    option outside the list raises it too: a larger one in :func:`grundy`,
     a smaller one here, as it adds a position to ``memo``."""
+    size = board.m + board.n
+    words = _words_inside(bound, size)
     if engine == "diagonal":
-        _value_in_order(words, board.m + board.n, memo)
+        _value_in_order(words, bound, size, memo)
         return
     by_lines = dict(memo) if engine == "cross-check" else None
     options = _word_options_fn(board, engine)
-    for w in words:
+    for w, _ in words:
         grundy(w, options, memo)
     if len(memo) != len(words):
         raise EngineInvariantError(
-            f"{len(memo)} positions valued for the {len(words)} "
-            f"mirror-free words of {board.m}x{board.n}"
+            f"{len(memo)} positions valued for the {len(words)} mirror-free words "
+            f"of {board.m}x{board.n} inside {diagram_of_word(bound).literal()}"
         )
     if by_lines is not None:
-        _value_in_order(words, board.m + board.n, by_lines)
-        for w in words:
+        _value_in_order(words, bound, size, by_lines)
+        for w, _ in words:
             if by_lines[w] != memo[w]:
                 raise EngineInvariantError(
                     f"values diverge at {diagram_of_word(w).literal()} on "
@@ -707,17 +811,17 @@ def _class_chain(d: int, top_m: int, engine: str = "diagonal") -> Iterator[dict[
     keyed by bead word, and the chain drops it once the next is built.
 
     A word with bit 0 set holds the inert coin ``-k`` (module docstring),
-    so its value is that of ``w >> 1`` in the previous class's table; the
-    class ``(0, d)`` has the one empty word, of value 0.  The other words
-    are valued in increasing order by ``engine`` (:func:`_value_board`); an
-    option that is neither an inert-coin word nor smaller raises
+    so its value is that of ``w >> 1`` in the previous class's table, whose
+    words ``w`` give all of them as ``w << 1 | 1``; the class ``(0, d)`` has
+    the one empty word, of value 0.  The other words are valued in
+    increasing order by ``engine`` (:func:`_value_board`); an option that is
+    neither an inert-coin word nor smaller raises
     :class:`EngineInvariantError`."""
     table = {0: 0}
     for m in range(1, top_m + 1):
         n = m + 2 * d
-        words = mirror_free_words(m, n)
-        table = {w: table[w >> 1] for w in words if w & 1}
-        _value_board(BoardParams(m, n), words, table, engine)
+        table = {w << 1 | 1: value for w, value in table.items()}
+        _value_board(BoardParams(m, n), ((1 << m) - 1) << n, table, engine)
         yield table
 
 

@@ -42,6 +42,11 @@ for engine in ENGINES:
         "grundy", "-m", "4", "-n", "5", "--diagram", "5,3,1",
         "--format", "json", "--engine", engine,
     ]
+    # An in-game position, solved by its subgame's sweep (91 words).
+    CASES[f"grundy-5x7-76421-{engine}"] = [
+        "grundy", "-m", "5", "-n", "7", "--diagram", "7,6,4,2,1",
+        "--format", "json", "--engine", engine,
+    ]
     for name, position in OPTION_POSITIONS:
         for fmt in ("json", "pretty"):
             CASES[f"options-{name}-{fmt}-{engine}"] = [
@@ -62,8 +67,9 @@ for engine in ("semantic", "diagonal"):
             "--format", fmt, "--engine", engine,
         ]
 # Whole-board solves, which sweep the mirror-free words (the 6x13 start also
-# given as an explicit diagram), and a mid-game 6x13 position, which the
-# depth-first search solves.
+# given as an explicit diagram), and a mid-game 6x13 position, which sweeps
+# the in-game words inside it.  The unreachable 4x5 position 5,3,1 above
+# is the one case that the depth-first search solves.
 CASES["grundy-10x11-json"] = ["grundy", "-m", "10", "-n", "11", "--format", "json"]
 CASES["grundy-6x13-json"] = ["grundy", "-m", "6", "-n", "13", "--format", "json"]
 CASES["grundy-6x13-full-json"] = [

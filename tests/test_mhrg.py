@@ -1,7 +1,10 @@
+import json
+import random
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -36,11 +39,13 @@ from hookgames.grundy import grundy
 from hookgames.isomorphisms import widen_word
 from hookgames.mhrg import (
     _class_chain,
+    _count_inside,
+    _reversed,
     _value_in_order,
+    _words_inside,
     diagram_of_word,
     in_game,
     mirror_free,
-    mirror_free_words,
     reachable_words,
     search_cost,
     start_values,
@@ -371,21 +376,28 @@ def dfs_values(board) -> dict[int, int]:
     return table
 
 
+def with_pairs(words, size):
+    """Kernel input for ``words``: each with both bits of its pairs."""
+    return [(w, w | _reversed(w, size)) for w in words]
+
+
 def test_reachable_set_is_mirror_free_on_every_solvable_board():
     # The depth-first search from the start values its whole move closure.
     # That closure lies inside the mirror-free words and has as many
     # positions as there are of them (choose m of the floor((m + n) / 2)
     # mirror pairs, then a side in each), so the two sets are equal, as
-    # in_game's docstring proves.  mirror_free_words, which whole-board
-    # solves value in order, lists exactly that set, increasing.  On boards
-    # of at most 48 cells, reachable_words gives the same closure.
+    # in_game's docstring proves.  _words_inside the start, which
+    # whole-board solves value in order, lists exactly that set, increasing,
+    # with the pair mask of each word.  On boards of at most 48 cells,
+    # reachable_words gives the same closure.
     boards = solvable_boards()
     for board in boards:
         m, n = board.m, board.n
+        start = start_position(board).encode()
         closure = dfs_values(board).keys()
-        assert len(closure) == comb((m + n) // 2, m) * 2**m, (m, n)
+        assert len(closure) == comb((m + n) // 2, m) * 2**m == _count_inside(start, m + n), (m, n)
         assert all(mirror_free(word, m + n) for word in closure), (m, n)
-        assert mirror_free_words(m, n) == sorted(closure), (m, n)
+        assert _words_inside(start, m + n) == with_pairs(sorted(closure), m + n), (m, n)
         if m * n <= 48:
             assert reachable_words(board) == closure, (m, n)
     assert len(boards) == 174
@@ -448,11 +460,12 @@ def test_sweep_refuses_an_option_outside_its_order(monkeypatch):
 def test_line_sweep_refuses_a_word_list_out_of_order_or_incomplete(forge, message):
     # The line sweep trusts the list to hold every mirror-free word once,
     # increasing: a word valued early misses its lines' lower words, and a
-    # missing word's value is missing from its lines.  3x5 has 32 words.
-    words = mirror_free_words(3, 5)
-    assert _value_in_order(words, 8, {}) is None
+    # missing word's value is missing from its lines.  3x5 has 32 words,
+    # all inside its start, 224.
+    words = _words_inside(224, 8)
+    assert _value_in_order(words, 224, 8, {}) is None
     with pytest.raises(EngineInvariantError, match=message):
-        _value_in_order(forge(words), 8, {})
+        _value_in_order(forge(words), 224, 8, {})
 
 
 def test_line_sweep_refuses_a_line_left_open():
@@ -460,26 +473,115 @@ def test_line_sweep_refuses_a_line_left_open():
     # (bit 1), whose words are 3 and 18.  10, which holds both bits of the
     # pair (1, 3), in 18's place leaves that line open.
     with pytest.raises(EngineInvariantError, match="1 lines still open"):
-        _value_in_order([3, 9, 10, 24], 5, {})
+        _value_in_order(with_pairs([3, 9, 10, 24], 5), 24, 5, {})
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda words: words[:3] + words[4:], "12 words listed for the 13 mirror-free 8-bit"),
+        (lambda words: words[:8] + with_pairs([49], 8) + words[8:], "14 words listed for the 13"),
+    ],
+    ids=["missing", "outside"],
+)
+def test_subgame_sweep_refuses_a_list_missing_a_word_or_past_its_diagram(forge, message):
+    # The subgame of 4,2,2 on 3x5 (word 76) holds 13 words.  3,3 (word 49)
+    # lies below 76 but not inside 4,2,2; the count of the words inside
+    # refuses it, and refuses a list that lacks 14, a word of the subgame.
+    # The complete list is valued with lines on its edge left open.
+    words = _words_inside(76, 8)
+    assert [w for w, _ in words] == [7, 11, 13, 14, 19, 21, 22, 35, 41, 42, 69, 73, 76]
+    memo = {}
+    _value_in_order(words, 76, 8, memo)
+    assert memo.items() <= solve(BoardParams(3, 5))[1].items() and len(memo) == 13
+    with pytest.raises(EngineInvariantError, match=message):
+        _value_in_order(forge(words), 76, 8, {})
 
 
 def test_cross_check_catches_a_line_value_that_differs(monkeypatch):
     # cross-check values every sweep both by lines and by options, on a
-    # whole-board solve and on each class of a chain.
+    # whole-board solve, on a subgame (3,1 on 2x3, whose last word is 3,1
+    # itself) and on each class of a chain.
     import hookgames.mhrg as mh
 
     original = mh._value_in_order
 
-    def forged(words, size, memo):
-        original(words, size, memo)
-        memo[words[-1]] += 1
+    def forged(words, bound, size, memo):
+        original(words, bound, size, memo)
+        memo[words[-1][0]] += 1
 
     monkeypatch.setattr(mh, "_value_in_order", forged)
     with pytest.raises(EngineInvariantError, match="at 3,3 on 2x3: 4 by lines, 3 by options"):
         solve(BoardParams(2, 3), engine="cross-check")
+    with pytest.raises(EngineInvariantError, match="at 3,1 on 2x3: 3 by lines, 2 by options"):
+        solve(BoardParams(2, 3), YoungDiagram((3, 1)), engine="cross-check")
     with pytest.raises(EngineInvariantError, match="at 1 on 1x1: 2 by lines, 1 by options"):
         start_values([BoardParams(2, 3)], engine="cross-check")
     assert solve(BoardParams(2, 3))[0] == 4  # the forged value, unchecked
+
+
+def subgame_closures(board) -> dict[int, set[int]]:
+    """Each in-game word of ``board`` with the words its moves reach."""
+    size = board.m + board.n
+    closures: dict[int, set[int]] = {}
+    for w in sorted(dfs_values(board)):  # options come first
+        closures[w] = {w}.union(*(closures[o] for o in word_options(w, size)))
+    return closures
+
+
+def test_subgame_sweep_matches_the_closure_on_every_board_up_to_36_cells():
+    # From an in-game position the moves reach exactly the in-game words
+    # inside it, as mhrg's docstring proves: the count of those words, the
+    # subgame solve's memo and the depth-first closure agree everywhere.
+    checked = 0
+    for board in solvable_boards():
+        if board.m * board.n > 36:
+            continue
+        size = board.m + board.n
+        values = dfs_values(board)
+        for w, closure in subgame_closures(board).items():
+            assert _count_inside(w, size) == len(closure), (board.m, board.n, w)
+            value, memo = solve(board, diagram_of_word(w))
+            assert memo == {u: values[u] for u in closure} and value == values[w]
+            checked += 1
+    assert checked == 3936
+
+
+def test_subgame_count_matches_the_benchmark_subgame_sizes():
+    # perfbench/golden.json records the size of every position's subgame on
+    # the four boards of the interactive benchmark, ordered by box count,
+    # then rows: 9,032 positions.
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    checked = 0
+    for name, sizes in golden["subgame_sizes"].items():
+        m, n = map(int, name.split("x"))
+        start = start_position(BoardParams(m, n)).encode()
+        words = sorted(
+            (w for w, _ in _words_inside(start, m + n)),
+            key=lambda w: (diagram_of_word(w).n_boxes, diagram_of_word(w).rows),
+        )
+        assert [_count_inside(w, m + n) for w in words] == sizes, name
+        checked += len(sizes)
+    assert checked == 9032
+
+
+@pytest.mark.parametrize("m, n", [(9, 12), (6, 15), (5, 20), (3, 30)])
+def test_subgame_sweep_matches_the_search_past_81_cells(m, n):
+    # Seeded in-game positions, kept to subgames of at most 4,000 words so
+    # that the depth-first search stays quick.
+    board, size = BoardParams(m, n), m + n
+    rng = random.Random(f"{m}x{n}")
+    checked = 0
+    while checked < 4:
+        pairs = rng.sample(range(size // 2), m)
+        w = sum(1 << (size - 1 - p if rng.random() < 0.5 else p) for p in pairs)
+        if _count_inside(w, size) > 4000:
+            continue
+        expected = {}
+        grundy(w, lambda word: word_options(word, size), expected)
+        assert len(expected) == _count_inside(w, size)
+        assert solve(board, diagram_of_word(w)) == (expected[w], expected)
+        checked += 1
 
 
 def test_class_tables_match_the_per_board_solve_on_every_position():
