@@ -15,7 +15,7 @@ import sys
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import closedforms, isomorphisms, mhrg
-from .diagrams import BoardParams, YoungDiagram, _label_grid, check_sides
+from .diagrams import BoardParams, HookRecord, YoungDiagram, _label_grid, _require_fit, check_sides
 from .errors import DomainError, EngineInvariantError
 from .grundy import check_budget
 
@@ -150,97 +150,103 @@ def cmd_reachable(args) -> int:
     return 0
 
 
-def _move_lines(records) -> Iterator[str]:
-    for record in records:
-        first = record.first
-        text = (
-            f"box {first.corner} hook [{first.lo},{first.hi}] "
-            f"labels {{{','.join(map(str, first.labels))}}}"
-        )
-        if record.second is not None:
-            text += (
-                f" then forced box {record.second.corner} "
-                f"hook [{record.second.lo},{record.second.hi}]"
-            )
-        yield text + f" -> {record.result.diagram.literal()}"
+_Move = tuple[HookRecord, HookRecord | None, YoungDiagram]
+
+
+def _moves(board: BoardParams, diagram: YoungDiagram, engine: str) -> list[_Move]:
+    """The moves ``options`` lists as (first hook, forced hook or ``None``,
+    result): on ``diagonal`` straight from the bead-word decoder, each result
+    checked as :class:`mhrg.MhrgPosition` checks it; else from the rule
+    book's records, which ``cross-check`` compares with the decoder's."""
+    if engine == "diagonal":
+        word = mhrg.word_of_diagram(board, diagram)
+        return [
+            (first, second, _require_fit(board, mhrg.diagram_of_word(final)))
+            for first, second, final in mhrg._decode_moves(board, word)
+        ]
+    pos = mhrg.MhrgPosition(board, diagram)
+    records = mhrg.moves_semantic(pos)
+    if engine == "cross-check" and records != mhrg.moves_diagonal(pos):
+        raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
+    return [(r.first, r.second, r.result.diagram) for r in records]
+
+
+def _move_lines(moves: Sequence[_Move]) -> Iterator[str]:
+    for first, second, result in moves:
+        labels = ",".join(map(str, first.labels))
+        text = f"box {first.corner} hook [{first.lo},{first.hi}] labels {{{labels}}}"
+        if second is not None:
+            text += f" then forced box {second.corner} hook [{second.lo},{second.hi}]"
+        yield text + f" -> {result.literal()}"
 
 
 # The ``options`` payload as ``json.dumps(payload, indent=2, sort_keys=True)``
 # lays it out: keys sorted, one value per line.
 _LISTING = """{
-  "board": %s,
+  "board": [
+    %d,
+    %d
+  ],
   "diagram": "%s",
   "moves": %s
 }
 """
-_MOVE = """{
-      "corner": %s,
-      "forced": %s,
-      "interval": %s,
-      "labels": %s,
+_PLAIN = """{
+      "corner": [
+        %d,
+        %d
+      ],
+      "forced": null,
+      "interval": [
+        %d,
+        %d
+      ],
+      "labels": [
+        %s
+      ],
       "result": "%s"
     }"""
-_FORCED = """{
-        "corner": %s,
-        "interval": %s
-      }"""
+_FORCED = _PLAIN.replace("null", """{
+        "corner": [
+          %d,
+          %d
+        ],
+        "interval": [
+          %d,
+          %d
+        ]
+      }""")
 
 
-def _ints(values: Iterable[int], pad: str) -> str:
-    """A non-empty JSON array of ints whose brackets are indented by ``pad``:
-    corners, intervals and labels (a hook has at least one box)."""
-    inner = f",\n{pad}  ".join(map(str, values))
-    return f"[\n{pad}  {inner}\n{pad}]"
-
-
-def _options_json(
-    board: BoardParams, diagram: YoungDiagram, records: Sequence[mhrg.MoveRecord]
-) -> str:
+def _options_json(board: BoardParams, diagram: YoungDiagram, moves: Sequence[_Move]) -> str:
     """The ``options`` payload exactly as ``json.dumps(payload, indent=2,
     sort_keys=True) + "\n"`` writes it, without the pure-Python encoder that
-    ``indent`` forces.  Diagram literals hold only digits, commas and ``-``,
-    so they need no escaping."""
-    pad, inner = " " * 6, " " * 8
-    moves = []
-    for r in records:
-        first, second = r.first, r.second
-        forced = (
-            "null"
-            if second is None
-            else _FORCED % (_ints(second.corner, inner), _ints((second.lo, second.hi), inner))
-        )
-        moves.append(
-            _MOVE
-            % (
-                _ints(first.corner, pad),
-                forced,
-                _ints((first.lo, first.hi), pad),
-                _ints(first.labels, pad),
-                r.result.diagram.literal(),
-            )
-        )
-    listing = "[\n    " + ",\n    ".join(moves) + "\n  ]" if moves else "[]"
-    return _LISTING % (_ints((board.m, board.n), "  "), diagram.literal(), listing)
+    ``indent`` forces: one template per move shape, plain or forced.
+    Diagram literals hold only digits, commas and ``-``, so they need no
+    escaping."""
+    listing = []
+    for first, second, result in moves:
+        (i, j), lo, hi = first.corner, first.lo, first.hi
+        labels = ",\n        ".join(map(str, first.labels))
+        if second is None:
+            listing.append(_PLAIN % (i, j, lo, hi, labels, result.literal()))
+        else:
+            forced = (*second.corner, second.lo, second.hi)
+            listing.append(_FORCED % (i, j, *forced, lo, hi, labels, result.literal()))
+    text = "[\n    " + ",\n    ".join(listing) + "\n  ]" if listing else "[]"
+    return _LISTING % (board.m, board.n, diagram.literal(), text)
 
 
 def cmd_options(args) -> int:
     # The bead-word rule examines one hook per box; the rule book compares
     # each with the remaining hooks of its length.
     power = 1 if args.engine == "diagonal" else 2
-    board, diagram = _board_and_diagram(
-        args, "move listing", lambda board, _: board.cells**power
-    )
-    pos = mhrg.MhrgPosition(board, diagram)
-    if args.engine == "semantic":
-        records = mhrg.moves_semantic(pos)
-    else:
-        records = mhrg.moves_diagonal(pos)
-    if args.engine == "cross-check" and records != mhrg.moves_semantic(pos):
-        raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
+    board, diagram = _board_and_diagram(args, "move listing", lambda board, _: board.cells**power)
+    moves = _moves(board, diagram, args.engine)
     _emit(
         args,
-        lambda: _options_json(board, diagram, records),
-        lambda: _lines([*_move_lines(records), f"# {len(records)} moves"]),
+        lambda: _options_json(board, diagram, moves),
+        lambda: _lines([*_move_lines(moves), f"# {len(moves)} moves"]),
     )
     return 0
 
@@ -272,14 +278,13 @@ def _render_position(board: BoardParams, diagram: YoungDiagram) -> str:
 
 
 def _engine_move(pos: mhrg.MhrgPosition, memo: dict[int, int]):
-    """A value-optimal move: to a 0-valued option when one exists, else the
-    first move in canonical order.  ``memo`` holds every position reachable
-    from the full rectangle, which includes every option of ``pos``."""
-    records = mhrg.moves_diagonal(pos)
-    for record in records:
-        if memo.get(record.result.encode()) == 0:
-            return record
-    return records[0]
+    """A value-optimal move as (first hook, forced hook or ``None``, result):
+    to a 0-valued option when one exists, else the first move in canonical
+    order.  ``memo`` holds every position reachable from the full rectangle,
+    which includes every option of ``pos``."""
+    moves = mhrg._decode_moves(pos.board, pos.encode())
+    first, second, final = next((move for move in moves if memo.get(move[2]) == 0), moves[0])
+    return first, second, mhrg.MhrgPosition(pos.board, mhrg.diagram_of_word(final))
 
 
 def cmd_play(args, stdin: IO[str] | None = None) -> int:
@@ -320,17 +325,9 @@ def cmd_play(args, stdin: IO[str] | None = None) -> int:
         if pos.diagram.n_boxes == 0:
             print("you emptied the board: you win")
             return 0
-        engine_record = _engine_move(pos, memo)
-        second_note = (
-            f" with forced second removal at {engine_record.second.corner}"
-            if engine_record.second is not None
-            else ""
-        )
-        pos = engine_record.result
-        print(
-            f"engine removes the hook at {engine_record.first.corner}"
-            f"{second_note} -> {pos.diagram.literal()}"
-        )
+        first, second, pos = _engine_move(pos, memo)
+        forced = "" if second is None else f" with forced second removal at {second.corner}"
+        print(f"engine removes the hook at {first.corner}{forced} -> {pos.diagram.literal()}")
         if pos.diagram.n_boxes == 0:
             print("engine emptied the board: engine wins")
             return 0

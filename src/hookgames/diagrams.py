@@ -114,7 +114,7 @@ class YoungDiagram:
         return cls(rows)
 
     def literal(self) -> str:
-        return ",".join(str(r) for r in self.rows) if self.rows else "-"
+        return ",".join(map(str, self.rows)) if self.rows else "-"
 
     def __str__(self) -> str:
         return self.literal()
@@ -209,11 +209,12 @@ def _require_box(diagram: YoungDiagram, i: int, j: int) -> None:
         raise DomainError(f"box ({i}, {j}) not in diagram {diagram.literal()}")
 
 
-def _require_fit(board: BoardParams, diagram: YoungDiagram) -> None:
+def _require_fit(board: BoardParams, diagram: YoungDiagram) -> YoungDiagram:
     if not diagram.fits(board):
         raise DomainError(
             f"diagram {diagram.literal()} does not fit a {board.m}x{board.n} board"
         )
+    return diagram
 
 
 # A board's labels, as its rows and as its columns.

@@ -11,13 +11,10 @@ top-right one, and one bit per step, set for a step up, gives an
 (bead) word of a partition in a box.  A hook removal moves one bead down
 to a hole, and the forced follow-up is the mirrored bead move under
 ``i -> m + n - 1 - i``.  :func:`word_options` is that rule; option sets,
-move records, solves and reachable sets all come from it.  A move record
-is decoded from one option word (:func:`moves_diagonal`): the highest bead
-it loses is the first move's bead, and a second lost bead makes the move
-forced.  Its label check still covers every forced move, also those that
-reach a kept result from another corner: they remove the kept record's
-intervals swapped, or take the middle bit of an odd ``m + n``, which is
-checked on its own.  A word maps straight to a diagram
+move records, solves and reachable sets all come from it.  One decoder
+turns an option word into a move, its forced follow-up's labels checked
+(:func:`_decode_moves`); it feeds the move records, the ``options``
+listing and ``play``.  A word maps straight to a diagram
 (:func:`diagram_of_word`: each bead's row is as long as the holes below
 it) and back (:func:`word_of_diagram`).  Memo keys are bead words too
 (:meth:`MhrgPosition.encode`); move records keep the order of their
@@ -526,61 +523,66 @@ def _hook(board: BoardParams, word: int, a: int, b: int) -> HookRecord:
     return HookRecord(corner, lo, hi, interval_labels(board, lo, hi))
 
 
-def _forced_move(pos: MhrgPosition, word: int, a: int, b: int) -> tuple[HookRecord, HookRecord]:
+def _forced_move(board: BoardParams, word: int, a: int, b: int) -> tuple[HookRecord, HookRecord]:
     """Hooks of the bead move ``b -> a`` from ``word`` and of its forced
     follow-up, which must carry the same labels."""
-    top = pos.board.m + pos.board.n - 1
-    first = _hook(pos.board, word, a, b)
-    second = _hook(pos.board, word ^ 1 << a ^ 1 << b, top - b, top - a)
+    top = board.m + board.n - 1
+    first = _hook(board, word, a, b)
+    second = _hook(board, word ^ 1 << a ^ 1 << b, top - b, top - a)
     if first.labels != second.labels:
-        raise EngineInvariantError(f"mirror hook labels diverge at {pos}: {first} vs {second}")
+        at = diagram_of_word(word).literal()
+        raise EngineInvariantError(f"mirror hook labels diverge at {at}: {first} vs {second}")
     return first, second
 
 
-def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves via the bead word, one record per distinct result, ordered by
-    the results' profiles (:func:`profile_order`).
+def _decode_moves(board: BoardParams, word: int) -> list[tuple[HookRecord, HookRecord | None, int]]:
+    """Moves of ``word`` on ``board``, one per distinct result, as the first
+    hook, the forced hook or ``None``, and the result word, ordered by the
+    results' profiles (:func:`profile_order`).
 
-    Each record is decoded from a result ``final`` of :func:`word_options`
+    Each move is decoded from a result ``final`` of :func:`word_options`
     (``top = m + n - 1``), keeping the move with the lexicographically
     smallest corner.  The beads lost, ``word & ~final``, are one or two,
     and the highest, ``b``, is the first move's bead: the higher the bead,
     the smaller the corner row.  A second lost bead ``c`` makes the move a
     flip of two coins, ``b -> top - c`` followed by ``c -> top - b``.
     Otherwise the move is ``b -> a`` to the one hole gained, with no
-    follow-up.  A kept forced record must carry equal labels on both hooks.
+    follow-up.  A kept forced move must carry equal labels on both hooks.
 
     Every other forced move that reaches a kept result is checked the same
-    way, though no record is built for it.  The flip of two coins started
-    from ``c`` removes the kept record's two intervals, swapped.  When
-    ``m + n`` is odd, the single flip ``b -> top - b`` is also reached
-    through the middle bit ``mid``: by ``b -> mid -> top - b`` when ``mid``
-    is a hole (a larger corner column than the kept move's), and by
-    ``mid -> top - b`` then ``b -> mid`` when it holds a bead (a larger
-    row).  Both routes remove diagonals ``mid + 1 - m .. b - m`` and
-    ``n - b .. n - 1 - mid``.  No other forced move exists, so the checks
-    cover every forced move of the position.
+    way, though it is not returned.  The flip of two coins started from
+    ``c`` removes the kept move's two intervals, swapped.  When ``m + n`` is
+    odd, the single flip ``b -> top - b`` is also reached through the
+    middle bit ``mid``: by ``b -> mid -> top - b`` when ``mid`` is a hole (a
+    larger corner column than the kept move's), and by ``mid -> top - b``
+    then ``b -> mid`` when it holds a bead (a larger row).  Both routes
+    remove diagonals ``mid + 1 - m .. b - m`` and ``n - b .. n - 1 - mid``.
+    No other forced move exists, so the checks cover every forced move of
+    the position.
     """
-    board = pos.board
     size = board.m + board.n
     top = size - 1
     mid = top >> 1  # the middle bit, when size is odd
-    word = word_of_diagram(board, pos.diagram)
-    records = []
+    moves = []
     for final in sorted(word_options(word, size), key=lambda w: profile_order(w, size)):
         gone = word & ~final
         b = gone.bit_length() - 1
         c = gone ^ 1 << b
         if c:
-            first, second = _forced_move(pos, word, top + 1 - c.bit_length(), b)
+            first, second = _forced_move(board, word, top + 1 - c.bit_length(), b)
         else:
             a = (final & ~word).bit_length() - 1
             if size & 1 and a == top - b:
-                _forced_move(pos, word, *((a, mid) if word >> mid & 1 else (mid, b)))
+                _forced_move(board, word, *((a, mid) if word >> mid & 1 else (mid, b)))
             first, second = _hook(board, word, a, b), None
-        result = MhrgPosition(board, diagram_of_word(final))
-        records.append(MoveRecord(first, second, result))
-    return tuple(records)
+        moves.append((first, second, final))
+    return moves
+
+
+def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
+    """Move records via the bead word, in the order of :func:`_decode_moves`."""
+    board, moves = pos.board, _decode_moves(pos.board, pos.encode())
+    return tuple(MoveRecord(f, s, MhrgPosition(board, diagram_of_word(w))) for f, s, w in moves)
 
 
 def _positions(board: BoardParams, words: Iterable[int]) -> set[MhrgPosition]:

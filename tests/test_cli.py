@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from jsonschema import validate
 from test_cli_golden import CASES, DATA
 
-from hookgames import BoardParams, MhrgPosition, YoungDiagram, isomorphisms, mhrg
-from hookgames.cli import ALL_VERIFY_IDS, _options_json, build_parser, main
+from hookgames import BoardParams, MhrgPosition, YoungDiagram, all_diagrams, isomorphisms, mhrg
+from hookgames.cli import ALL_VERIFY_IDS, _moves, _options_json, build_parser, main
 from hookgames.errors import EngineInvariantError
 from hookgames.isomorphisms import Report
 from hookgames.mhrg import ENGINES
@@ -213,10 +214,12 @@ def test_empty_move_list_is_one_count_line(capsys):
 
 
 def _writer_matches_json_dumps(pos: MhrgPosition, engine: str = "diagonal"):
+    # The writer takes the listed moves; json.dumps takes the records.
+    moves = _moves(pos.board, pos.diagram, engine)
     records = mhrg.moves_semantic(pos) if engine == "semantic" else mhrg.moves_diagonal(pos)
     expected = json.dumps(options_payload(pos, records), indent=2, sort_keys=True) + "\n"
-    assert _options_json(pos.board, pos.diagram, records) == expected, (str(pos), engine)
-    return records
+    assert _options_json(pos.board, pos.diagram, moves) == expected, (str(pos), engine)
+    return moves
 
 
 def test_options_writer_matches_json_dumps_on_every_golden_position():
@@ -251,10 +254,84 @@ def test_options_writer_covers_every_shape_of_listing():
         for m, n, rows in ((2, 2, ()), (2, 2, (2, 2)), (1, 9, (9,)), (2, 520, (520, 300)))
     ]
     empty, start, row, long = listings
-    assert empty == ()
-    assert {r.second is None for r in start} == {True, False}
-    assert any(len(r.first.labels) == 1 for r in row)
-    assert max(label for r in long for label in r.first.labels) == 261
+    assert empty == []
+    assert {second is None for _, second, _ in start} == {True, False}
+    assert any(len(first.labels) == 1 for first, _, _ in row)
+    assert max(label for first, _, _ in long for label in first.labels) == 261
+
+
+def _listing_positions() -> list[MhrgPosition]:
+    """Every diagram of the boards up to 4x6, reachable or not, and ten
+    seeded diagrams each of four boards past 81 cells."""
+    positions = [
+        MhrgPosition(BoardParams(m, n), diagram)
+        for m in range(1, 5)
+        for n in range(m, 7)
+        for diagram in all_diagrams(BoardParams(m, n))
+    ]
+    rng = random.Random(26)
+    for m, n in ((9, 10), (7, 13), (5, 20), (3, 30)):
+        for _ in range(10):
+            rows = sorted((rng.randint(0, n) for _ in range(m)), reverse=True)
+            positions.append(MhrgPosition(BoardParams(m, n), YoungDiagram(tuple(rows))))
+    return positions
+
+
+def test_options_listing_matches_the_rule_book_records(capsys):
+    # The diagonal engine writes its listing straight from the bead-word
+    # decoder; the rule book's records, encoded by json.dumps, give the
+    # bytes it must print.
+    positions = _listing_positions()
+    for pos in positions:
+        m, n = pos.board.m, pos.board.n
+        argv = ("options", "-m", str(m), "-n", str(n), "--diagram", str(pos), "--format", "json")
+        payload = options_payload(pos, mhrg.moves_semantic(pos))
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, *argv) == (0, expected, ""), argv
+    assert len(positions) == 748
+
+
+@pytest.mark.parametrize(
+    ("position", "interval", "forge"),
+    [
+        # On 2x3 at 2 the hook at (1,2) forces the one on interval 0..0 and
+        # reaches the empty board, as (1,1) does alone: not a kept move.
+        (("-m", "2", "-n", "3", "--diagram", "2"), (0, 0), lambda labels: (1,)),
+        # On the 2x2 start the hook at (1,2) forces the one on -1..0: kept.
+        (("-m", "2", "-n", "2"), (-1, 0), lambda labels: labels + (2,)),
+    ],
+    ids=["not-kept", "kept"],
+)
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_options_listing_checks_the_labels_of_every_forced_move(
+    capsys, monkeypatch, position, interval, forge, fmt
+):
+    real = mhrg.interval_labels
+
+    def forged(board, lo, hi):
+        labels = real(board, lo, hi)
+        return forge(labels) if (lo, hi) == interval else labels
+
+    monkeypatch.setattr(mhrg, "interval_labels", forged)
+    with pytest.raises(EngineInvariantError, match="mirror hook labels diverge"):
+        main(["options", *position, "--format", fmt])
+    assert capsys.readouterr().out == ""
+
+
+def test_options_listing_validates_every_result(capsys, monkeypatch):
+    # Each result word is read by diagram_of_word into a YoungDiagram, which
+    # checks its rows, and then fitted to the board.  Rows read upside down,
+    # or one column too wide, stop the listing with a usage error.
+    argv = ("options", "-m", "3", "-n", "5", "--diagram", "5,4,3", "--format", "json")
+    with monkeypatch.context() as patch:
+        patch.setattr(mhrg, "YoungDiagram", lambda rows: YoungDiagram(rows[::-1]))
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "row lengths must be weakly decreasing" in err
+    real = mhrg.diagram_of_word
+    monkeypatch.setattr(mhrg, "diagram_of_word", lambda word: YoungDiagram((6,) + real(word).rows))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: diagram 6,")
+    assert err.endswith(" does not fit a 3x5 board\n")
 
 
 def test_options_cross_check_compares_the_printed_records(capsys, monkeypatch):
