@@ -163,6 +163,7 @@ from .errors import DomainError, EngineInvariantError
 from .grundy import SEARCH_BUDGET, capped_comb, capped_pow2, grundy
 
 ENGINES = ("diagonal", "semantic", "cross-check")
+_BYTE_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
 @dataclass(frozen=True)
@@ -439,12 +440,13 @@ def _value_in_order(
 
     A word's coins come from its pair mask's table (:func:`_coin_table`),
     so a positive coin ``x`` has met the coins ``|z| < x`` of its double
-    flips, which are read from ``memo``.  ``seen`` holds the mask of each
-    open line and drops it at the line's last word.  A list of another
-    length than :func:`_count_inside` gives, or out of order, and a double
-    flip not yet valued raise :class:`EngineInvariantError`; so does a line
-    still open at the end of a whole-board sweep, which a complete list
-    leaves none of.  A subgame leaves the lines on its edge open.
+    flips, read from ``memo`` only for a word not valued yet.  ``seen``
+    holds the mask of each open line: a word pops each line ending on it
+    and reads each other once, to write it back after the mex.  A list of
+    another length than :func:`_count_inside` gives, or out of order, and
+    a double flip not yet valued raise :class:`EngineInvariantError`; so
+    does a line still open at the end of a whole-board sweep, which a
+    complete list leaves none of.  A subgame leaves its edge's lines open.
     """
     m = bound.bit_count()
     count = _count_inside(bound, size)
@@ -453,7 +455,7 @@ def _value_in_order(
             f"{len(words)} words listed for the {count} mirror-free "
             f"{size}-bit words with {m} beads inside {bound}"
         )
-    tables: dict[int, list] = {}
+    tables = {pairs: _coin_table(pairs, size) for pairs in {pairs for _, pairs in words}}
     seen: dict[int, int] = {}
     read = seen.get
     prev = -1
@@ -462,31 +464,28 @@ def _value_in_order(
             if w <= prev:
                 raise EngineInvariantError(f"word {w} is listed after {prev}")
             prev = w
-            coins = tables.get(pairs)
-            if coins is None:
-                coins = tables[pairs] = _coin_table(pairs, size)
             value = memo.get(w)
-            fresh = value is None
             mask = 0
-            lines = []
-            for hb, lb, last, flips in coins:
+            kept = []
+            for hb, lb, last, flips in tables[pairs]:
                 if w & hb:  # a positive coin
-                    if fresh:
+                    if value is None:
                         for flip in flips:
                             mask |= 1 << memo[w ^ flip]
                     if last:
                         mask |= seen.pop(w ^ hb, 0)
-                    else:
-                        lines.append(w ^ hb)
+                        continue
+                    line = w ^ hb
                 else:
-                    lines.append(w ^ lb)
-            masks = [read(line, 0) for line in lines]
-            if fresh:
-                for line_mask in masks:
-                    mask |= line_mask
+                    line = w ^ lb
+                line_mask = read(line, 0)
+                mask |= line_mask
+                kept.append((line, line_mask))
+            if value is None:
                 value = memo[w] = (~mask & (mask + 1)).bit_length() - 1
             bit = 1 << value
-            seen.update(zip(lines, [line_mask | bit for line_mask in masks]))
+            for line, line_mask in kept:
+                seen[line] = line_mask | bit
     except KeyError as missing:
         raise EngineInvariantError(
             f"option {missing.args[0]!r} of {w!r} is not valued before it"
@@ -496,8 +495,9 @@ def _value_in_order(
 
 
 def _reversed(word: int, size: int) -> int:
-    """``word`` with bit ``i`` moved to bit ``size - 1 - i``."""
-    return int(bin(word)[:1:-1].ljust(size, "0"), 2)
+    """``word < 2**size`` with bit ``i`` moved to bit ``size - 1 - i``, a byte at a time."""
+    flipped = word.to_bytes(size // 8 + 1, "little").translate(_BYTE_REVERSED)
+    return int.from_bytes(flipped, "big") >> 8 - size % 8
 
 
 def mirror_free(word: int, size: int) -> bool:

@@ -476,6 +476,40 @@ def test_line_sweep_refuses_a_line_left_open():
         _value_in_order(with_pairs([3, 9, 10, 24], 5), 24, 5, {})
 
 
+def sweep_5x8(memo):
+    """``memo`` after a line sweep of 5x8's 192 words (its start is 31 << 8)."""
+    start = 31 << 8
+    _value_in_order(_words_inside(start, 13), start, 13, memo)
+    return memo
+
+
+def test_line_sweep_keeps_pre_valued_words_and_still_fills_their_lines():
+    # The class chain hands the sweep its inert-coin words already valued,
+    # and cross-check hands it a copy of the memo.  A word the memo holds
+    # keeps its value but still adds it to its lines, so the words valued
+    # after it read the same masks as in a fresh sweep.  Here a seeded half
+    # of the words is valued beforehand.
+    fresh = sweep_5x8({})
+    assert len(fresh) == 192
+    half = random.Random(27).sample(sorted(fresh), 96)
+    assert sweep_5x8({w: fresh[w] for w in half}) == fresh
+
+
+class _NoReads(dict):
+    """A memo that refuses every read by key (``dict.get`` bypasses it)."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read of {key}")
+
+
+def test_line_sweep_reads_no_double_flip_of_a_pre_valued_word():
+    # A word the memo holds already takes no option values: its double
+    # flips are not read, and its lines' masks are all it adds.  180 of
+    # 5x8's 192 words have double flips, so a read of any one would raise.
+    fresh = sweep_5x8({})
+    assert sweep_5x8(_NoReads(fresh)) == fresh
+
+
 @pytest.mark.parametrize(
     "forge, message",
     [

@@ -35,6 +35,7 @@ from hookgames import (
     start_position,
 )
 from hookgames.mhrg import (
+    _reversed,
     diagram_of_word,
     mirror_free,
     profile_order,
@@ -300,6 +301,18 @@ def test_profile_order_sorts_like_profile_bytes():
             assert by_key == sorted(board_words, key=lambda word: profile_of_word(word, m, n))
             words += len(board_words)
     assert words == 39_666
+
+
+def test_reversed_matches_its_definition_bit_by_bit():
+    # Bit i goes to bit size - 1 - i.  The byte table works on whole bytes,
+    # so every size up to 70 meets each remainder mod 8 several times, and
+    # 4001 bits take 501 bytes; size 0 is the empty staircase's mask.
+    rng = random.Random(27)
+    for size in [0, *range(1, 71), 4001]:
+        top = (1 << size) - 1
+        for word in [0, top, 1 & top, (1 << size) >> 1, *(rng.getrandbits(size) for _ in range(20))]:
+            expected = sum(1 << size - 1 - i for i in range(size) if word >> i & 1)
+            assert _reversed(word, size) == expected, (size, word)
 
 
 @given(st.one_of(board_words(), mirror_free_words()))
