@@ -2,8 +2,8 @@
 dumps, option listing, verification runs, and a terminal play mode.
 
 Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for usage
-errors (bad flags, unparsable literals, work past the search budget or a
-range that checks nothing).
+errors (bad flags, unparsable literals, work past the search budget, a
+range that checks nothing or an ``--out`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -29,13 +29,17 @@ ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 
 def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
     """Write a command's output to ``--out`` or stdout: ``json_text()`` under
-    ``--format json``, else ``text()``.  Only the printed one is built."""
+    ``--format json``, else ``text()``.  Only the printed one is built.  An
+    ``--out`` that cannot be written is a usage error."""
     output = json_text() if args.format == "json" else text()
     if args.out is None:
         sys.stdout.write(output)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(output)
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _json(payload: object) -> str:
@@ -78,19 +82,17 @@ def _board_and_diagram(
 
 
 def _in_game(board: BoardParams, diagram: YoungDiagram, engine: str) -> bool:
-    """Reachability of ``diagram``: from its bead word on the ``diagonal``
-    engine, from the rule-book move closure on ``semantic``, and from both
-    on ``cross-check``, where they must agree."""
-    if engine == "diagonal":
-        return mhrg.in_game(board, diagram)
-    word = mhrg.word_of_diagram(board, diagram)
-    via_closure = word in mhrg.reachable_words(board, engine=engine)
-    if engine == "cross-check" and via_closure != mhrg.in_game(board, diagram):
-        raise EngineInvariantError(
-            f"reachability of {diagram.literal()} on {board.m}x{board.n}: "
-            f"move closure says {via_closure}, bead word says {not via_closure}"
-        )
-    return via_closure
+    """Reachability of ``diagram`` from its bead word; on ``cross-check``
+    the rule-book move closure must agree."""
+    in_game = mhrg.in_game(board, diagram)
+    if engine == "cross-check":
+        word = mhrg.word_of_diagram(board, diagram)
+        if (word in mhrg.reachable_words(board, engine=engine)) != in_game:
+            raise EngineInvariantError(
+                f"reachability of {diagram.literal()} on {board.m}x{board.n}: "
+                f"move closure says {not in_game}, bead word says {in_game}"
+            )
+    return in_game
 
 
 def cmd_grundy(args) -> int:
@@ -156,8 +158,8 @@ _Move = tuple[HookRecord, HookRecord | None, YoungDiagram]
 def _moves(board: BoardParams, diagram: YoungDiagram, engine: str) -> list[_Move]:
     """The moves ``options`` lists as (first hook, forced hook or ``None``,
     result): on ``diagonal`` straight from the bead-word decoder, each result
-    checked as :class:`mhrg.MhrgPosition` checks it; else from the rule
-    book's records, which ``cross-check`` compares with the decoder's."""
+    checked as :class:`mhrg.MhrgPosition` checks it; on ``cross-check`` from
+    the rule book's records, which must equal the decoder's."""
     if engine == "diagonal":
         word = mhrg.word_of_diagram(board, diagram)
         return [
@@ -166,7 +168,7 @@ def _moves(board: BoardParams, diagram: YoungDiagram, engine: str) -> list[_Move
         ]
     pos = mhrg.MhrgPosition(board, diagram)
     records = mhrg.moves_semantic(pos)
-    if engine == "cross-check" and records != mhrg.moves_diagonal(pos):
+    if records != mhrg.moves_diagonal(pos):
         raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
     return [(r.first, r.second, r.result.diagram) for r in records]
 
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=mhrg.ENGINES,
             default="diagonal",
-            help="move engine: bead-word rule, rule-book engine, or both",
+            help="move engine: the bead-word rule, or that rule checked by the rule book",
         )
 
     p = sub.add_parser("grundy", help="game value of a position")

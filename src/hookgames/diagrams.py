@@ -204,9 +204,10 @@ def interval_labels(board: BoardParams, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(sorted(up + down))
 
 
-def _require_box(diagram: YoungDiagram, i: int, j: int) -> None:
+def _require_box(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> None:
     if (i, j) not in diagram:
         raise DomainError(f"box ({i}, {j}) not in diagram {diagram.literal()}")
+    _require_fit(board, diagram)
 
 
 def _require_fit(board: BoardParams, diagram: YoungDiagram) -> YoungDiagram:
@@ -252,8 +253,7 @@ def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRe
     """Hook record at box ``(i, j)`` of a diagram that fits the board, its
     arm and leg labelled box by box: time linear in the hook, whatever the
     board's size."""
-    _require_box(diagram, i, j)
-    _require_fit(board, diagram)
+    _require_box(board, diagram, i, j)
     rows, bottom = diagram.rows, i
     while bottom < len(rows) and rows[bottom] >= j:
         bottom += 1
@@ -263,13 +263,14 @@ def hook_at(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> HookRe
 
 
 def remove_hook(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> YoungDiagram:
-    """Remove the hook at ``(i, j)``: delete its boxes, then shift the
-    detached south-east block one step up-left.
+    """Remove the hook at ``(i, j)`` of a diagram that fits the board:
+    delete its boxes, then shift the detached south-east block one step
+    up-left.
 
     With ``bottom`` the last row reaching column ``j``, each row from ``i``
     to ``bottom - 1`` takes the next row's length less one, row ``bottom``
     keeps its first ``j - 1`` boxes, and every other row is unchanged."""
-    _require_box(diagram, i, j)
+    _require_box(board, diagram, i, j)
     rows = list(diagram.rows)
     bottom = i
     while bottom < len(rows) and rows[bottom] >= j:

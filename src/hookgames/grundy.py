@@ -9,9 +9,9 @@ or the staircase mask (``shifted``).  That order rules out cycles, and
 :func:`grundy` refuses an option that breaks it.  The boxed game's
 sweeps (``mhrg.solve`` from an in-game position, over its subgame, and
 ``mhrg.start_values``) call it on their word list in increasing order on
-the ``semantic`` and ``cross-check`` engines, so each call finds the
-smaller options valued already; the default ``diagonal`` engine values
-the same list by lines, with no option sets (``mhrg._value_in_order``).
+the ``cross-check`` engine, so each call finds the smaller options valued
+already; the default ``diagonal`` engine values the same list by lines,
+with no option sets (``mhrg._value_in_order``).
 
 Searches are unbounded, and so are the library's solves and closures
 (``solve``, ``solve_hrg``, ``reachable_words``, ``all_shifted``).  The

@@ -44,6 +44,23 @@ those below ``w >> 1``, so the two words have the same value.
 :func:`start_values` values each class once along the chains
 ``(m - j, k - j)`` and reads its bit-0 words from the class below.
 
+The classes ``(m, m)``, the boards ``n x n`` and ``n x (n + 1)``, are
+Turning Turtles (*Winning Ways*, ch. 14).  Every pair holds a coin, so no
+slide exists, and a move turns a positive coin ``x`` to ``-x``, alone or
+with one coin ``|z| < x`` of either sign.  Put the coin of value ``v`` as
+a turtle at place ``v``, heads up when positive: a move turns one head to
+tails and at most one turtle left of it either way, whatever the other
+turtles show.  So by the coin-turning theorem a position's value is the
+nim-sum of its lone heads' values, and a lone head at ``v`` has the empty
+row and the lone heads at ``1 .. v - 1`` as options, so its value is
+``v``: the value is the XOR of the positive coins.  On ``n x (n + 1)``
+those are the parts of the staircase that ``isomorphisms.halve_word``
+reads off the top ``n`` bits, which is the paper's relation between that
+board and the staircase game.  No other class obeys the formula: every
+board of at most 72 cells with ``m < k`` has an in-game position whose
+value is not the XOR of its positive coins (``tests/test_mhrg.py``).  No
+code path answers by it.
+
 A coin's slides and its single flip lie on one line.  Take a mirror-free
 word ``w`` with the coin ``x`` on bit ``b``, and call ``L = w ^ 1 << b``,
 the other ``m - 1`` coins, the line of ``x``.  The bits order the coins by
@@ -67,11 +84,12 @@ its high bit and its double-flip masks depend only on the word's set of
 pairs, so the sweep reads them once per set (:func:`_coin_table`) and
 takes each coin's side from the word.
 
-The semantic engine applies the rule book literally on diagrams, scanning
-for an equal-label hook after each removal.  It is the oracle:
-``engine="semantic"`` solves with it, and ``engine="cross-check"`` compares
-it with the bead-word rule at every position.  It reads boxes only, never
-words or intervals.  Its hooks are sliced from the label grid of
+The rule book, applied literally on diagrams, scans for an equal-label
+hook after each removal (:func:`options_semantic`, :func:`moves_semantic`,
+:func:`move_for_box`).  It is the oracle: ``engine="cross-check"`` compares
+it with the bead-word rule at every position, and nothing answers from it
+alone but ``play``'s reading of the player's box.  It reads boxes only,
+never words or intervals.  Its hooks are sliced from the label grid of
 ``diagrams`` (``diagrams._label_grid``, ``diagrams._box_hook``) by the hook
 builder behind :func:`~hookgames.diagrams.hook_at`.  A diagram's row and
 column lengths are read once per position for all its first hooks, and
@@ -162,7 +180,7 @@ from .diagrams import (
 from .errors import DomainError, EngineInvariantError
 from .grundy import SEARCH_BUDGET, capped_comb, capped_pow2, grundy
 
-ENGINES = ("diagonal", "semantic", "cross-check")
+ENGINES = ("diagonal", "cross-check")
 _BYTE_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
@@ -595,7 +613,7 @@ def options_diagonal(pos: MhrgPosition) -> set[MhrgPosition]:
 
 
 # ---------------------------------------------------------------------------
-# Semantic engine: the oracle.
+# The rule book: cross-check's oracle.
 
 
 def _equal_label_hooks(board: BoardParams, diagram: YoungDiagram, hook: HookRecord) -> list[HookRecord]:
@@ -667,7 +685,7 @@ def _semantic_records(pos: MhrgPosition) -> dict[YoungDiagram, MoveRecord]:
 
 
 def moves_semantic(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves via the semantic engine, one record per distinct result, in
+    """Moves by the rule book, one record per distinct result, in
     the order of :func:`moves_diagonal`."""
     board, size = pos.board, pos.board.m + pos.board.n
     best = _semantic_records(pos)
@@ -676,7 +694,7 @@ def moves_semantic(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
 
 
 def options_semantic(pos: MhrgPosition) -> set[MhrgPosition]:
-    """Option set via the semantic engine."""
+    """Option set by the rule book."""
     return {record.result for record in _semantic_records(pos).values()}
 
 
@@ -687,18 +705,18 @@ def options_cross_check(pos: MhrgPosition) -> set[MhrgPosition]:
 
 def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int]]:
     """Word options function of ``engine`` on ``board``: the bead-word rule,
-    the rule book read through words, or both compared."""
+    or, on ``cross-check``, that rule compared at every word with the rule
+    book read through words."""
+    if engine not in ENGINES:
+        raise DomainError(f"unknown engine {engine!r}; choose from {ENGINES}")
     size = board.m + board.n
-
-    def diagonal(word: int) -> set[int]:
-        return word_options(word, size)
-
-    def semantic(word: int) -> set[int]:
-        pos = MhrgPosition(board, diagram_of_word(word))
-        return {word_of_diagram(board, p.diagram) for p in options_semantic(pos)}
+    if engine == "diagonal":
+        return lambda word: word_options(word, size)
 
     def cross_check(word: int) -> set[int]:
-        fast, slow = word_options(word, size), semantic(word)
+        fast = word_options(word, size)
+        pos = MhrgPosition(board, diagram_of_word(word))
+        slow = {word_of_diagram(board, p.diagram) for p in options_semantic(pos)}
         if fast != slow:
             only_d = sorted(diagram_of_word(w).literal() for w in fast - slow)
             only_s = sorted(diagram_of_word(w).literal() for w in slow - fast)
@@ -708,10 +726,7 @@ def _word_options_fn(board: BoardParams, engine: str) -> Callable[[int], set[int
             )
         return fast
 
-    engines = {"diagonal": diagonal, "semantic": semantic, "cross-check": cross_check}
-    if engine not in engines:
-        raise DomainError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    return engines[engine]
+    return cross_check
 
 
 def _closure(start: Hashable, options: Callable[[Hashable], Iterable[Hashable]]) -> set:
@@ -771,18 +786,19 @@ def _value_board(board: BoardParams, bound: int, memo: dict[int, int], engine: s
     """Value the subgame of the in-game word ``bound`` on ``board``, its
     words listed increasing (:func:`_words_inside`), into ``memo``, keeping
     the values it holds; for ``bound`` the start, the whole board.  The
-    ``diagonal`` engine values them by lines (:func:`_value_in_order`), the
-    others by each word's options (:func:`grundy`, word by word, so every
-    smaller option is valued already); ``cross-check`` does both and raises
-    :class:`EngineInvariantError` at the first word they value apart.  An
-    option outside the list raises it too: a larger one in :func:`grundy`,
-    a smaller one here, as it adds a position to ``memo``."""
+    ``diagonal`` engine values them by lines (:func:`_value_in_order`);
+    ``cross-check`` values them by each word's checked options as well
+    (:func:`grundy`, word by word, so every smaller option is valued
+    already) and raises :class:`EngineInvariantError` at the first word the
+    two value apart.  An option outside the list raises it too: a larger
+    one in :func:`grundy`, a smaller one here, as it adds a position to
+    ``memo``."""
     size = board.m + board.n
     words = _words_inside(bound, size)
     if engine == "diagonal":
         _value_in_order(words, bound, size, memo)
         return
-    by_lines = dict(memo) if engine == "cross-check" else None
+    by_lines = dict(memo)
     options = _word_options_fn(board, engine)
     for w, _ in words:
         grundy(w, options, memo)
@@ -791,14 +807,13 @@ def _value_board(board: BoardParams, bound: int, memo: dict[int, int], engine: s
             f"{len(memo)} positions valued for the {len(words)} mirror-free words "
             f"of {board.m}x{board.n} inside {diagram_of_word(bound).literal()}"
         )
-    if by_lines is not None:
-        _value_in_order(words, bound, size, by_lines)
-        for w, _ in words:
-            if by_lines[w] != memo[w]:
-                raise EngineInvariantError(
-                    f"values diverge at {diagram_of_word(w).literal()} on "
-                    f"{board.m}x{board.n}: {by_lines[w]} by lines, {memo[w]} by options"
-                )
+    _value_in_order(words, bound, size, by_lines)
+    for w, _ in words:
+        if by_lines[w] != memo[w]:
+            raise EngineInvariantError(
+                f"values diverge at {diagram_of_word(w).literal()} on "
+                f"{board.m}x{board.n}: {by_lines[w]} by lines, {memo[w]} by options"
+            )
 
 
 def _class_of(board: BoardParams) -> tuple[int, int]:

@@ -113,7 +113,7 @@ CLI_PAST = [
      search_cost(BoardParams(16, 17))),
     (("options", "-m", "1", "-n", str(SEARCH_BUDGET + 1)),
      f"move listing on 1x{SEARCH_BUDGET + 1}", SEARCH_BUDGET),
-    (("options", "-m", "16", "-n", "17", "--engine", "semantic"),
+    (("options", "-m", "16", "-n", "17", "--engine", "cross-check"),
      "move listing on 16x17", (16 * 16) ** 2),
     (("options", "-m", "17", "-n", "16", "--engine", "cross-check"),
      "move listing on 17x16", (16 * 16) ** 2),

@@ -89,11 +89,11 @@ def test_consecutive_calls_share_no_state(capsys):
     assert code == 0 and pretty.endswith("# 9 moves\n")
 
     argv = ("grundy", "-m", "3", "-n", "5", "--diagram", "5,4,3", "--format", "json")
-    _, semantic, _ = run(capsys, *argv, "--engine", "semantic")
+    _, checked, _ = run(capsys, *argv, "--engine", "cross-check")
     _, default, _ = run(capsys, *argv)
-    assert json.loads(semantic)["engine"] == "semantic"
+    assert json.loads(checked)["engine"] == "cross-check"
     assert json.loads(default)["engine"] == "diagonal"
-    assert json.loads(semantic)["grundy"] == json.loads(default)["grundy"]
+    assert json.loads(checked)["grundy"] == json.loads(default)["grundy"]
 
 
 def test_grundy_empty_diagram_literal(capsys):
@@ -189,7 +189,6 @@ def test_every_engine_prints_the_same_bytes(capsys, argv, fmt):
         for engine in ENGINES
     }
     assert printed["diagonal"][0] == 0 and printed["diagonal"][2] == ""
-    assert printed["semantic"] == printed["diagonal"]
     assert printed["cross-check"] == printed["diagonal"]
 
 
@@ -216,7 +215,7 @@ def test_empty_move_list_is_one_count_line(capsys):
 def _writer_matches_json_dumps(pos: MhrgPosition, engine: str = "diagonal"):
     # The writer takes the listed moves; json.dumps takes the records.
     moves = _moves(pos.board, pos.diagram, engine)
-    records = mhrg.moves_semantic(pos) if engine == "semantic" else mhrg.moves_diagonal(pos)
+    records = mhrg.moves_semantic(pos) if engine == "cross-check" else mhrg.moves_diagonal(pos)
     expected = json.dumps(options_payload(pos, records), indent=2, sort_keys=True) + "\n"
     assert _options_json(pos.board, pos.diagram, moves) == expected, (str(pos), engine)
     return moves
@@ -230,7 +229,7 @@ def test_options_writer_matches_json_dumps_on_every_golden_position():
             diagram = YoungDiagram.parse(args.diagram or ",".join([str(args.n)] * args.m))
             _writer_matches_json_dumps(MhrgPosition(BoardParams(args.m, args.n), diagram), args.engine)
             positions += 1
-    assert positions == 28
+    assert positions == 22
 
 
 # Drawn from these boards: one row, the benchmark's 2x40, and 2x520, whose
@@ -353,11 +352,10 @@ def test_options_cross_check_compares_the_printed_records(capsys, monkeypatch):
 
 def test_rule_book_options_are_bounded(capsys):
     # The rule book examines cells**2 hook pairs: 272**2 is past the budget.
-    for engine in ("semantic", "cross-check"):
-        code, out, err = run(capsys, "options", "-m", "17", "-n", "16", "--engine", engine)
-        assert code == 2 and out == ""
-        assert err == "error: move listing on 17x16 needs more than 65536 positions\n"
-    code, out, _ = run(capsys, "options", "-m", "10", "-n", "9", "--engine", "semantic")
+    code, out, err = run(capsys, "options", "-m", "17", "-n", "16", "--engine", "cross-check")
+    assert code == 2 and out == ""
+    assert err == "error: move listing on 17x16 needs more than 65536 positions\n"
+    code, out, _ = run(capsys, "options", "-m", "10", "-n", "9", "--engine", "cross-check")
     assert code == 0 and out.endswith("# 45 moves\n")
 
 
@@ -484,6 +482,36 @@ def test_verify_unknown_id_is_usage_error(capsys):
         main(["verify", "everything"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grundy", "-m", "2", "-n", "2"),
+        ("table", "--max-m", "2", "--max-n", "2"),
+        ("reachable", "-m", "2", "-n", "2"),
+        ("options", "-m", "2", "-n", "2"),
+    ],
+    ids=["grundy", "table", "reachable", "options"],
+)
+def test_the_rule_book_alone_is_no_engine(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--engine", "semantic"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "invalid choice: 'semantic' (choose from 'diagonal', 'cross-check')" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("grundy", "-m", "2", "-n", "2"), ("verify", "nim", "--n", "3")],
+    ids=["grundy", "verify"],
+)
+def test_an_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv):
+    for target, reason in ((tmp_path, "Is a directory"),
+                           (tmp_path / "missing" / "t.txt", "No such file or directory")):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
 
 
 def test_play_forced_removal_and_win(capsys, monkeypatch):

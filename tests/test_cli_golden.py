@@ -18,7 +18,7 @@ from hookgames.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli"
 
-ENGINES = ("diagonal", "semantic", "cross-check")
+ENGINES = ("diagonal", "cross-check")
 # (name, board and diagram); 2x2 full has a forced follow-up removal.
 OPTION_POSITIONS = (
     ("2x2", ("-m", "2", "-n", "2")),
@@ -58,9 +58,9 @@ for name, position in BENCHMARK_OPTION_POSITIONS:
             "options", *position, "--format", fmt, "--engine", "diagonal",
         ]
 # A 6x7 position where 11 of its 14 moves carry a forced follow-up, listed by
-# the rule book and by the bead-word rule: both order moves by the result's
-# bytes profile.
-for engine in ("semantic", "diagonal"):
+# the rule book (checked against the bead-word rule) and by the bead-word
+# rule alone: both order moves by the result's bytes profile.
+for engine in ("cross-check", "diagonal"):
     for fmt in ("json", "pretty"):
         CASES[f"options-6x7-776332-{fmt}-{engine}"] = [
             "options", "-m", "6", "-n", "7", "--diagram", "7,7,6,3,3,2",

@@ -185,6 +185,8 @@ def test_remove_hook_examples():
     assert remove_hook(BoardParams(1, 1), YoungDiagram((1,)), 1, 1).rows == ()
     with pytest.raises(DomainError):
         remove_hook(BoardParams(3, 5), YoungDiagram((5, 4, 3)), 1, 6)
+    with pytest.raises(DomainError, match="diagram 5,4,3 does not fit a 1x1 board"):
+        remove_hook(BoardParams(1, 1), YoungDiagram((5, 4, 3)), 1, 1)
 
 
 def test_remove_hook_matches_the_box_by_box_reference():

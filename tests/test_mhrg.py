@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
@@ -149,8 +150,7 @@ def test_reachable_contains_start_and_empty():
 def test_reachable_engines_agree():
     for m, n in [(1, 4), (2, 3), (2, 4), (3, 3)]:
         board = BoardParams(m, n)
-        assert reachable_words(board, "diagonal") == reachable_words(board, "semantic")
-        reachable_words(board, "cross-check")
+        assert reachable_words(board, "cross-check") == reachable_words(board, "diagonal")
 
 
 def test_engine_equivalence_small_boards():
@@ -366,6 +366,32 @@ def solvable_boards():
     ]
 
 
+def test_value_is_the_xor_of_the_positive_coins_exactly_when_m_is_k():
+    # mhrg's docstring: on n x n and n x (n + 1) every pair holds a coin and
+    # the game is Turning Turtles, so a position's value is the XOR of its
+    # positive coins.  On every other board of at most 72 cells some
+    # position breaks that formula.  The coin on the high bit b of a pair
+    # is +(b - (size - 1 - k)).
+    boards = [BoardParams(m, n) for m in range(1, 9) for n in range(m, 72 // m + 1)]
+    positions = 0
+    for board in boards:
+        size = board.m + board.n
+        k = size // 2
+        _, memo = solve(board)
+        positions += len(memo)
+
+        def heads(word):
+            xor = 0
+            for b in range(size - k, size):
+                if word >> b & 1:
+                    xor ^= b - (size - 1 - k)
+            return xor
+
+        exact = all(value == heads(word) for word, value in memo.items())
+        assert exact == (board.m == k), (board.m, board.n)
+    assert (len(boards), positions) == (167, 73420)
+
+
 @cache
 def dfs_values(board) -> dict[int, int]:
     # Cached so that tier-1 walks each board's game graph once: the closure
@@ -431,19 +457,30 @@ def test_whole_board_sweep_matches_the_search_on_every_solvable_board():
         assert sub_memo.items() <= memo.items(), (board.m, board.n)
 
 
+def forge_both_rules(monkeypatch, extra):
+    """Give each word of each board, by both rules, the options ``extra(m +
+    n, word)`` besides its own, so that cross-check's two sides agree."""
+    import hookgames.mhrg as mh
+
+    words, rule_book = mh.word_options, mh.options_semantic
+
+    def forged_rule_book(pos):
+        added = extra(pos.board.m + pos.board.n, pos.encode())
+        return rule_book(pos) | {MhrgPosition(pos.board, diagram_of_word(w)) for w in added}
+
+    monkeypatch.setattr(mh, "word_options", lambda word, size: words(word, size) | extra(size, word))
+    monkeypatch.setattr(mh, "options_semantic", forged_rule_book)
+
+
 def test_sweep_refuses_an_option_outside_its_order(monkeypatch):
     # An engine that emits a larger word breaks the increasing order: here
     # every position, the first and smallest (3) included, gets the start
     # (24), which is valued last.  The diagonal engine values by lines and
-    # reads no option sets, so the forged engine is the rule book.
-    import hookgames.mhrg as mh
-
-    original = mh.options_semantic
-    monkeypatch.setattr(
-        mh, "options_semantic", lambda pos: original(pos) | {start_position(pos.board)}
-    )
+    # reads no option sets, so the forged engine is cross-check's, both
+    # rules alike.
+    forge_both_rules(monkeypatch, lambda size, word: {24})
     with pytest.raises(EngineInvariantError, match="option 24 of 3 is not valued before it"):
-        solve(BoardParams(2, 3), engine="semantic")
+        solve(BoardParams(2, 3), engine="cross-check")
 
 
 @pytest.mark.parametrize(
@@ -648,36 +685,22 @@ def test_start_values_match_the_per_board_solve_on_the_default_ranges(vid, board
 def test_class_chain_refuses_an_option_outside_its_order(monkeypatch):
     # An engine that gives 2x2's word 10 (coins +1, -2) the option 12, the
     # start, breaks the increasing order in the chain's second class.
-    import hookgames.mhrg as mh
-
-    original = mh.options_semantic
-    monkeypatch.setattr(
-        mh,
-        "options_semantic",
-        lambda pos: original(pos) | ({start_position(pos.board)} if pos.board.n == 2 else set()),
-    )
+    forge_both_rules(monkeypatch, lambda size, word: {12} if size == 4 else set())
     with pytest.raises(EngineInvariantError, match="option 12 of 10 is not valued before it"):
-        start_values([BoardParams(2, 3)], engine="semantic")
+        start_values([BoardParams(2, 3)], engine="cross-check")
 
 
 def test_sweeps_refuse_a_smaller_option_outside_the_game(monkeypatch):
     # An engine that gives 2x2's start (12) the option 6, the diagram 1,1,
     # whose beads share the pair (1, 2), leaves the mirror-free words: the
     # search values 6 below the start, one position more than the list.
-    import hookgames.mhrg as mh
-
-    original = mh.options_semantic
-    stray = MhrgPosition(BoardParams(2, 2), YoungDiagram((1, 1)))
-    monkeypatch.setattr(
-        mh,
-        "options_semantic",
-        lambda pos: original(pos) | ({stray} if pos == start_position(BoardParams(2, 2)) else set()),
-    )
-    message = "5 positions valued for the 4 mirror-free words of 2x2"
+    assert word_of_diagram(BoardParams(2, 2), YoungDiagram((1, 1))) == 6
+    forge_both_rules(monkeypatch, lambda size, word: {6} if (size, word) == (4, 12) else set())
+    message = "5 positions valued for the 4 mirror-free words of 2x2 inside 2,2"
     with pytest.raises(EngineInvariantError, match=message):
-        solve(BoardParams(2, 2), engine="semantic")
+        solve(BoardParams(2, 2), engine="cross-check")
     with pytest.raises(EngineInvariantError, match=message):
-        start_values([BoardParams(2, 3)], engine="semantic")
+        start_values([BoardParams(2, 3)], engine="cross-check")
 
 
 def test_solver_matches_independent_brute_force():
@@ -709,3 +732,14 @@ def test_cross_check_divergence_is_loud():
 def test_unknown_engine_rejected():
     with pytest.raises(DomainError):
         solve(BoardParams(2, 2), engine="quantum")
+    # The rule book answers only as cross-check's oracle.
+    message = "unknown engine 'semantic'; choose from ('diagonal', 'cross-check')"
+    board = BoardParams(2, 2)
+    for call in (
+        lambda: solve(board, engine="semantic"),
+        lambda: reachable_words(board, engine="semantic"),
+        lambda: start_values([board], engine="semantic"),
+        lambda: closedforms.grundy_table(2, 2, engine="semantic"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
