@@ -3,7 +3,8 @@ dumps, option listing, verification runs, and a terminal play mode.
 
 Exit codes: 0 for success or PASS, 1 for a verification FAIL, 2 for usage
 errors (bad flags, unparsable literals, work past the search budget, a
-range that checks nothing or an ``--out`` that cannot be written).
+range that checks nothing, or an ``--out`` or a stdout that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -30,16 +31,19 @@ ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
     """Write a command's output to ``--out`` or stdout: ``json_text()`` under
     ``--format json``, else ``text()``.  Only the printed one is built.  An
-    ``--out`` that cannot be written is a usage error."""
+    ``--out`` or a stdout that cannot be written is a usage error; stdout is
+    flushed here, so its failure is caught too."""
     output = json_text() if args.format == "json" else text()
-    if args.out is None:
-        sys.stdout.write(output)
-        return
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(output)
+        if args.out is None:
+            sys.stdout.write(output)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(output)
     except OSError as exc:
-        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
+        target = "stdout" if args.out is None else args.out
+        raise DomainError(f"cannot write {target}: {exc.strerror}") from None
 
 
 def _json(payload: object) -> str:

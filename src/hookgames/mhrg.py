@@ -78,11 +78,21 @@ of ``x``'s slides and its single flip at once: ``m`` reads per word,
 where those options number ``m (k - m) + m / 2`` on average.  A line's
 last word has its coin on the line's highest free bit: a positive coin
 with no free pair above it, as a negative coin's own high bit is free.
-The double flips, ``x > 0`` with a coin ``|z| < x``, are read one by one
-(:func:`_value_in_order`).  A coin's two bits, whether its line ends on
-its high bit and its double-flip masks depend only on the word's set of
-pairs, so the sweep reads them once per set (:func:`_coin_table`) and
-takes each coin's side from the word.
+A coin's two bits and whether its line ends on its high bit depend only
+on the word's set of pairs, so the sweep reads them once per set
+(:func:`_coin_table`) and takes each coin's side from the word.
+
+The double flips, ``x > 0`` with a coin ``|z| < x``, are read one by one,
+by rank.  A word's *signs* set bit ``j`` when its ``j``-th coin from the
+middle is positive, and its *rank* is its pair set's index times ``2**m``
+plus its signs; a word is its pair set and its signs, so ranks are
+distinct.  A double flip changes the sign of the ``j``-th coin ``x`` and
+of a coin ``z`` nearer the middle, the ``i``-th with ``i < j``, and moves
+no coin off its pair, so the option's rank is the word's with bits ``j``
+and ``i`` toggled, ``r ^ (1 << j | 1 << i)``.  Those deltas are the same
+for every pair set, so the sweep keeps each word's value at its rank and
+reads a double flip's value from there, with no word built and no memo
+lookup (:func:`_value_in_order`).
 
 The rule book, applied literally on diagrams, scans for an equal-label
 hook after each removal (:func:`options_semantic`, :func:`moves_semantic`,
@@ -377,11 +387,12 @@ def search_cost(board: BoardParams, diagram: YoungDiagram | None = None) -> int:
     return capped_comb(m + n, m)
 
 
-def _words_inside(bound: int, size: int) -> list[tuple[int, int]]:
+def _words_inside(bound: int, size: int) -> list[tuple[int, int, int]]:
     """Every mirror-free ``size``-bit word inside ``bound`` (module
     docstring: its beads, sorted, at or below those of ``bound``),
     increasing, each with its pair mask, both bits of every pair that holds
-    a coin.
+    a coin, and its signs, bit ``j`` set when the ``j``-th coin from the
+    middle is positive.
 
     The words grow pair by pair from the outermost, ``p = 0 .. k - 1``
     (``k = size // 2``, ``top = size - 1``), kept by their coins placed so
@@ -390,26 +401,34 @@ def _words_inside(bound: int, size: int) -> list[tuple[int, int]]:
     one its ``c``-th lowest, so pair ``p`` takes a coin on its high bit when
     ``top - p`` is at most the ``a``-th highest bead of ``bound``, and on
     its low bit when ``p`` is at most the ``c``-th lowest one.  It stays
-    empty only while enough pairs remain for the coins still to come.  Each
-    word travels as ``word << size | pairs``, so one sort orders them.
+    empty only while enough pairs remain for the coins still to come.  A
+    coin placed after ``a + c`` others is the ``m - 1 - a - c``-th from the
+    middle, so its sign bit joins the word's bits in the constant that
+    places it.  Each word travels as ``(word << size | pairs) << m |
+    signs``, so one sort orders them.
     """
     beads = [b for b in range(size - 1, -1, -1) if bound >> b & 1]
     m, k, top = len(beads), size // 2, size - 1
+    shift = size + m
     grown: dict[tuple[int, int], list[int]] = {(0, 0): [0]}
     for p in range(k):
-        both = 1 << p | 1 << top - p
-        up, down = 1 << top - p << size | both, 1 << p << size | both
+        both = (1 << p | 1 << top - p) << m
+        up, down = 1 << top - p << shift | both, 1 << p << shift | both
         placed, grown = grown, {}
         for (a, c), keys in placed.items():
             if m - a - c < k - p:
                 grown.setdefault((a, c), []).extend(keys)
             if a + c < m:
                 if top - p <= beads[a]:
-                    grown.setdefault((a + 1, c), []).extend([key | up for key in keys])
+                    positive = up | 1 << m - 1 - a - c
+                    grown.setdefault((a + 1, c), []).extend([key | positive for key in keys])
                 if p <= beads[m - 1 - c]:
                     grown.setdefault((a, c + 1), []).extend([key | down for key in keys])
-    low = (1 << size) - 1
-    return [(key >> size, key & low) for key in sorted(chain.from_iterable(grown.values()))]
+    low, signs = (1 << size) - 1, (1 << m) - 1
+    return [
+        (key >> shift, key >> m & low, key & signs)
+        for key in sorted(chain.from_iterable(grown.values()))
+    ]
 
 
 def _count_inside(bound: int, size: int) -> int:
@@ -431,65 +450,91 @@ def _count_inside(bound: int, size: int) -> int:
     return sum(ways[a][m - a] for a in range(m + 1))
 
 
-def _coin_table(pairs: int, size: int) -> list[tuple[int, int, bool, tuple[int, ...]]]:
+def _coin_table(
+    pairs: int, size: int, deltas: list[tuple[int, ...]]
+) -> list[tuple[int, int, bool, tuple[int, ...]]]:
     """The coins of the pair mask ``pairs`` from the middle out, as the line
     sweep reads them: each coin's high and low bit, whether its line ends
-    on its high bit (every pair outside it holds a coin), and the masks
-    that flip it together with each coin nearer the middle."""
-    table, inner = [], []
+    on its high bit (every pair outside it holds a coin), and the rank
+    deltas of its double flips, ``deltas[j]`` for the ``j``-th coin, one
+    per coin nearer the middle in table order, which every pair mask
+    shares."""
+    table = []
     rest = pairs & -(1 << size - size // 2)  # the high bit of each pair
     while rest:
         hb = rest & -rest
         rest ^= hb
-        both = hb | 1 << size - hb.bit_length()
-        last = rest == (1 << size) - (hb << 1)
-        table.append((hb, both ^ hb, last, tuple(both ^ other for other in inner)))
-        inner.append(both)
+        lb = 1 << size - hb.bit_length()
+        table.append((hb, lb, rest == (1 << size) - (hb << 1), deltas[len(table)]))
     return table
 
 
+_DENSE = 4  # a sweep whose rank space is past this many times its list keeps a dict
+
+
 def _value_in_order(
-    words: list[tuple[int, int]], bound: int, size: int, memo: dict[int, int]
+    words: list[tuple[int, int, int]], bound: int, size: int, memo: dict[int, int]
 ) -> None:
     """Value ``words``, the mirror-free ``size``-bit words inside ``bound``
-    listed increasing with their pair masks (:func:`_words_inside`), into
-    ``memo`` by lines (module docstring).  Words ``memo`` holds already
-    keep their values but still add them to their lines.
+    listed increasing with their pair masks and signs
+    (:func:`_words_inside`), into ``memo`` by lines (module docstring).
+    Words ``memo`` holds already keep their values but still add them to
+    their lines.
 
-    A word's coins come from its pair mask's table (:func:`_coin_table`),
-    so a positive coin ``x`` has met the coins ``|z| < x`` of its double
-    flips, read from ``memo`` only for a word not valued yet.  ``seen``
-    holds the mask of each open line: a word pops each line ending on it
-    and reads each other once, to write it back after the mex.  A list of
-    another length than :func:`_count_inside` gives, or out of order, and
-    a double flip not yet valued raise :class:`EngineInvariantError`; so
-    does a line still open at the end of a whole-board sweep, which a
-    complete list leaves none of.  A subgame leaves its edge's lines open.
+    A word's coins come from its pair mask's table (:func:`_coin_table`).
+    ``seen`` holds the mask of each open line: a word pops each line ending
+    on it and reads each other once, to write it back after the mex.
+    ``ranked`` holds the value of each word valued so far at its rank, its
+    pair mask's index times ``2**m`` plus its signs: a list when the list
+    fills at least ``1 / _DENSE`` of that rank space (a whole board fills
+    it exactly), else a dict, so a small subgame of a large board allocates
+    no slot per rank.  A positive coin of a word not valued yet reads its
+    double flips from it, each as ``powers[ranked[rank ^ delta]]``, so
+    the list holds no int of its own.  The shared ``powers`` go up to the
+    most options a word can have, ``m (2 (k - m) + 1)`` slides and single
+    flips and ``m (m - 1) / 2`` double flips, and no further than the
+    list's length; with one coin, whose values run up to its length, no
+    double flip exists and none are built.  A list of another
+    length than :func:`_count_inside` gives, or out of order, and a double
+    flip not yet valued (``None`` in the list, a missing key in the dict)
+    raise :class:`EngineInvariantError`; so does a line still open at the
+    end of a whole-board sweep, which a complete list leaves none of.  A
+    subgame leaves its edge's lines open.
     """
-    m = bound.bit_count()
+    m, k = bound.bit_count(), size // 2
     count = _count_inside(bound, size)
     if len(words) != count:
         raise EngineInvariantError(
             f"{len(words)} words listed for the {count} mirror-free "
             f"{size}-bit words with {m} beads inside {bound}"
         )
-    tables = {pairs: _coin_table(pairs, size) for pairs in {pairs for _, pairs in words}}
+    deltas = [tuple(1 << j | 1 << i for i in range(j)) for j in range(m)]
+    tables = {
+        pairs: (index << m, _coin_table(pairs, size, deltas))
+        for index, pairs in enumerate({pairs for _, pairs, _ in words})
+    }
+    span = len(tables) << m
+    ranked: list[int | None] | dict[int, int] = [None] * span if span <= _DENSE * count else {}
+    most = m * (2 * (k - m) + 1) + m * (m - 1) // 2  # options of a word, so its largest value
+    powers = tuple(1 << v for v in range(min(count, most + 1))) if m > 1 else ()  # one coin flips alone
     seen: dict[int, int] = {}
     read = seen.get
     prev = -1
     try:
-        for w, pairs in words:
+        for w, pairs, signs in words:
             if w <= prev:
                 raise EngineInvariantError(f"word {w} is listed after {prev}")
             prev = w
+            base, coins = tables[pairs]
+            rank = base | signs
             value = memo.get(w)
             mask = 0
             kept = []
-            for hb, lb, last, flips in tables[pairs]:
+            for hb, lb, last, flips in coins:
                 if w & hb:  # a positive coin
                     if value is None:
-                        for flip in flips:
-                            mask |= 1 << memo[w ^ flip]
+                        for delta in flips:
+                            mask |= powers[ranked[rank ^ delta]]
                     if last:
                         mask |= seen.pop(w ^ hb, 0)
                         continue
@@ -500,14 +545,23 @@ def _value_in_order(
                 mask |= line_mask
                 kept.append((line, line_mask))
             if value is None:
-                value = memo[w] = (~mask & (mask + 1)).bit_length() - 1
-            bit = 1 << value
+                bit = ~mask & (mask + 1)
+                value = memo[w] = bit.bit_length() - 1
+            else:
+                bit = 1 << value
+            ranked[rank] = value
             for line, line_mask in kept:
                 seen[line] = line_mask | bit
-    except KeyError as missing:
-        raise EngineInvariantError(
-            f"option {missing.args[0]!r} of {w!r} is not valued before it"
-        ) from None
+    except (KeyError, TypeError):  # an empty slot: a missing key, or None as an index
+        slot = ranked.get if isinstance(ranked, dict) else ranked.__getitem__
+        for hb, lb, _, flips in coins:
+            for (inner_hb, inner_lb, _, _), delta in zip(coins, flips):
+                if w & hb and slot(rank ^ delta) is None:
+                    option = w ^ hb ^ lb ^ inner_hb ^ inner_lb
+                    raise EngineInvariantError(
+                        f"option {option!r} of {w!r} is not valued before it"
+                    ) from None
+        raise
     if seen and bound == ((1 << m) - 1) << (size - m):
         raise EngineInvariantError(f"{len(seen)} lines still open, first {next(iter(seen))}")
 
@@ -800,7 +854,7 @@ def _value_board(board: BoardParams, bound: int, memo: dict[int, int], engine: s
         return
     by_lines = dict(memo)
     options = _word_options_fn(board, engine)
-    for w, _ in words:
+    for w, _, _ in words:
         grundy(w, options, memo)
     if len(memo) != len(words):
         raise EngineInvariantError(
@@ -808,7 +862,7 @@ def _value_board(board: BoardParams, bound: int, memo: dict[int, int], engine: s
             f"of {board.m}x{board.n} inside {diagram_of_word(bound).literal()}"
         )
     _value_in_order(words, bound, size, by_lines)
-    for w, _ in words:
+    for w, _, _ in words:
         if by_lines[w] != memo[w]:
             raise EngineInvariantError(
                 f"values diverge at {diagram_of_word(w).literal()} on "

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -512,6 +515,25 @@ def test_an_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv):
                            (tmp_path / "missing" / "t.txt", "No such file or directory")):
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [("reachable", "-m", "8", "-n", "8"), ("grundy", "-m", "2", "-n", "2")],
+    ids=["reachable", "grundy"],
+)
+def test_a_stdout_that_cannot_be_written_is_a_usage_error(argv):
+    # Run as a process: the write fails at the file descriptor, which no
+    # captured stream reproduces, and a traceback would exit 1, the code of
+    # a verification FAIL.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "hookgames.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: No space left on device\n")
 
 
 def test_play_forced_removal_and_win(capsys, monkeypatch):

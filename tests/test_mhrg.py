@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
@@ -39,6 +40,7 @@ from hookgames import closedforms
 from hookgames.grundy import grundy
 from hookgames.isomorphisms import widen_word
 from hookgames.mhrg import (
+    _DENSE,
     _class_chain,
     _count_inside,
     _reversed,
@@ -403,8 +405,14 @@ def dfs_values(board) -> dict[int, int]:
 
 
 def with_pairs(words, size):
-    """Kernel input for ``words``: each with both bits of its pairs."""
-    return [(w, w | _reversed(w, size)) for w in words]
+    """Kernel input for ``words``: each with both bits of its pairs and its
+    signs, bit ``j`` set when the ``j``-th coin from the middle is positive."""
+    listed = []
+    for w in words:
+        pairs = w | _reversed(w, size)
+        highs = [b for b in range(size - size // 2, size) if pairs >> b & 1]
+        listed.append((w, pairs, sum(1 << j for j, b in enumerate(highs) if w >> b & 1)))
+    return listed
 
 
 def test_reachable_set_is_mirror_free_on_every_solvable_board():
@@ -539,11 +547,47 @@ class _NoReads(dict):
         raise AssertionError(f"read of {key}")
 
 
-def test_line_sweep_reads_no_double_flip_of_a_pre_valued_word():
+def sweep_5x8_counting_double_flips(monkeypatch, memo):
+    """:func:`sweep_5x8` of ``memo`` and the double flips it read, counted
+    as the rank deltas drawn from its coin tables."""
+    import hookgames.mhrg as mh
+
+    drawn = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for delta in tuple.__iter__(self):
+                drawn.append(delta)
+                yield delta
+
+    table = mh._coin_table
+
+    def counted(pairs, size, deltas):
+        return [(hb, lb, last, Counted(flips)) for hb, lb, last, flips in table(pairs, size, deltas)]
+
+    monkeypatch.setattr(mh, "_coin_table", counted)
+    return sweep_5x8(memo), len(drawn)
+
+
+def test_line_sweep_reads_no_double_flip_of_a_pre_valued_word(monkeypatch):
     # A word the memo holds already takes no option values: its double
-    # flips are not read, and its lines' masks are all it adds.  180 of
-    # 5x8's 192 words have double flips, so a read of any one would raise.
+    # flips are not read, and its lines' masks are all it adds.  The j-th
+    # coin from the middle, when positive, flips with each of the j coins
+    # inside it, so a word reads as many double flips as the sum of the
+    # places of its positive coins: 960 over 5x8's 192 words.  With a
+    # seeded half of them valued beforehand, only the other half reads;
+    # with all of them, none does, and no memo value is read by key.
     fresh = sweep_5x8({})
+    start = 31 << 8
+    flips = {
+        w: sum(j for j in range(5) if signs >> j & 1) for w, _, signs in _words_inside(start, 13)
+    }
+    assert sum(flips.values()) == 960
+    half = random.Random(27).sample(sorted(fresh), 96)
+    for valued in ([], half, sorted(fresh)):
+        unvalued = sum(flips[w] for w in fresh if w not in valued)
+        swept, drawn = sweep_5x8_counting_double_flips(monkeypatch, {w: fresh[w] for w in valued})
+        assert swept == fresh and drawn == unvalued
     assert sweep_5x8(_NoReads(fresh)) == fresh
 
 
@@ -561,7 +605,7 @@ def test_subgame_sweep_refuses_a_list_missing_a_word_or_past_its_diagram(forge, 
     # refuses it, and refuses a list that lacks 14, a word of the subgame.
     # The complete list is valued with lines on its edge left open.
     words = _words_inside(76, 8)
-    assert [w for w, _ in words] == [7, 11, 13, 14, 19, 21, 22, 35, 41, 42, 69, 73, 76]
+    assert [w for w, _, _ in words] == [7, 11, 13, 14, 19, 21, 22, 35, 41, 42, 69, 73, 76]
     memo = {}
     _value_in_order(words, 76, 8, memo)
     assert memo.items() <= solve(BoardParams(3, 5))[1].items() and len(memo) == 13
@@ -628,7 +672,7 @@ def test_subgame_count_matches_the_benchmark_subgame_sizes():
         m, n = map(int, name.split("x"))
         start = start_position(BoardParams(m, n)).encode()
         words = sorted(
-            (w for w, _ in _words_inside(start, m + n)),
+            (w for w, _, _ in _words_inside(start, m + n)),
             key=lambda w: (diagram_of_word(w).n_boxes, diagram_of_word(w).rows),
         )
         assert [_count_inside(w, m + n) for w in words] == sizes, name
@@ -653,6 +697,47 @@ def test_subgame_sweep_matches_the_search_past_81_cells(m, n):
         assert len(expected) == _count_inside(w, size)
         assert solve(board, diagram_of_word(w)) == (expected[w], expected)
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "rows, dense",
+    [
+        ((8, 8, 8, 8, 8), True),
+        ((6, 6, 6), True),
+        ((7, 5, 3, 1), True),
+        ((6, 5, 3, 2, 1), False),
+        ((2, 1), False),
+    ],
+    ids=["start", "6,6,6", "7,5,3,1", "6,5,3,2,1", "2,1"],
+)
+def test_subgame_sweep_ranks_into_a_list_or_a_dict(rows, dense):
+    # A word's rank is its pair mask's index times 2**m plus its signs.  On
+    # 5x8 (m = 5) the whole board fills its 192 ranks; 6,6,6 and 7,5,3,1
+    # fill a quarter of theirs (32 of 128, 40 of 160), the most that still
+    # takes a list.  6,5,3,2,1 (46 of 192) and 2,1 (3 of 64) take a dict.
+    # Either way the sweep's memo is the depth-first search's.
+    board, size = BoardParams(5, 8), 13
+    w = word_of_diagram(board, YoungDiagram(rows))
+    words = _words_inside(w, size)
+    span = len({pairs for _, pairs, _ in words}) << 5
+    assert (span <= _DENSE * len(words)) == dense
+    expected = {}
+    grundy(w, lambda word: word_options(word, size), expected)
+    assert solve(board, YoungDiagram(rows)) == (expected[w], expected)
+
+
+def test_a_small_subgame_of_a_large_board_allocates_no_slot_per_rank():
+    # 2,1 on 120x120 has 3 positions, all with a coin on every one of the
+    # 120 pairs: one pair mask, so a rank space of 2**120.  Its sweep keeps
+    # them in a dict, and its coin tables share one delta tuple per coin.
+    tracemalloc.start()
+    try:
+        value, memo = solve(BoardParams(120, 120), YoungDiagram((2, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (value, len(memo)) == (2, 3)
+    assert peak < 1 << 20, peak
 
 
 def test_class_tables_match_the_per_board_solve_on_every_position():
