@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -32,7 +33,9 @@ def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
     """Write a command's output to ``--out`` or stdout: ``json_text()`` under
     ``--format json``, else ``text()``.  Only the printed one is built.  An
     ``--out`` or a stdout that cannot be written is a usage error; stdout is
-    flushed here, so its failure is caught too."""
+    flushed here, so its failure is caught too.  A failed stdout is then
+    pointed at the null device: the flush at exit would retry the bytes its
+    buffer keeps, fail again and exit 120."""
     output = json_text() if args.format == "json" else text()
     try:
         if args.out is None:
@@ -42,8 +45,10 @@ def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(output)
     except OSError as exc:
-        target = "stdout" if args.out is None else args.out
-        raise DomainError(f"cannot write {target}: {exc.strerror}") from None
+        if args.out is not None:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DomainError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _json(payload: object) -> str:
