@@ -48,7 +48,6 @@ from .mhrg import (
     MhrgPosition,
     MoveRecord,
     move_for_box,
-    moves_diagonal,
     moves_semantic,
     options_cross_check,
     options_diagonal,

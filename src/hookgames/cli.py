@@ -29,26 +29,31 @@ ISO_VERIFIERS = {
 ALL_VERIFY_IDS = closedforms.VERIFY_IDS + tuple(ISO_VERIFIERS)
 
 
-def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
-    """Write a command's output to ``--out`` or stdout: ``json_text()`` under
-    ``--format json``, else ``text()``.  Only the printed one is built.  An
-    ``--out`` or a stdout that cannot be written is a usage error; stdout is
-    flushed here, so its failure is caught too.  A failed stdout is then
-    pointed at the null device: the flush at exit would retry the bytes its
-    buffer keeps, fail again and exit 120."""
-    output = json_text() if args.format == "json" else text()
+def _write(output: str, out: str | None = None) -> None:
+    """Write ``output`` to the file ``out``, or to stdout.  A file or a
+    stdout that cannot be written is a usage error; stdout is flushed here,
+    so its failure is caught too.  A failed stdout is then pointed at the
+    null device: the flush at exit would retry the bytes its buffer keeps,
+    fail again and exit 120."""
     try:
-        if args.out is None:
+        if out is None:
             sys.stdout.write(output)
             sys.stdout.flush()
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(output)
     except OSError as exc:
-        if args.out is not None:
-            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
+        if out is not None:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise DomainError(f"cannot write stdout: {exc.strerror}") from None
+
+
+def _emit(args, json_text: Callable[[], str], text: Callable[[], str]) -> None:
+    """Write a command's output to ``--out`` or stdout (:func:`_write`):
+    ``json_text()`` under ``--format json``, else ``text()``.  Only the
+    printed one is built."""
+    _write(json_text() if args.format == "json" else text(), args.out)
 
 
 def _json(payload: object) -> str:
@@ -166,20 +171,21 @@ _Move = tuple[HookRecord, HookRecord | None, YoungDiagram]
 
 def _moves(board: BoardParams, diagram: YoungDiagram, engine: str) -> list[_Move]:
     """The moves ``options`` lists as (first hook, forced hook or ``None``,
-    result): on ``diagonal`` straight from the bead-word decoder, each result
-    checked as :class:`mhrg.MhrgPosition` checks it; on ``cross-check`` from
-    the rule book's records, which must equal the decoder's."""
-    if engine == "diagonal":
-        word = mhrg.word_of_diagram(board, diagram)
-        return [
-            (first, second, _require_fit(board, mhrg.diagram_of_word(final)))
-            for first, second, final in mhrg._decode_moves(board, word)
-        ]
-    pos = mhrg.MhrgPosition(board, diagram)
-    records = mhrg.moves_semantic(pos)
-    if records != mhrg.moves_diagonal(pos):
-        raise EngineInvariantError(f"move records diverge at {pos} on {board.m}x{board.n}")
-    return [(r.first, r.second, r.result.diagram) for r in records]
+    result), straight from the bead-word decoder, each result checked as
+    :class:`mhrg.MhrgPosition` checks it.  On ``cross-check`` the rule
+    book's records must equal them."""
+    word = mhrg.word_of_diagram(board, diagram)
+    moves = [
+        (first, second, _require_fit(board, mhrg.diagram_of_word(final)))
+        for first, second, final in mhrg._decode_moves(board, word)
+    ]
+    if engine == "cross-check":
+        records = mhrg.moves_semantic(mhrg.MhrgPosition(board, diagram))
+        if [(r.first, r.second, r.result.diagram) for r in records] != moves:
+            raise EngineInvariantError(
+                f"move records diverge at {diagram.literal()} on {board.m}x{board.n}"
+            )
+    return moves
 
 
 def _move_lines(moves: Sequence[_Move]) -> Iterator[str]:
@@ -288,59 +294,48 @@ def _render_position(board: BoardParams, diagram: YoungDiagram) -> str:
     return "\n".join(lines) if lines else "  (empty)"
 
 
-def _engine_move(pos: mhrg.MhrgPosition, memo: dict[int, int]):
-    """A value-optimal move as (first hook, forced hook or ``None``, result):
-    to a 0-valued option when one exists, else the first move in canonical
-    order.  ``memo`` holds every position reachable from the full rectangle,
-    which includes every option of ``pos``."""
-    moves = mhrg._decode_moves(pos.board, pos.encode())
-    first, second, final = next((move for move in moves if memo.get(move[2]) == 0), moves[0])
-    return first, second, mhrg.MhrgPosition(pos.board, mhrg.diagram_of_word(final))
-
-
 def cmd_play(args, stdin: IO[str] | None = None) -> int:
+    """Alternate the player's box (:func:`mhrg._move_of_box`) with the
+    engine's reply: a move to a 0-valued option when one exists, else the
+    first move in canonical order.  The memo holds every position reachable
+    from the full rectangle, which includes every option met."""
     stream = stdin if stdin is not None else sys.stdin
     board, diagram = _board_and_diagram(args, "playing against the engine", mhrg.search_cost)
-    pos = mhrg.MhrgPosition(board, diagram)
     _, memo = mhrg.solve(board)
-    print(f"Hook removal on the {board.m}x{board.n} board. You move first.")
-    print("Enter a box as 'i j' (row column), or 'q' to quit.")
+    _write(_lines([f"Hook removal on the {board.m}x{board.n} board. You move first.",
+                   "Enter a box as 'i j' (row column), or 'q' to quit."]))
     while True:
-        print(_render_position(board, pos.diagram))
-        print("your move> ", end="", flush=True)
+        _write(_render_position(board, diagram) + "\nyour move> ")
         line = stream.readline()
         if not line or line.strip().lower() in ("q", "quit"):
-            print("bye")
+            _write("bye\n")
             return 0
         parts = line.split()
         try:
             if len(parts) != 2:
                 raise DomainError("enter two integers: row column")
-            i, j = int(parts[0]), int(parts[1])
-            record = mhrg.move_for_box(pos, i, j)
+            first, second, word = mhrg._move_of_box(board, diagram, int(parts[0]), int(parts[1]))
         except (ValueError, DomainError) as exc:
-            print(f"illegal move ({exc}); try again")
+            _write(f"illegal move ({exc}); try again\n")
             continue
-        first = record.first
-        print(
-            f"you removed the hook at {first.corner}, labels "
-            f"{{{','.join(map(str, first.labels))}}}"
+        diagram = _require_fit(board, mhrg.diagram_of_word(word))
+        labels = ",".join(map(str, first.labels))
+        forced = "" if second is None else (
+            f"forced second removal at {second.corner}: a hook with "
+            "the same labels remained and must be removed too\n"
         )
-        if record.second is not None:
-            print(
-                f"forced second removal at {record.second.corner}: a hook with "
-                f"the same labels remained and must be removed too"
-            )
-        pos = record.result
-        print(f"position now {pos.diagram.literal()}")
-        if pos.diagram.n_boxes == 0:
-            print("you emptied the board: you win")
+        _write(f"you removed the hook at {first.corner}, labels {{{labels}}}\n{forced}"
+               f"position now {diagram.literal()}\n")
+        if diagram.n_boxes == 0:
+            _write("you emptied the board: you win\n")
             return 0
-        first, second, pos = _engine_move(pos, memo)
+        moves = mhrg._decode_moves(board, word)
+        first, second, word = next((move for move in moves if memo.get(move[2]) == 0), moves[0])
+        diagram = _require_fit(board, mhrg.diagram_of_word(word))
         forced = "" if second is None else f" with forced second removal at {second.corner}"
-        print(f"engine removes the hook at {first.corner}{forced} -> {pos.diagram.literal()}")
-        if pos.diagram.n_boxes == 0:
-            print("engine emptied the board: engine wins")
+        _write(f"engine removes the hook at {first.corner}{forced} -> {diagram.literal()}\n")
+        if diagram.n_boxes == 0:
+            _write("engine emptied the board: engine wins\n")
             return 0
 
 

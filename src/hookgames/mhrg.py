@@ -11,10 +11,10 @@ top-right one, and one bit per step, set for a step up, gives an
 (bead) word of a partition in a box.  A hook removal moves one bead down
 to a hole, and the forced follow-up is the mirrored bead move under
 ``i -> m + n - 1 - i``.  :func:`word_options` is that rule; option sets,
-move records, solves and reachable sets all come from it.  One decoder
+move lists, solves and reachable sets all come from it.  One decoder
 turns an option word into a move, its forced follow-up's labels checked
-(:func:`_decode_moves`); it feeds the move records, the ``options``
-listing and ``play``.  A word maps straight to a diagram
+(:func:`_decode_moves`), and the move of a named box is read off the word
+the same way (:func:`_move_of_box`).  A word maps straight to a diagram
 (:func:`diagram_of_word`: each bead's row is as long as the holes below
 it) and back (:func:`word_of_diagram`).  Memo keys are bead words too
 (:meth:`MhrgPosition.encode`); move records keep the order of their
@@ -98,10 +98,10 @@ The rule book, applied literally on diagrams, scans for an equal-label
 hook after each removal (:func:`options_semantic`, :func:`moves_semantic`,
 :func:`move_for_box`).  It is the oracle: ``engine="cross-check"`` compares
 it with the bead-word rule at every position, and nothing answers from it
-alone but ``play``'s reading of the player's box.  It reads boxes only,
-never words or intervals.  Its hooks are sliced from the label grid of
-``diagrams`` (``diagrams._label_grid``, ``diagrams._box_hook``) by the hook
-builder behind :func:`~hookgames.diagrams.hook_at`.  A diagram's row and
+alone.  It reads boxes only, never words or intervals.  Its hooks are
+sliced from the label grid of ``diagrams`` (``diagrams._label_grid``,
+``diagrams._box_hook``) by the code that makes the hooks of
+:func:`~hookgames.diagrams.hook_at`.  A diagram's row and
 column lengths are read once per position for all its first hooks, and
 once per scan.  A scan compares labels only with hooks of the first one's
 length, and each row holds at most one: along a row the arm shrinks by one
@@ -182,6 +182,7 @@ from .diagrams import (
     YoungDiagram,
     _box_hook,
     _label_grid,
+    _require_box,
     _require_fit,
     hook_at,
     interval_labels,
@@ -607,7 +608,11 @@ def _forced_move(board: BoardParams, word: int, a: int, b: int) -> tuple[HookRec
     return first, second
 
 
-def _decode_moves(board: BoardParams, word: int) -> list[tuple[HookRecord, HookRecord | None, int]]:
+# A move: its first hook, its forced hook or ``None``, and its result word.
+_WordMove = tuple[HookRecord, HookRecord | None, int]
+
+
+def _decode_moves(board: BoardParams, word: int) -> list[_WordMove]:
     """Moves of ``word`` on ``board``, one per distinct result, as the first
     hook, the forced hook or ``None``, and the result word, ordered by the
     results' profiles (:func:`profile_order`).
@@ -651,10 +656,21 @@ def _decode_moves(board: BoardParams, word: int) -> list[tuple[HookRecord, HookR
     return moves
 
 
-def moves_diagonal(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Move records via the bead word, in the order of :func:`_decode_moves`."""
-    board, moves = pos.board, _decode_moves(pos.board, pos.encode())
-    return tuple(MoveRecord(f, s, MhrgPosition(board, diagram_of_word(w))) for f, s, w in moves)
+def _move_of_box(board: BoardParams, diagram: YoungDiagram, i: int, j: int) -> _WordMove:
+    """The move that removes the hook at box ``(i, j)`` of ``diagram``, as
+    :func:`_decode_moves` gives moves; a box outside the diagram is refused
+    as :func:`~hookgames.diagrams.hook_at` refuses it.  Row ``i``'s bead
+    ``b`` moves down by the hook's length to ``a`` (the abacus of a
+    partition), and the mirrored move ``top - a -> top - b`` follows when
+    it is legal after the first, its labels checked (:func:`_forced_move`)."""
+    _require_box(board, diagram, i, j)
+    rows, top, word = diagram.rows, board.m + board.n - 1, word_of_diagram(board, diagram)
+    b = rows[i - 1] + board.m - i
+    a = b - (rows[i - 1] - j + sum(row >= j for row in rows[i:]) + 1)
+    after = word ^ 1 << a ^ 1 << b
+    if after >> top - a & 1 and not after >> top - b & 1:
+        return (*_forced_move(board, word, a, b), after ^ 1 << top - a ^ 1 << top - b)
+    return _hook(board, word, a, b), None, after
 
 
 def _positions(board: BoardParams, words: Iterable[int]) -> set[MhrgPosition]:
@@ -739,8 +755,9 @@ def _semantic_records(pos: MhrgPosition) -> dict[YoungDiagram, MoveRecord]:
 
 
 def moves_semantic(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
-    """Moves by the rule book, one record per distinct result, in
-    the order of :func:`moves_diagonal`."""
+    """Moves by the rule book, one record per distinct result, ordered by
+    the results' profiles (:func:`profile_order`) as :func:`_decode_moves`
+    orders its moves."""
     board, size = pos.board, pos.board.m + pos.board.n
     best = _semantic_records(pos)
     order = sorted(best, key=lambda d: profile_order(word_of_diagram(board, d), size))

@@ -381,6 +381,12 @@ def moves_reference(pos: MhrgPosition) -> tuple[MoveRecord, ...]:
     return tuple(records)
 
 
+def triples(records: tuple[MoveRecord, ...]) -> list[tuple[HookRecord, HookRecord | None, int]]:
+    """Move records as ``mhrg._decode_moves`` gives moves: the first hook,
+    the forced hook or ``None``, and the result's bead word."""
+    return [(r.first, r.second, r.result.encode()) for r in records]
+
+
 def brute_grundy_map(board: BoardParams) -> dict[tuple[int, ...], int]:
     """Game value of every position reachable from the full rectangle,
     computed by plain recursion over the rule-book engine."""

@@ -30,7 +30,6 @@ PUBLIC_NAMES = {
     "max_label",
     "mex",
     "move_for_box",
-    "moves_diagonal",
     "moves_semantic",
     "nim_sum",
     "options_cross_check",

@@ -83,7 +83,7 @@ def searches(monkeypatch):
         return wrapped
 
     for module, names in (
-        (mhrg, ("solve", "reachable_words", "moves_diagonal", "moves_semantic",
+        (mhrg, ("solve", "reachable_words", "_decode_moves", "_move_of_box", "moves_semantic",
                 "options_cross_check")),
         (closedforms, ("solve", "start_values", "reachable_words", "solve_hrg")),
         (isomorphisms, ("reachable_words", "verify_isomorphism", "verify_widening",

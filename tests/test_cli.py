@@ -216,9 +216,10 @@ def test_empty_move_list_is_one_count_line(capsys):
 
 
 def _writer_matches_json_dumps(pos: MhrgPosition, engine: str = "diagonal"):
-    # The writer takes the listed moves; json.dumps takes the records.
+    # The writer takes the listed moves; json.dumps takes the rule book's
+    # records.
     moves = _moves(pos.board, pos.diagram, engine)
-    records = mhrg.moves_semantic(pos) if engine == "cross-check" else mhrg.moves_diagonal(pos)
+    records = mhrg.moves_semantic(pos)
     expected = json.dumps(options_payload(pos, records), indent=2, sort_keys=True) + "\n"
     assert _options_json(pos.board, pos.diagram, moves) == expected, (str(pos), engine)
     return moves
@@ -520,20 +521,23 @@ def test_an_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv):
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
 @pytest.mark.parametrize(
     "argv",
-    [("reachable", "-m", "8", "-n", "8"), ("grundy", "-m", "2", "-n", "2")],
-    ids=["reachable", "grundy"],
+    [("reachable", "-m", "8", "-n", "8"), ("grundy", "-m", "2", "-n", "2"),
+     ("play", "-m", "2", "-n", "2")],
+    ids=["reachable", "grundy", "play"],
 )
 def test_a_stdout_that_cannot_be_written_is_a_usage_error(argv):
     # Run as a process: the write fails at the file descriptor, which no
     # captured stream reproduces, and a traceback would exit 1, the code of
     # a verification FAIL.  Stdout stays buffered, as by default, so bytes
-    # left in its buffer must not fail the flush at exit (exit 120).
+    # left in its buffer must not fail the flush at exit (exit 120).  play
+    # fails at its first line, before it reads the "q" on its stdin.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         done = subprocess.run(
             [sys.executable, "-m", "hookgames.cli", *argv],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            input="q\n", stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            check=False,
         )
     assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: No space left on device\n")
 
@@ -587,6 +591,29 @@ def test_play_transposes_with_a_note(capsys, monkeypatch):
         "  1 2 2\n"
         "your move> bye\n"
     )
+
+
+@pytest.mark.parametrize("mover", ["player", "engine"])
+def test_play_validates_every_result(capsys, monkeypatch, mover):
+    # As in the options listing, each result word is read into a diagram
+    # and fitted to the board.  One column too wide on the player's result,
+    # 5,4,3, or on every other one, the engine's reply included, stops the
+    # game with a usage error.
+    real = mhrg.diagram_of_word
+
+    def too_wide(word):
+        diagram = real(word)
+        if (diagram.rows == (5, 4, 3)) != (mover == "player"):
+            return diagram
+        return YoungDiagram((6,) + diagram.rows)
+
+    monkeypatch.setattr(mhrg, "diagram_of_word", too_wide)
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 4\n"))
+    code, out, err = run(capsys, "play", "-m", "3", "-n", "5")
+    assert code == 2 and err.startswith("error: diagram 6,")
+    assert err.endswith(" does not fit a 3x5 board\n")
+    assert ("position now 5,4,3\n" in out) == (mover == "engine")
+    assert "engine removes" not in out
 
 
 def test_play_refuses_boards_past_the_solve_bound(capsys, monkeypatch):

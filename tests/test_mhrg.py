@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from conftest import (
     moves_reference,
     rule_book_move_reference,
     rule_book_moves_reference,
+    triples,
 )
 
 from hookgames import (
@@ -27,7 +29,6 @@ from hookgames import (
     hook_at,
     is_symmetric,
     move_for_box,
-    moves_diagonal,
     moves_semantic,
     options_cross_check,
     options_diagonal,
@@ -37,12 +38,15 @@ from hookgames import (
     start_position,
 )
 from hookgames import closedforms
+from hookgames.cli import main
 from hookgames.grundy import grundy
 from hookgames.isomorphisms import widen_word
 from hookgames.mhrg import (
     _DENSE,
     _class_chain,
     _count_inside,
+    _decode_moves,
+    _move_of_box,
     _reversed,
     _value_in_order,
     _words_inside,
@@ -99,15 +103,14 @@ def test_forced_double_removal_chain():
     assert record.result.diagram.rows == (1, 1)
 
     # The bead-word engine reaches (1,1) by two first hooks, (2,1) via
-    # interval [-2,2] and (1,3) via [0,4]; the record keeps the smaller
+    # interval [-2,2] and (1,3) via [0,4]; the move kept has the smaller
     # corner.  Either order pairs an interval with its mirror.
-    matching = [r for r in moves_diagonal(pos) if r.result.diagram.rows == (1, 1)]
-    assert len(matching) == 1
-    rec = matching[0]
-    assert rec.first.corner == (1, 3)
-    assert (rec.first.lo, rec.first.hi) == (0, 4)
-    assert rec.second is not None
-    assert (rec.second.lo, rec.second.hi) == (-2, 2)
+    to_1_1 = word_of_diagram(board, YoungDiagram((1, 1)))
+    [(first, second)] = [(f, s) for f, s, w in _decode_moves(board, pos.encode()) if w == to_1_1]
+    assert first.corner == (1, 3)
+    assert (first.lo, first.hi) == (0, 4)
+    assert second is not None
+    assert (second.lo, second.hi) == (-2, 2)
 
     via_other_box = move_for_box(pos, 2, 1)
     assert via_other_box.result.diagram.rows == (1, 1)
@@ -117,22 +120,22 @@ def test_forced_double_removal_chain():
 def test_profile_engine_mirror_cases_2x2():
     board = BoardParams(2, 2)
     pos = start_position(board)
-    by_interval = {(r.first.lo, r.first.hi): r for r in moves_diagonal(pos)}
+    by_interval = {(f.lo, f.hi): (s, w) for f, s, w in _decode_moves(board, pos.encode())}
     # [-1, 1] is self-mirrored: single removal to (1).
-    rec = by_interval[(-1, 1)]
-    assert rec.second is None and rec.result.diagram.rows == (1,)
+    second, result = by_interval[(-1, 1)]
+    assert second is None and diagram_of_word(result).rows == (1,)
     # [0, 1] mirrors to [-1, 0], which is accepted: forced to empty.
-    rec = by_interval[(0, 1)]
-    assert rec.second is not None
-    assert (rec.second.lo, rec.second.hi) == (-1, 0)
-    assert rec.result.diagram.rows == ()
+    second, result = by_interval[(0, 1)]
+    assert second is not None
+    assert (second.lo, second.hi) == (-1, 0)
+    assert diagram_of_word(result).rows == ()
 
 
 def test_empty_position_has_no_options():
     pos = MhrgPosition(BoardParams(3, 5), YoungDiagram(()))
     assert options_semantic(pos) == set()
     assert options_diagonal(pos) == set()
-    assert moves_diagonal(pos) == ()
+    assert _decode_moves(pos.board, pos.encode()) == []
 
 
 def test_reachable_examples():
@@ -163,7 +166,7 @@ def test_engine_equivalence_small_boards():
             board = BoardParams(m, n)
             for word in sorted(reachable_words(board)):
                 pos = MhrgPosition(board, diagram_of_word(word))
-                assert moves_semantic(pos) == moves_diagonal(pos)
+                assert triples(moves_semantic(pos)) == _decode_moves(board, word)
 
 
 def test_moves_shrink_and_mirror():
@@ -190,16 +193,16 @@ def test_reachable_positions_symmetric_on_near_square_boards():
 def test_move_records_deduplicate_by_result():
     board = BoardParams(3, 5)
     pos = MhrgPosition(board, YoungDiagram((5, 4, 3)))
-    records = moves_diagonal(pos)
-    results = [r.result.encode() for r in records]
+    moves = _decode_moves(board, pos.encode())
+    results = [w for _, _, w in moves]
     assert len(results) == len(set(results))
-    assert {r.result for r in records} == options_diagonal(pos)
+    assert set(results) == {p.encode() for p in options_diagonal(pos)}
     # canonical order by the results' diagonal profiles
-    profiles = [diagonal_of(board, r.result.diagram).encode() for r in records]
+    profiles = [diagonal_of(board, diagram_of_word(w)).encode() for w in results]
     assert profiles == sorted(profiles)
     semantic = moves_semantic(pos)
-    assert [r.result for r in semantic] == [r.result for r in records]
-    assert [r.first.corner for r in semantic] == [r.first.corner for r in records]
+    assert [r.result.encode() for r in semantic] == results
+    assert [r.first.corner for r in semantic] == [first.corner for first, _, _ in moves]
 
 
 def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
@@ -210,7 +213,7 @@ def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
     pos = MhrgPosition(board, YoungDiagram((2,)))
     loser = move_for_box(pos, 1, 2)
     assert (loser.second.lo, loser.second.hi) == (0, 0)
-    assert [(r.first.corner, r.second) for r in moves_diagonal(pos)] == [((1, 1), None)]
+    assert [(f.corner, s) for f, s, _ in _decode_moves(board, pos.encode())] == [((1, 1), None)]
     import hookgames.mhrg as mh
 
     original = mh.interval_labels
@@ -221,16 +224,19 @@ def test_mirror_label_check_runs_on_moves_that_are_not_kept(monkeypatch):
 
     monkeypatch.setattr(mh, "interval_labels", corrupt)
     with pytest.raises(EngineInvariantError, match="mirror hook labels diverge"):
-        moves_diagonal(pos)
+        _decode_moves(board, pos.encode())
+    # The player's box (1,2) is that forced move.
+    with pytest.raises(EngineInvariantError, match="mirror hook labels diverge"):
+        _move_of_box(board, pos.diagram, 1, 2)
 
 
-def test_mirror_label_check_runs_on_kept_forced_records(monkeypatch):
+def test_mirror_label_check_runs_on_kept_forced_records(capsys, monkeypatch):
     # On the 2x2 start the hook at (1,2), diagonals 0..1, forces the one at
-    # (1,1), diagonals -1..0, and that record is kept.
+    # (1,1), diagonals -1..0, and that move is kept.
     pos = start_position(BoardParams(2, 2))
-    [record] = [r for r in moves_diagonal(pos) if r.second is not None]
-    assert (record.first.corner, record.second.corner) == ((1, 2), (1, 1))
-    assert (record.second.lo, record.second.hi) == (-1, 0)
+    [(first, second)] = [(f, s) for f, s, _ in _decode_moves(pos.board, pos.encode()) if s]
+    assert (first.corner, second.corner) == ((1, 2), (1, 1))
+    assert (second.lo, second.hi) == (-1, 0)
     import hookgames.mhrg as mh
 
     original = mh.interval_labels
@@ -241,13 +247,19 @@ def test_mirror_label_check_runs_on_kept_forced_records(monkeypatch):
 
     monkeypatch.setattr(mh, "interval_labels", corrupt)
     with pytest.raises(EngineInvariantError, match="mirror hook labels diverge at 2,2"):
-        moves_diagonal(pos)
+        _decode_moves(pos.board, pos.encode())
+    # A player who takes the box (1,2) in play makes that forced move.
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
+    with pytest.raises(EngineInvariantError, match="mirror hook labels diverge at 2,2"):
+        main(["play", "-m", "2", "-n", "2"])
+    assert "you removed" not in capsys.readouterr().out
 
 
 def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
     # move_for_box compares labels only with hooks as long as the first one;
     # the reference compares with every hook, reachable diagram or not.  The
     # option set, deduplicated without the sort, is the set of move results.
+    # The bead word's move of each box and the decoder's moves match them.
     moves = diagrams = 0
     for m in range(1, 5):
         for n in range(m, 7):
@@ -257,17 +269,62 @@ def test_rule_book_moves_match_the_unfiltered_scan_on_every_diagram():
                 for i, j in diagram.boxes():
                     expected = rule_book_move_reference(pos, i, j)
                     assert move_for_box(pos, i, j) == expected, (m, n, diagram, (i, j))
+                    assert [_move_of_box(board, diagram, i, j)] == triples([expected])
                     moves += 1
                 records = moves_semantic(pos)
                 assert records == rule_book_moves_reference(pos), (m, n, diagram)
-                assert records == moves_diagonal(pos), (m, n, diagram)
+                assert triples(records) == _decode_moves(board, pos.encode()), (m, n, diagram)
                 assert options_semantic(pos) == {r.result for r in records}
                 diagrams += 1
     assert (moves, diagrams) == (6247, 708)
 
 
+def test_move_of_a_box_matches_the_rule_book_on_every_diagram_up_to_30_cells():
+    # play reads the player's box off the bead word; the rule book applies
+    # it to the diagram.  Every box of every diagram, reachable or not.
+    boxes = 0
+    for m in range(1, 6):
+        for n in range(m, 30 // m + 1):
+            board = BoardParams(m, n)
+            for diagram in all_diagrams(board):
+                pos = MhrgPosition(board, diagram)
+                for i, j in diagram.boxes():
+                    expected = triples([move_for_box(pos, i, j)])
+                    assert [_move_of_box(board, diagram, i, j)] == expected, (m, n, diagram, i, j)
+                    boxes += 1
+    assert boxes == 45153
+
+
+@pytest.mark.parametrize("m, n", [(9, 12), (20, 25), (6, 60)])
+def test_move_of_a_box_matches_the_rule_book_past_81_cells(m, n):
+    # Every box of six seeded in-game diagrams, one coin on each of m
+    # distinct mirror pairs, each on a random side.
+    board, size = BoardParams(m, n), m + n
+    rng = random.Random(f"{m}x{n}")
+    kinds = set()
+    for _ in range(6):
+        pairs = rng.sample(range(size // 2), m)
+        diagram = diagram_of_word(sum(1 << rng.choice((p, size - 1 - p)) for p in pairs))
+        pos = MhrgPosition(board, diagram)
+        for i, j in diagram.boxes():
+            [expected] = triples([move_for_box(pos, i, j)])
+            assert _move_of_box(board, diagram, i, j) == expected, (diagram, i, j)
+            kinds.add(expected[1] is None)
+    assert kinds == {True, False}
+
+
+def test_move_of_a_box_refuses_a_box_outside_the_diagram():
+    board, diagram = BoardParams(3, 5), YoungDiagram((5, 4, 3))
+    for box in [(3, 4), (4, 1), (0, 1), (1, 0), (-1, 2)]:
+        with pytest.raises(DomainError) as refused:
+            _move_of_box(board, diagram, *box)
+        with pytest.raises(DomainError) as by_hook_at:
+            hook_at(board, diagram, *box)
+        assert str(refused.value) == str(by_hook_at.value) == f"box {box} not in diagram 5,4,3"
+
+
 def test_move_records_match_the_all_pairs_reference_on_every_word():
-    # moves_diagonal decodes one record per result of word_options; the
+    # _decode_moves decodes one move per result of word_options; the
     # reference tries every bead-hole pair and reads hooks off the diagrams.
     # Every m-bead word, mirror-free or not, of the boards with m + n <= 12.
     words = 0
@@ -275,8 +332,9 @@ def test_move_records_match_the_all_pairs_reference_on_every_word():
         for n in range(m, 13 - m):
             board, size = BoardParams(m, n), m + n
             for beads in combinations(range(size), m):
-                pos = MhrgPosition(board, diagram_of_word(sum(1 << b for b in beads)))
-                assert moves_diagonal(pos) == moves_reference(pos), (m, n, str(pos))
+                word = sum(1 << b for b in beads)
+                pos = MhrgPosition(board, diagram_of_word(word))
+                assert _decode_moves(board, word) == triples(moves_reference(pos)), (m, n, str(pos))
                 words += 1
     assert words == 4720
 
@@ -346,7 +404,7 @@ def test_rule_book_calls_no_bead_word_code(monkeypatch):
     ]:
         monkeypatch.setattr(module, name, forged)
     with pytest.raises(AssertionError, match="bead-word code"):
-        moves_diagonal(positions[-1])
+        _decode_moves(positions[-1].board, positions[-1].encode())
     assert answers() == expected
     assert len(positions) == 183
 

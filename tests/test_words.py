@@ -16,6 +16,7 @@ from conftest import (
     position_from_profile,
     profile_of_word,
     word_of_profile,
+    triples,
     word_options_reference,
 )
 from hypothesis import given
@@ -28,13 +29,13 @@ from hookgames import (
     YoungDiagram,
     all_diagrams,
     grundy,
-    moves_diagonal,
     moves_semantic,
     options_semantic,
     solve,
     start_position,
 )
 from hookgames.mhrg import (
+    _decode_moves,
     _reversed,
     diagram_of_word,
     mirror_free,
@@ -218,7 +219,7 @@ def test_rule_book_moves_match_the_bead_words_past_81_cells(m, n):
     assert [mirror_free(word, size) for word in words] == [True] * 5 + [False] * 5
     for word in words:
         pos = MhrgPosition(board, diagram_of_word(word))
-        assert moves_semantic(pos) == moves_diagonal(pos), (m, n, pos.diagram.rows)
+        assert triples(moves_semantic(pos)) == _decode_moves(board, word), (m, n, pos.diagram.rows)
 
 
 def test_word_options_match_the_all_pairs_reference_on_every_word():
