@@ -6,12 +6,12 @@ hashable memo keys, and callers supply an options function.  Every option
 must be smaller than its position (``child < node``), as in every game the
 package plays: a move removes boxes, which lowers the bead word (``mhrg``)
 or the staircase mask (``shifted``).  That order rules out cycles, and
-:func:`grundy` refuses an option that breaks it.  The boxed game's
-sweeps (``mhrg.solve`` from an in-game position, over its subgame, and
-``mhrg.start_values``) call it on their word list in increasing order on
-the ``cross-check`` engine, so each call finds the smaller options valued
-already; the default ``diagonal`` engine values the same list by lines,
-with no option sets (``mhrg._value_in_order``).
+:func:`grundy` refuses an option that breaks it.  The boxed game values
+an in-game position's subgame, and each class of ``mhrg.start_values``,
+by lines on every engine (``mhrg._value_in_order``), so ``mhrg.solve``
+calls :func:`grundy` only from a diagram outside the game; ``cross-check``
+then checks each line value against the rule book's options and their
+:func:`mex`.
 
 Searches are unbounded, and so are the library's solves and closures
 (``solve``, ``solve_hrg``, ``reachable_words``, ``all_shifted``).  The

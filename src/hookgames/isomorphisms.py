@@ -277,6 +277,8 @@ def verify_staircase_iso(n: int) -> Report:
     """Machine-check that halving is an isomorphism from the game on the
     ``n x (n+1)`` board (``n >= 1``) to hook removal on the size-``n``
     staircase."""
+    if n < 1:
+        raise DomainError(f"staircase isomorphism verification needs n >= 1, got {n}")
     board = BoardParams(n, n + 1)
     check_budget(f"staircase isomorphism verification of {n}x{n + 1}", [_halving_cost(n)])
     return verify_isomorphism(

@@ -189,7 +189,7 @@ from .diagrams import (
     remove_hook,
 )
 from .errors import DomainError, EngineInvariantError
-from .grundy import SEARCH_BUDGET, capped_comb, capped_pow2, grundy
+from .grundy import SEARCH_BUDGET, capped_comb, capped_pow2, grundy, mex
 
 ENGINES = ("diagonal", "cross-check")
 _BYTE_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
@@ -834,13 +834,14 @@ def solve(
 
     An in-game diagram (:func:`in_game`), the full rectangle included, is
     solved by valuing its subgame, the in-game words inside it, in
-    increasing order (:func:`_value_board`).  That is exact: those words
-    are the positions reachable from it (module docstring), and every
-    option is a smaller word, so each is valued before the positions that
-    move to it.  An engine whose option leaves that set or is not a smaller
-    word raises :class:`EngineInvariantError`.  A diagram outside the game
-    is solved by the depth-first search below it (:func:`grundy`), which
-    explores only the positions it reaches.
+    increasing order by lines on either engine (:func:`_value_board`).
+    That is exact: those words are the positions reachable from it (module
+    docstring), and every option is a smaller word, so each is valued
+    before the positions that move to it.  On ``cross-check`` an option
+    that leaves that set or is not a smaller word raises
+    :class:`EngineInvariantError`.  A diagram outside the game is solved by
+    the depth-first search below it (:func:`grundy`), which explores only
+    the positions it reaches.
     """
     m, n = board.m, board.n
     options = _word_options_fn(board, engine)
@@ -855,35 +856,29 @@ def solve(
 
 def _value_board(board: BoardParams, bound: int, memo: dict[int, int], engine: str) -> None:
     """Value the subgame of the in-game word ``bound`` on ``board``, its
-    words listed increasing (:func:`_words_inside`), into ``memo``, keeping
-    the values it holds; for ``bound`` the start, the whole board.  The
-    ``diagonal`` engine values them by lines (:func:`_value_in_order`);
-    ``cross-check`` values them by each word's checked options as well
-    (:func:`grundy`, word by word, so every smaller option is valued
-    already) and raises :class:`EngineInvariantError` at the first word the
-    two value apart.  An option outside the list raises it too: a larger
-    one in :func:`grundy`, a smaller one here, as it adds a position to
-    ``memo``."""
+    words listed increasing (:func:`_words_inside`), into ``memo`` by lines
+    (:func:`_value_in_order`), keeping the values it holds; for ``bound``
+    the start, the whole board.  On ``cross-check`` each word the sweep
+    valued is then checked, increasing, against its checked options: the
+    smallest option that is not a smaller valued word, or a line value
+    other than the ``mex`` of its options' values, raises
+    :class:`EngineInvariantError`.  As every option is checked below its
+    word, the line values then equal the values by options, word by word."""
+    options = _word_options_fn(board, engine)
     size = board.m + board.n
     words = _words_inside(bound, size)
-    if engine == "diagonal":
-        _value_in_order(words, bound, size, memo)
-        return
-    by_lines = dict(memo)
-    options = _word_options_fn(board, engine)
-    for w, _, _ in words:
-        grundy(w, options, memo)
-    if len(memo) != len(words):
-        raise EngineInvariantError(
-            f"{len(memo)} positions valued for the {len(words)} mirror-free words "
-            f"of {board.m}x{board.n} inside {diagram_of_word(bound).literal()}"
-        )
-    _value_in_order(words, bound, size, by_lines)
-    for w, _, _ in words:
-        if by_lines[w] != memo[w]:
+    swept = [w for w, _, _ in words if w not in memo] if engine == "cross-check" else []
+    _value_in_order(words, bound, size, memo)
+    for w in swept:
+        opts = options(w)
+        late = [o for o in opts if not (o < w and o in memo)]
+        if late:
+            raise EngineInvariantError(f"option {min(late)!r} of {w!r} is not valued before it")
+        by_options = mex(map(memo.__getitem__, opts))
+        if memo[w] != by_options:
             raise EngineInvariantError(
                 f"values diverge at {diagram_of_word(w).literal()} on "
-                f"{board.m}x{board.n}: {by_lines[w]} by lines, {memo[w]} by options"
+                f"{board.m}x{board.n}: {memo[w]} by lines, {by_options} by options"
             )
 
 
@@ -902,8 +897,8 @@ def _class_chain(d: int, top_m: int, engine: str = "diagonal") -> Iterator[dict[
     so its value is that of ``w >> 1`` in the previous class's table, whose
     words ``w`` give all of them as ``w << 1 | 1``; the class ``(0, d)`` has
     the one empty word, of value 0.  The other words are valued in
-    increasing order by ``engine`` (:func:`_value_board`); an option that is
-    neither an inert-coin word nor smaller raises
+    increasing order by lines (:func:`_value_board`); on ``cross-check`` an
+    option that is neither an inert-coin word nor a smaller word raises
     :class:`EngineInvariantError`."""
     table = {0: 0}
     for m in range(1, top_m + 1):

@@ -14,6 +14,7 @@ they are the reference that the library's bead words are tested against.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -33,7 +34,7 @@ from hookgames import (
     unimodal_number,
 )
 from hookgames.diagrams import max_label, remove_hook
-from hookgames.mhrg import MoveRecord, diagram_of_word, word_of_diagram
+from hookgames.mhrg import MoveRecord, _count_inside, diagram_of_word, word_of_diagram
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic and its running time bounded.
@@ -385,6 +386,23 @@ def triples(records: tuple[MoveRecord, ...]) -> list[tuple[HookRecord, HookRecor
     """Move records as ``mhrg._decode_moves`` gives moves: the first hook,
     the forced hook or ``None``, and the result's bead word."""
     return [(r.first, r.second, r.result.encode()) for r in records]
+
+
+def seeded_subgames(board: BoardParams, count: int) -> list[int]:
+    """``count`` in-game words of ``board``, drawn from a seed named after
+    the board, whose subgames hold 20 to 200 words (``mhrg._count_inside``):
+    one coin on each of ``m`` distinct mirror pairs, each negative (on its
+    pair's low bit) with probability 0.85.  Coins drawn on either side alike
+    give large boards subgames far past that size, and the draw stalls."""
+    size = board.m + board.n
+    rng = random.Random(f"{board.m}x{board.n}")
+    words: list[int] = []
+    while len(words) < count:
+        pairs = rng.sample(range(size // 2), board.m)
+        w = sum(1 << (p if rng.random() < 0.85 else size - 1 - p) for p in pairs)
+        if 20 <= _count_inside(w, size) <= 200:
+            words.append(w)
+    return words
 
 
 def brute_grundy_map(board: BoardParams) -> dict[tuple[int, ...], int]:

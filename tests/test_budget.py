@@ -192,6 +192,8 @@ def test_isomorphism_checks_past_the_budget_or_empty_are_refused_unchecked(capsy
          "staircase isomorphism verification for n in 1..0 checks nothing"),
         (lambda: verify_staircase_iso(16), RangeTooLargeError,
          f"staircase isomorphism verification of 16x17 {PAST}"),
+        (lambda: verify_staircase_iso(0), DomainError,
+         "staircase isomorphism verification needs n >= 1, got 0"),
     ]
     for call, error, message in refusals:
         with pytest.raises(error, match=f"^{message}$"):

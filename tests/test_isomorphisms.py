@@ -317,8 +317,10 @@ def test_verifiers_fail_with_literal_witnesses(monkeypatch):
         (lambda: verify_widening(0, 2), r"^board sides must be at least 1, got \(0, 2\)$"),
         (lambda: verify_widening(-1, 3), r"^board sides must be at least 1, got \(-1, 3\)$"),
         (lambda: verify_widening(3, 4), r"^widening needs m \+ n even, got \(3, 4\)$"),
-        (lambda: verify_staircase_iso(0), r"^board sides must be at least 1, got \(0, 1\)$"),
-        (lambda: verify_staircase_iso(-2), r"^board sides must be at least 1, got \(-2, -1\)$"),
+        (lambda: verify_staircase_iso(0),
+         r"^staircase isomorphism verification needs n >= 1, got 0$"),
+        (lambda: verify_staircase_iso(-2),
+         r"^staircase isomorphism verification needs n >= 1, got -2$"),
     ],
 )
 def test_isomorphism_checks_refuse_boards_the_theorems_do_not_cover(check, message):

@@ -16,6 +16,7 @@ from conftest import (
     moves_reference,
     rule_book_move_reference,
     rule_book_moves_reference,
+    seeded_subgames,
     triples,
 )
 
@@ -42,6 +43,7 @@ from hookgames.cli import main
 from hookgames.grundy import grundy
 from hookgames.isomorphisms import widen_word
 from hookgames.mhrg import (
+    ENGINES,
     _DENSE,
     _class_chain,
     _count_inside,
@@ -588,10 +590,10 @@ def sweep_5x8(memo):
 
 def test_line_sweep_keeps_pre_valued_words_and_still_fills_their_lines():
     # The class chain hands the sweep its inert-coin words already valued,
-    # and cross-check hands it a copy of the memo.  A word the memo holds
-    # keeps its value but still adds it to its lines, so the words valued
-    # after it read the same masks as in a fresh sweep.  Here a seeded half
-    # of the words is valued beforehand.
+    # on both engines; cross-check checks only the words the sweep values.
+    # A word the memo holds keeps its value but still adds it to its lines,
+    # so the words valued after it read the same masks as in a fresh sweep.
+    # Here a seeded half of the words is valued beforehand.
     fresh = sweep_5x8({})
     assert len(fresh) == 192
     half = random.Random(27).sample(sorted(fresh), 96)
@@ -672,16 +674,17 @@ def test_subgame_sweep_refuses_a_list_missing_a_word_or_past_its_diagram(forge, 
 
 
 def test_cross_check_catches_a_line_value_that_differs(monkeypatch):
-    # cross-check values every sweep both by lines and by options, on a
-    # whole-board solve, on a subgame (3,1 on 2x3, whose last word is 3,1
-    # itself) and on each class of a chain.
+    # cross-check checks every word a sweep values against the mex of its
+    # options, on a whole-board solve, on a subgame (3,1 on 2x3, whose last
+    # word is 3,1 itself) and on each class of a chain.
     import hookgames.mhrg as mh
 
     original = mh._value_in_order
+    forged_at = [-1]
 
     def forged(words, bound, size, memo):
         original(words, bound, size, memo)
-        memo[words[-1][0]] += 1
+        memo[words[forged_at[0]][0]] += 1
 
     monkeypatch.setattr(mh, "_value_in_order", forged)
     with pytest.raises(EngineInvariantError, match="at 3,3 on 2x3: 4 by lines, 3 by options"):
@@ -691,6 +694,13 @@ def test_cross_check_catches_a_line_value_that_differs(monkeypatch):
     with pytest.raises(EngineInvariantError, match="at 1 on 1x1: 2 by lines, 1 by options"):
         start_values([BoardParams(2, 3)], engine="cross-check")
     assert solve(BoardParams(2, 3))[0] == 4  # the forged value, unchecked
+    # The first word, the empty diagram, is forged from 0 to 1.  The words
+    # above it that move to it read the forged value, and their mex then
+    # differs from their line values too; the report names the empty one.
+    forged_at[0] = 0
+    for diagram in (None, YoungDiagram((3, 1))):
+        with pytest.raises(EngineInvariantError, match="at - on 2x3: 1 by lines, 0 by options"):
+            solve(BoardParams(2, 3), diagram, engine="cross-check")
 
 
 def subgame_closures(board) -> dict[int, set[int]]:
@@ -755,6 +765,53 @@ def test_subgame_sweep_matches_the_search_past_81_cells(m, n):
         assert len(expected) == _count_inside(w, size)
         assert solve(board, diagram_of_word(w)) == (expected[w], expected)
         checked += 1
+
+
+@pytest.mark.parametrize("m, n", [(9, 12), (12, 20), (20, 25), (6, 60), (3, 200), (40, 41)])
+def test_checked_subgame_sweep_matches_the_rule_book_past_81_cells(m, n):
+    # Past the boards whose whole game the rule book values, three seeded
+    # subgames of 20-200 words each: cross-check checks every word's
+    # options against the rule book and its line value against their mex.
+    # 40x41 has m = k, a coin on every pair.
+    board = BoardParams(m, n)
+    for w in seeded_subgames(board, 3):
+        diagram = diagram_of_word(w)
+        assert solve(board, diagram, engine="cross-check") == solve(board, diagram), diagram
+
+
+def test_in_game_sweeps_never_search(monkeypatch):
+    # An in-game solve, whole board or subgame, and each class of a chain
+    # are valued by one line sweep, on both engines, with no depth-first
+    # search; only a diagram outside the game (5,3,1 on 4x5) reaches it.
+    import hookgames.mhrg as mh
+
+    cases = [
+        (lambda engine: solve(BoardParams(3, 5), engine=engine), 1),
+        (lambda engine: solve(BoardParams(5, 7), YoungDiagram((7, 6, 4, 2, 1)), engine=engine), 1),
+        (lambda engine: start_values([BoardParams(3, 4)], engine=engine), 3),
+        (lambda engine: closedforms.grundy_table(3, 4, engine=engine), 5),
+    ]
+    expected = [case("diagonal") for case, _ in cases]
+    original = mh._value_in_order
+    sweeps = []
+
+    def counted(words, bound, size, memo):
+        sweeps.append(bound)
+        original(words, bound, size, memo)
+
+    def searched(pos, options, memo):
+        raise AssertionError(f"searched from {pos}")
+
+    monkeypatch.setattr(mh, "_value_in_order", counted)
+    monkeypatch.setattr(mh, "grundy", searched)
+    for engine in ENGINES:
+        for (case, count), answer in zip(cases, expected):
+            sweeps.clear()
+            assert case(engine) == answer and len(sweeps) == count, engine
+        sweeps.clear()
+        with pytest.raises(AssertionError, match="searched from 293"):
+            solve(BoardParams(4, 5), YoungDiagram((5, 3, 1)), engine=engine)
+        assert sweeps == []
 
 
 @pytest.mark.parametrize(
@@ -827,10 +884,11 @@ def test_class_chain_refuses_an_option_outside_its_order(monkeypatch):
 def test_sweeps_refuse_a_smaller_option_outside_the_game(monkeypatch):
     # An engine that gives 2x2's start (12) the option 6, the diagram 1,1,
     # whose beads share the pair (1, 2), leaves the mirror-free words: the
-    # search values 6 below the start, one position more than the list.
+    # sweep never values 6, so the check of the start refuses it, on a
+    # whole-board solve and on the chain's class 2x2 alike.
     assert word_of_diagram(BoardParams(2, 2), YoungDiagram((1, 1))) == 6
     forge_both_rules(monkeypatch, lambda size, word: {6} if (size, word) == (4, 12) else set())
-    message = "5 positions valued for the 4 mirror-free words of 2x2 inside 2,2"
+    message = "option 6 of 12 is not valued before it"
     with pytest.raises(EngineInvariantError, match=message):
         solve(BoardParams(2, 2), engine="cross-check")
     with pytest.raises(EngineInvariantError, match=message):
